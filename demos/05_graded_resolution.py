@@ -39,7 +39,7 @@ print("\n[X, T] =", bracket(X, T, ring).t)
 print("\n[Z, Z'] for Z' = Z gives 4|a|^2 - 4 mu nu:")
 print("  ", bracket(Z, Z, ring).t)
 
-report = verify_lie3("symbolic")
+report = verify_lie3()
 print("\nsymbolic Lie-3 suite (%d checks): %s" % (len(report.checks), "all passed" if report.passed else "FAILED"))
 for check in report.checks:
     print("   %-22s %s" % (check.name, "ok" if check.passed else "FAIL"))

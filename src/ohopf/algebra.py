@@ -87,17 +87,6 @@ def mult_table(dim: int):
     return octonion_table() if dim == 8 else doubling_table(dim)
 
 
-@lru_cache(maxsize=None)
-def structure_tensor(dim: int) -> np.ndarray:
-    """Dense tensor M with (a*b)_k = sum_ij M[i, j, k] a_i b_j."""
-    sign, index = mult_table(dim)
-    M = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            M[i, j, index[i][j]] = sign[i][j]
-    return M
-
-
 class AlgebraElement:
     """Element of the Cayley-Dickson algebra of the given dimension.
 

@@ -19,6 +19,11 @@ symbolically here, and the whole structure is consistent with the groupoid:
 central finite differences of the target map along arrow directions
 reproduce the anchor, and the derivative of the rescaling function along
 the F_i direction is x^i.
+
+The weight c and the anchor are each written once, as functions of a
+section and a base point (x, y) whose coefficients may be exact numbers,
+floats or polynomials.  The symbolic forms pass the coordinate elements of a
+polynomial ring as the point; the numeric checks pass numbers.
 """
 
 from __future__ import annotations
@@ -57,6 +62,9 @@ class E0Section:
     def scale(self, f):
         return E0Section(self.u.scale(f), self.v.scale(f))
 
+    def components(self):
+        return (*self.u.coeffs, *self.v.coeffs)
+
     def is_zero(self):
         return _elem_zero(self.u) and _elem_zero(self.v)
 
@@ -89,6 +97,13 @@ def constant_section(dim: int, i: int, slot: int) -> E0Section:
     return E0Section(e, z) if slot == 0 else E0Section(z, e)
 
 
+def _e0_basis(dim: int):
+    """The basis sections (e_0, 0)..(e_{n-1}, 0), (0, e_0)..(0, e_{n-1}) in order."""
+    z = AlgebraElement.zero(dim)
+    es = [AlgebraElement.basis(dim, i) for i in range(dim)]
+    return [E0Section(e, z) for e in es] + [E0Section(z, e) for e in es]
+
+
 def lift(sec: E0Section, ring: PolyRing) -> E0Section:
     """Coerce numeric coefficients into the polynomial ring."""
 
@@ -101,31 +116,28 @@ def lift(sec: E0Section, ring: PolyRing) -> E0Section:
     return E0Section(lift_elem(sec.u), lift_elem(sec.v))
 
 
+def _weight(sec: E0Section, x: AlgebraElement, y: AlgebraElement):
+    """c(u, v) = <x, u> + <y, v> at the base point (x, y)."""
+    return x.inner(sec.u) + y.inner(sec.v)
+
+
+def _rho(sec: E0Section, x: AlgebraElement, y: AlgebraElement) -> VectorField:
+    """The anchor field of a section at the base point (x, y)."""
+    c = _weight(sec, x, y)
+    return VectorField(
+        sec.u.scale(x.norm_sq()) + (x * y.conjugate()) * sec.v - x.scale(c),
+        sec.v.scale(y.norm_sq()) + (y * x.conjugate()) * sec.u - y.scale(c),
+    )
+
+
 def section_weight(sec: E0Section, ring: PolyRing) -> Polynomial:
-    """c(u, v) = <x, u> + <y, v>, the scalar that drives the bracket."""
-    x, y = coordinate_elements(ring, sec.dim)
-    s = lift(sec, ring)
-    return x.inner(s.u) + y.inner(s.v)
+    """c(u, v), the scalar that drives the bracket, with symbolic base point."""
+    return _weight(lift(sec, ring), *coordinate_elements(ring, sec.dim))
 
 
 def anchor(sec: E0Section, ring: PolyRing) -> VectorField:
     """The anchor field of a section, with symbolic base point."""
-    dim = sec.dim
-    x, y = coordinate_elements(ring, dim)
-    s = lift(sec, ring)
-    c = x.inner(s.u) + y.inner(s.v)
-    Xu = s.u.scale(x.norm_sq()) + (x * y.conjugate()) * s.v - x.scale(c)
-    Xv = s.v.scale(y.norm_sq()) + (y * x.conjugate()) * s.u - y.scale(c)
-    return VectorField(Xu, Xv)
-
-
-def anchor_at(u: AlgebraElement, v: AlgebraElement, x: AlgebraElement, y: AlgebraElement):
-    """Anchor of the constant section (u, v) evaluated at a numeric point."""
-    c = x.inner(u) + y.inner(v)
-    return (
-        u.scale(x.norm_sq()) + (x * y.conjugate()) * v - x.scale(c),
-        v.scale(y.norm_sq()) + (y * x.conjugate()) * u - y.scale(c),
-    )
+    return _rho(lift(sec, ring), *coordinate_elements(ring, sec.dim))
 
 
 def vf_apply(X: VectorField, f: Polynomial, ring: PolyRing) -> Polynomial:
@@ -281,12 +293,9 @@ def verify_groupoid_consistency(samples: int, seed: int, tol: float, dim: int = 
             h = 1e-5 * scale
             i = int(rng.integers(0, dim))
             slot = int(rng.integers(0, 2))
-            e = AlgebraElement.basis(dim, i)
             z = AlgebraElement.zero(dim)
-            expected = anchor_at(e, z, x, y) if slot == 0 else anchor_at(z, e, x, y)
-            expected_vec = np.array(
-                [*[float(c) for c in expected[0].coeffs], *[float(c) for c in expected[1].coeffs]]
-            )
+            expected = _rho(constant_section(dim, i, slot), x, y)
+            expected_vec = np.array([float(c) for c in expected.components()])
             diff = _central_difference(x, y, i, slot, h, dim)
             res = float(np.max(np.abs(diff - expected_vec)))
             if res > tol:
@@ -321,13 +330,12 @@ def verify_groupoid_consistency(samples: int, seed: int, tol: float, dim: int = 
         )
         # both sides vanish at the origin
         z = AlgebraElement.zero(dim)
-        e = AlgebraElement.basis(dim, 0)
-        a0 = anchor_at(e, z, z, z)
+        a0 = _rho(constant_section(dim, 0, 0), z, z)
         d0 = _central_difference(z, z, 0, 0, 1e-5, dim)
         report.add(
             "origin_is_fixed",
             "at (0,0) the target derivative and the anchor both vanish",
-            float(np.max(np.abs(d0))) <= tol and a0[0].is_zero() and a0[1].is_zero(),
+            float(np.max(np.abs(d0))) <= tol and a0.is_zero(),
         )
     return report
 

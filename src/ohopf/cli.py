@@ -23,6 +23,8 @@ from .algebra import from_array
 from .report import VerificationReport
 
 SUITES = ("algebra", "leaves", "groupoid", "algebroid", "lie3", "foliation", "all")
+BACKENDS = ("exact", "float")
+FORMATS = ("json", "text")
 
 SUITE_DIMS = {
     "algebra": (1, 2, 4, 8, 16),
@@ -38,6 +40,35 @@ def _env(name, fallback):
     return os.environ.get("OHOPF_" + name.upper(), fallback)
 
 
+def _checked(convert, valid, requirement):
+    """An argparse type= that converts, then validates.
+
+    argparse also applies it to string defaults, so values taken from the
+    OHOPF_* variables are checked the same way as flags.
+    """
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError("%s, got %r" % (requirement, text))
+        return value
+
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
+_radius = _checked(float, lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0")
+
+
+def _one_of(options):
+    # choices= alone does not check a default taken from the environment
+    return _checked(str, options.__contains__, "must be one of %s" % ", ".join(options))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ohopf",
@@ -47,19 +78,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("--suite", choices=SUITES, default=_env("suite", "all"))
-    verify.add_argument("--dim", type=int, default=int(_env("dim", "8")))
-    verify.add_argument("--seed", type=int, default=int(_env("seed", "0")))
-    verify.add_argument("--samples", type=int, default=int(_env("samples", "200")))
-    verify.add_argument("--tol", type=float, default=float(_env("tol", "1e-9")))
+    verify.add_argument(
+        "--suite", choices=SUITES, type=_one_of(SUITES), default=_env("suite", "all")
+    )
+    verify.add_argument("--dim", type=int, default=_env("dim", "8"))
+    verify.add_argument("--seed", type=int, default=_env("seed", "0"))
+    verify.add_argument("--samples", type=_count, default=_env("samples", "200"))
+    verify.add_argument("--tol", type=_tolerance, default=_env("tol", "1e-9"))
     verify.add_argument(
         "--backend",
-        choices=("exact", "float"),
+        choices=BACKENDS,
+        type=_one_of(BACKENDS),
         default=_env("backend", "float"),
         help="exact restricts a suite to its symbolic checks where meaningful",
     )
     verify.add_argument("--out", default=_env("out", None), help="write the report here")
-    verify.add_argument("--format", choices=("json", "text"), default=_env("format", "text"))
+    verify.add_argument(
+        "--format", choices=FORMATS, type=_one_of(FORMATS), default=_env("format", "text")
+    )
 
     export = sub.add_parser("export-leaf", help="sample a leaf and write CSV")
     export.add_argument(
@@ -67,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=_env("slope", "e1"),
         help="'origin', 'inf', 'eK' for a basis slope, or comma-separated coefficients",
     )
-    export.add_argument("--radius", type=float, default=float(_env("radius", "1.0")))
-    export.add_argument("-n", "--count", type=int, default=int(_env("count", "100")))
-    export.add_argument("--seed", type=int, default=int(_env("seed", "0")))
-    export.add_argument("--dim", type=int, default=int(_env("dim", "8")))
+    export.add_argument("--radius", type=_radius, default=_env("radius", "1.0"))
+    export.add_argument("-n", "--count", type=_count, default=_env("count", "100"))
+    export.add_argument("--seed", type=int, default=_env("seed", "0"))
+    export.add_argument("--dim", type=int, default=_env("dim", "8"))
     export.add_argument("--out", required=True)
     return parser
 
@@ -88,7 +124,10 @@ def _parse_slope(text: str, dim: int):
     if text in ("inf", "infinity", "oo"):
         return None  # radius applied by caller
     if text.startswith("e") and text[1:].isdigit():
-        return from_array([1.0 if i == int(text[1:]) else 0.0 for i in range(dim)])
+        k = int(text[1:])
+        if k >= dim:
+            _usage_error("slope e%d needs an index below the dimension %d" % (k, dim))
+        return from_array([1.0 if i == k else 0.0 for i in range(dim)])
     try:
         coeffs = [float(p) for p in text.split(",")]
     except ValueError:
@@ -118,7 +157,7 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
             reports.extend(_groupoid_reports(dim, samples, seed, tol, backend))
         if dim == 8:
             reports.append(algebroid.verify_algebroid(samples, seed, max(tol, 1e-6)))
-            reports.append(lie3.verify_lie3("symbolic", samples, seed))
+            reports.append(lie3.verify_lie3())
             reports.append(lie3.verify_matrix_vs_transcription())
             reports.append(lie3.generic_ranks(max(samples // 2, 20), seed))
         if dim in SUITE_DIMS["foliation"]:
@@ -137,7 +176,7 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
         return [algebroid.verify_algebroid(samples, seed, max(tol, 1e-6), dim)]
     if suite == "lie3":
         reports = [
-            lie3.verify_lie3("symbolic", samples, seed),
+            lie3.verify_lie3(),
             lie3.verify_matrix_vs_transcription(),
         ]
         if backend != "exact":
@@ -176,8 +215,6 @@ def cmd_verify(args) -> int:
         "tol": args.tol,
         "backend": args.backend,
     }
-    if args.tol <= 0:
-        _usage_error("tolerance must be positive")
     try:
         reports = run_suite(args.suite, args.dim, args.seed, args.samples, args.tol, args.backend)
     except ValueError as exc:
@@ -202,6 +239,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_leaf(args) -> int:
+    _check_dim("leaves", args.dim)
     slope = _parse_slope(args.slope, args.dim)
     r2 = args.radius * args.radius
     if isinstance(slope, leaves.LeafId):

@@ -5,13 +5,14 @@ A vector field (u, v) on D^2 is tangent to the leaf decomposition iff
     <x, u> = 0,   u*conj(y) + x*conj(v) = 0,   <y, v> = 0,
 
 which this module packages as the map J from fields to R + D + R valued
-functions.  On top of J it provides:
+functions.  J is written once, as a function of the field and a base point
+(x, y) on any scalar backend; on top of it the module provides:
 
-  * symbolic tangency tests for polynomial fields,
+  * the exact symbolic tangency test for polynomial fields,
   * fiberwise numeric nullspaces of J (leaf dimensions at a point),
   * the exact nullspace of J on fields linear in (x, y), assembled
     coefficient-wise over the rationals and solved by fraction-free
-    elimination, cross-checked against a point-sampled system,
+    elimination, cross-checked against a system sampled at integer points,
   * Lie derivatives of the flat metric and the planar rotation example
     separating geometric from module-compatible metrics.
 
@@ -29,7 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactsolve
-from .algebra import AlgebraElement, coordinate_elements
+from .algebra import AlgebraElement, coordinate_elements, vector_symbol
+from .algebroid import E0Section, _e0_basis, _rho, anchor, constant_section
 from .polyring import PolyRing, Polynomial
 from .report import VerificationReport, derived_rng, timed_report
 
@@ -39,17 +41,23 @@ EXPECTED_NULLITY = {2: 1, 4: 3, 8: 0}
 # -- the characterization map J --------------------------------------------
 
 
-def J_map(u: AlgebraElement, v: AlgebraElement, ring: PolyRing):
-    """(<x,u>, u*conj(y) + x*conj(v), <y,v>) with symbolic base point."""
-    dim = ring.base_dim
-    x, y = coordinate_elements(ring, dim)
+def _tangency(u: AlgebraElement, v: AlgebraElement, x: AlgebraElement, y: AlgebraElement):
+    """J(u, v) = (<x,u>, u*conj(y) + x*conj(v), <y,v>) at the base point (x, y)."""
     return x.inner(u), u * y.conjugate() + x * v.conjugate(), y.inner(v)
+
+
+def _flatten(first, middle: AlgebraElement, last):
+    return [first, *middle.coeffs, last]
+
+
+def J_map(u: AlgebraElement, v: AlgebraElement, ring: PolyRing):
+    """J of a field with symbolic base point."""
+    return _tangency(u, v, *coordinate_elements(ring, ring.base_dim))
 
 
 def J_components(u: AlgebraElement, v: AlgebraElement, ring: PolyRing):
     """J flattened to dim+2 polynomials."""
-    first, middle, last = J_map(u, v, ring)
-    return [first, *middle.coeffs, last]
+    return _flatten(*J_map(u, v, ring))
 
 
 def is_tangent_symbolic(u: AlgebraElement, v: AlgebraElement, ring: PolyRing) -> bool:
@@ -57,65 +65,29 @@ def is_tangent_symbolic(u: AlgebraElement, v: AlgebraElement, ring: PolyRing) ->
     return all(_aszero(c) for c in J_components(u, v, ring))
 
 
-def is_tangent(
-    u: AlgebraElement,
-    v: AlgebraElement,
-    ring: PolyRing,
-    mode: str = "symbolic",
-    samples: int = 25,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> bool:
-    """Tangency of a polynomial field, exact or spot-checked at random points."""
-    if mode == "symbolic":
-        return is_tangent_symbolic(u, v, ring)
-    if mode != "sampled":
-        raise ValueError("mode is 'symbolic' or 'sampled'")
-    rng = random.Random(seed)
-    comps = J_components(u, v, ring)
-    names = [var.name for var in ring.variables]
-    for _ in range(samples):
-        at = {name: Fraction(rng.randint(-8, 8), 4) for name in names}
-        for comp in comps:
-            if abs(float(comp.evaluate(at))) > tol:
-                return False
-    return True
-
-
 def _aszero(c) -> bool:
     return c.is_zero() if isinstance(c, Polynomial) else not c
 
 
-def J_matrix_exact(x: AlgebraElement, y: AlgebraElement):
-    """Matrix of J at a fixed point, columns ordered u_0..u_{n-1}, v_0..v_{n-1}.
+def _columns_to_rows(cols):
+    """Row-major matrix from its list of columns."""
+    return tuple(zip(*cols))
+
+
+def _J_matrix(x: AlgebraElement, y: AlgebraElement):
+    """Matrix of J at the point (x, y), columns ordered u_0..u_{n-1}, v_0..v_{n-1}.
 
     Entries stay in the scalar backend of the point, so integer points give
     integer matrices.
     """
-    dim = x.dim
-    cols = []
-    ycj = y.conjugate()
-    for p in range(dim):
-        e = AlgebraElement.basis(dim, p)
-        prod = e * ycj
-        cols.append([x.inner(e), *prod.coeffs, 0])
-    for p in range(dim):
-        e = AlgebraElement.basis(dim, p)
-        prod = x * e.conjugate()
-        cols.append([0, *prod.coeffs, y.inner(e)])
-    return [[cols[j][i] for j in range(2 * dim)] for i in range(dim + 2)]
-
-
-def J_matrix_at(x, y, dim: int) -> np.ndarray:
-    """Float matrix of J at a numeric point."""
-    xe = AlgebraElement(tuple(float(v) for v in x), dim)
-    ye = AlgebraElement(tuple(float(v) for v in y), dim)
-    return np.array(J_matrix_exact(xe, ye), dtype=float)
+    return _columns_to_rows([_flatten(*_tangency(s.u, s.v, x, y)) for s in _e0_basis(x.dim)])
 
 
 def J_nullspace_at_point(x, y, dim: int, tol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis (columns) of the tangent space to the leaf at a point."""
-    M = J_matrix_at(x, y, dim)
+    xe = AlgebraElement(tuple(float(v) for v in x), dim)
+    ye = AlgebraElement(tuple(float(v) for v in y), dim)
+    M = np.array(_J_matrix(xe, ye), dtype=float)
     u, s, vt = np.linalg.svd(M)
     if s.size and s[0] > 0:
         rank = int(np.sum(s > tol * s[0]))
@@ -192,15 +164,9 @@ def _ansatz_rows(dim: int):
         AlgebraElement(tuple(u), dim), AlgebraElement(tuple(v), dim), ring
     )
 
-    nbase = 2 * dim
-    base_mask = (1 << (5 * nbase)) - 1
     grouped: dict = {}
     for ci, pol in enumerate(comps):
-        for key, coeff in pol.terms.items():
-            base_key = key & base_mask
-            sec = key >> (5 * nbase)
-            assert sec and sec & (sec - 1) == 0, "expected exactly one unknown per term"
-            unknown = (sec.bit_length() - 1) // 5
+        for base_key, unknown, coeff in pol.section_linear_terms():
             row = grouped.setdefault((ci, base_key), {})
             row[unknown] = row.get(unknown, 0) + coeff
     rows = [{c: v for c, v in row.items() if v} for row in grouped.values()]
@@ -257,7 +223,7 @@ def sampled_nullspace_dimension(dim: int, seed: int, extra_points: int = 3):
             coords[0] = 1
         x = AlgebraElement(tuple(coords[:dim]), dim)
         y = AlgebraElement(tuple(coords[dim:]), dim)
-        M = J_matrix_exact(x, y)
+        M = _J_matrix(x, y)
         for c in range(dim + 2):
             row = [0] * ncols
             for p in range(dim):
@@ -338,8 +304,6 @@ def linear_obstruction_report() -> VerificationReport:
     generator of the tangency module vanishes to second order at the origin,
     so nothing in the module can repair a first-order metric defect.
     """
-    from .algebroid import anchor, constant_section
-
     with timed_report("linear_obstruction", {}) as report:
         nullity, _ = linear_nullspace(8)
         report.add(
@@ -376,7 +340,7 @@ def verify_foliation(dim: int, samples: int, seed: int, tol: float) -> Verificat
     """Tangency suite: symbolic kernel facts plus the exact nullspace ladder."""
     if dim not in (2, 4, 8):
         raise ValueError("foliation suite runs at dims 2, 4, 8")
-    from . import algebroid, leaves
+    from . import leaves
 
     with timed_report(
         "foliation", {"dim": dim, "samples": samples, "seed": seed, "tol": tol}
@@ -384,11 +348,9 @@ def verify_foliation(dim: int, samples: int, seed: int, tol: float) -> Verificat
         # anchor image sits inside ker J, symbolically in all 4n variables
         names = ["u%d" % i for i in range(dim)] + ["v%d" % i for i in range(dim)]
         ring = PolyRing(dim, names)
-        from .algebra import vector_symbol
-
         u = vector_symbol(ring, "u", dim)
         v = vector_symbol(ring, "v", dim)
-        X = algebroid.anchor(algebroid.E0Section(u, v), ring)
+        X = anchor(E0Section(u, v), ring)
         report.add(
             "anchor_image_tangent",
             "J(rho(u, v)) = 0 for symbolic constant (u, v)",
@@ -476,8 +438,7 @@ def verify_foliation(dim: int, samples: int, seed: int, tol: float) -> Verificat
             def rhs(_t, state):
                 xs = AlgebraElement(tuple(state[:dim]), dim)
                 ys = AlgebraElement(tuple(state[dim:]), dim)
-                du, dv = algebroid.anchor_at(cu, cv, xs, ys)
-                return [*du.coeffs, *dv.coeffs]
+                return list(_rho(E0Section(cu, cv), xs, ys).components())
 
             sol = solve_ivp(rhs, (0.0, 0.5), p0, rtol=1e-11, atol=1e-12, dense_output=True)
             start = leaves.PointD2(

@@ -79,11 +79,14 @@ def rescale(g: Arrow) -> float:
     return math.sqrt(sq)
 
 
+def _shift(F: AlgebraElement, G: AlgebraElement, x: AlgebraElement, y: AlgebraElement):
+    """x + |x|^2 F + (x conj(y)) G: the x block of the target before rescaling."""
+    return x + F.scale(x.norm_sq()) + (x * y.conjugate()) * G
+
+
 def target(g: Arrow) -> PointD2:
     lam = rescale(g)
-    tx = (g.x + g.F.scale(g.x.norm_sq()) + (g.x * g.y.conjugate()) * g.G) / lam
-    ty = (g.y + g.G.scale(g.y.norm_sq()) + (g.y * g.x.conjugate()) * g.F) / lam
-    return PointD2(tx, ty)
+    return PointD2(_shift(g.F, g.G, g.x, g.y) / lam, _shift(g.G, g.F, g.y, g.x) / lam)
 
 
 def unit(p: PointD2) -> Arrow:
@@ -299,8 +302,7 @@ def rescale_sq_identity(dim: int) -> bool:
     x, y = coordinate_elements(ring, dim)
     g = Arrow(F, G, x, y)
     lhs = x.norm_sq() * rescale_sq(g)
-    shifted = x + F.scale(x.norm_sq()) + (x * y.conjugate()) * G
-    return (lhs - shifted.norm_sq()).is_zero()
+    return (lhs - _shift(F, G, x, y).norm_sq()).is_zero()
 
 
 def verify_structure(dim: int, samples: int, seed: int, tol: float) -> VerificationReport:

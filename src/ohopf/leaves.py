@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, from_array, random_rational_element, structure_tensor
+from .algebra import AlgebraElement, from_array, random_rational_element
 from .report import VerificationReport, derived_rng, timed_report
 
 
@@ -134,12 +134,6 @@ def export_csv(points, path):
                 ["%.17g" % float(c) for c in p.x.coeffs]
                 + ["%.17g" % float(c) for c in p.y.coeffs]
             )
-
-
-def batch_multiply(slope: np.ndarray, xs: np.ndarray, dim: int) -> np.ndarray:
-    """Row-wise products slope * xs[i] through the structure tensor."""
-    M = structure_tensor(dim)
-    return np.einsum("ijk,j,ni->nk", M, slope, xs)
 
 
 # -- the right-multiplication counterexample -------------------------------

@@ -100,6 +100,10 @@ class PolyRing:
         value = _coerce(value)
         return Polynomial(self, {0: value} if value else {})
 
+    def _base_bits(self) -> int:
+        """Width of the base-variable fields at the low end of a monomial key."""
+        return _SHIFT * 2 * self.base_dim
+
     def exponents(self, key: int) -> tuple:
         """Decode a monomial key into one exponent per variable."""
         exps = []
@@ -176,11 +180,27 @@ class Polynomial:
         return seen
 
     def depends_on_base(self) -> bool:
-        nbase = 2 * self.ring.base_dim
-        if nbase == 0:
-            return False
-        base_mask = (1 << (_SHIFT * nbase)) - 1
+        base_mask = (1 << self.ring._base_bits()) - 1
         return any(key & base_mask for key in self.terms)
+
+    def section_linear_terms(self):
+        """Split the terms of a polynomial linear in the section variables.
+
+        Returns one (base monomial key, section index, coefficient) triple per
+        term, the index counting section variables in registration order.
+        Raises ValueError on a term that is not of degree one in exactly one
+        section variable.
+        """
+        bits = self.ring._base_bits()
+        base_mask = (1 << bits) - 1
+        out = []
+        for key, c in self.terms.items():
+            sec = key >> bits
+            index = (sec.bit_length() - 1) // _SHIFT
+            if not sec or sec != 1 << (_SHIFT * index):
+                raise ValueError("term is not linear in exactly one section variable")
+            out.append((key & base_mask, index, c))
+        return out
 
     # -- ring operations ----------------------------------------------
 

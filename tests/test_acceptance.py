@@ -98,7 +98,7 @@ def test_06_algebroid_suite():
 
 def test_07_lie3_suite():
     start = time.perf_counter()
-    report = lie3.verify_lie3("symbolic")
+    report = lie3.verify_lie3()
     elapsed = time.perf_counter() - start
     bad = [c.name for c in report.checks if not c.passed]
     ok = not bad and elapsed <= 600.0

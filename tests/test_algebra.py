@@ -13,7 +13,6 @@ from ohopf.algebra import (
     mult_table,
     octonion_table,
     random_rational_element,
-    structure_tensor,
     verify_algebra_identities,
 )
 
@@ -117,17 +116,6 @@ def test_associator_values():
     assert associator(a, a, b).is_zero()
     assert not associator(E(1), E(2), E(4)).is_zero()
     assert associator(E(1, 4), E(2, 4), E(3, 4)).is_zero()
-
-
-def test_structure_tensor_matches_table():
-    import numpy as np
-
-    M = structure_tensor(8)
-    a = np.arange(1.0, 9.0)
-    b = np.arange(2.0, 10.0)
-    via_tensor = np.einsum("ijk,i,j->k", M, a, b)
-    via_elements = (AlgebraElement(tuple(a)) * AlgebraElement(tuple(b))).as_floats()
-    assert np.allclose(via_tensor, via_elements)
 
 
 @pytest.mark.parametrize("dim", DIMS)

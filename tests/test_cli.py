@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +115,45 @@ def test_env_override(monkeypatch):
 
     args = build_parser().parse_args(["verify", "--suite", "algebra"])
     assert args.seed == 99
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["verify", "--suite", "groupoid", "--dim", "2", "--samples", "0"], {}),
+        (["verify", "--suite", "groupoid", "--dim", "2", "--samples", "-3"], {}),
+        (["verify", "--suite", "groupoid", "--dim", "2", "--tol", "inf"], {}),
+        (["verify", "--suite", "groupoid", "--dim", "2", "--tol", "nan"], {}),
+        (["verify", "--suite", "groupoid", "--dim", "2", "--tol", "0"], {}),
+        (["verify", "--suite", "groupoid", "--dim", "2"], {"OHOPF_SAMPLES": "0"}),
+        (["verify", "--suite", "groupoid", "--dim", "2"], {"OHOPF_SEED": "abc"}),
+        (["verify", "--suite", "groupoid"], {"OHOPF_DIM": "two"}),
+        (["verify"], {"OHOPF_SUITE": "bogus"}),
+        (["verify", "--suite", "algebra"], {"OHOPF_BACKEND": "bogus"}),
+        (["verify", "--suite", "algebra"], {"OHOPF_FORMAT": "bogus"}),
+        (["export-leaf", "-n", "0", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--radius", "-1", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--radius", "inf", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--out", "leaf.csv"], {"OHOPF_COUNT": "1.5"}),
+        (["export-leaf", "--slope", "e9", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--dim", "3", "--out", "leaf.csv"], {}),
+    ],
+)
+def test_bad_input_exits_2(tmp_path, argv, env):
+    environ = {k: v for k, v in os.environ.items() if not k.startswith("OHOPF_")}
+    environ.update(env, PYTHONPATH=_SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ohopf.cli", *argv],
+        cwd=tmp_path,
+        env=environ,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.strip()
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "leaf.csv").exists()

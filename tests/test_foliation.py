@@ -7,7 +7,6 @@ from ohopf import exactsolve
 from ohopf.algebra import AlgebraElement, coordinate_elements
 from ohopf.foliation import (
     J_map,
-    J_matrix_exact,
     J_nullspace_at_point,
     lie_derivative_flat,
     linear_nullspace,
@@ -34,19 +33,6 @@ def test_J_of_euler_field():
     assert last == y.norm_sq()
     assert (middle - (x * y.conjugate()).scale(2)).is_zero()
     assert not is_tangent_symbolic(x, y, ring)
-
-
-def test_J_matrix_exact_columns():
-    x = AlgebraElement(tuple(range(1, 9)), 8)
-    y = AlgebraElement(tuple(range(2, 10)), 8)
-    M = J_matrix_exact(x, y)
-    assert len(M) == 10 and len(M[0]) == 16
-    # first row is (x, 0), last row (0, y)
-    assert M[0] == list(range(1, 9)) + [0] * 8
-    assert M[9] == [0] * 8 + list(range(2, 10))
-    # column p of the middle block is e_p conj(y): check p = 0 gives conj(y)
-    middle_col0 = [M[1 + k][0] for k in range(8)]
-    assert middle_col0 == [2, -3, -4, -5, -6, -7, -8, -9]
 
 
 def test_nullspace_at_point_dimension():
@@ -107,19 +93,6 @@ def test_right_multiplication_fields_span_quaternion_case():
         c = AlgebraElement.basis(4, k)
         lifted = AlgebraElement(tuple(base.const(int(v)) for v in c.coeffs), 4)
         assert is_tangent_symbolic(x * lifted, y * lifted, base)
-
-
-def test_is_tangent_sampled_mode():
-    from ohopf.foliation import is_tangent
-    from ohopf.algebroid import anchor, constant_section
-
-    ring = PolyRing(4)
-    X = anchor(constant_section(4, 1, 0), ring)
-    assert is_tangent(X.u, X.v, ring, mode="sampled", samples=10, seed=1)
-    x, y = coordinate_elements(ring, 4)
-    assert not is_tangent(x, y, ring, mode="sampled", samples=10, seed=1)
-    with pytest.raises(ValueError):
-        is_tangent(x, y, ring, mode="fuzzy")
 
 
 def test_lie_derivative_rotation_and_euler():

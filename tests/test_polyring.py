@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ohopf.polyring import PolyRing, RingMismatch, VarKind
+from ohopf.polyring import Polynomial, PolyRing, RingMismatch, VarKind
 
 RING = PolyRing(1, ("s0", "s1"))
 NAMES = ("x0", "y0", "s0", "s1")
@@ -121,6 +121,20 @@ def test_min_total_degree():
     assert p.min_total_degree() == 2
     assert p.total_degree() == 3
     assert RING.zero.min_total_degree() is None
+
+
+def test_section_linear_terms():
+    ring = PolyRing(1, ["a", "b"])
+    x, y, a, b = ring.x(0), ring.y(0), ring.poly("a"), ring.poly("b")
+    terms = (3 * x * y * a - b + y * b).section_linear_terms()
+    assert sorted((str(Polynomial(ring, {k: 1})), i, c) for k, i, c in terms) == [
+        ("1", 1, -1),
+        ("x0*y0", 0, 3),
+        ("y0", 1, 1),
+    ]
+    for bad in (x, a * a, a * b, x * a + a * b):
+        with pytest.raises(ValueError):
+            bad.section_linear_terms()
 
 
 def test_variable_kinds():
