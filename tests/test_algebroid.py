@@ -1,9 +1,14 @@
 """Anchor, bracket, commutators, groupoid consistency."""
 
+from fractions import Fraction
+
+import numpy as np
+
 from ohopf.algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
 from ohopf.algebroid import (
     E0Section,
     VectorField,
+    _rho,
     anchor,
     bracket_e0,
     constant_section,
@@ -35,6 +40,27 @@ def test_anchor_vanishes_at_origin():
     X = anchor(constant_section(8, 2, 1), ring)
     origin = {v.name: 0 for v in ring.variables}
     assert all(c.substitute(origin).is_zero() for c in X.components())
+
+
+def test_anchor_at_matches_symbolic_evaluation():
+    # rho at an exact rational point agrees with the symbolic anchor
+    # evaluated there: Fraction and Polynomial backends of one definition
+    ring = PolyRing(8)
+    rng = np.random.default_rng(0)
+
+    def rational(vals):
+        return AlgebraElement(tuple(Fraction(int(v), 4) for v in vals), 8)
+
+    u = rational(rng.integers(-8, 8, 8))
+    v = rational(rng.integers(-8, 8, 8))
+    x = rational(rng.integers(-8, 8, 8))
+    y = rational(rng.integers(-8, 8, 8))
+    numeric = _rho(E0Section(u, v), x, y)
+    sym = anchor(E0Section(u, v), ring)
+    at = {"x%d" % i: x.coeffs[i] for i in range(8)}
+    at.update({"y%d" % i: y.coeffs[i] for i in range(8)})
+    evaluated = [c.evaluate(at) for c in sym.components()]
+    assert evaluated == [*numeric.u.coeffs, *numeric.v.coeffs]
 
 
 def test_bracket_constant_sections_formula():

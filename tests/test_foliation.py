@@ -7,6 +7,7 @@ from ohopf import exactsolve
 from ohopf.algebra import AlgebraElement, coordinate_elements
 from ohopf.foliation import (
     J_map,
+    _J_matrix,
     J_nullspace_at_point,
     lie_derivative_flat,
     linear_nullspace,
@@ -33,6 +34,21 @@ def test_J_of_euler_field():
     assert last == y.norm_sq()
     assert (middle - (x * y.conjugate()).scale(2)).is_zero()
     assert not is_tangent_symbolic(x, y, ring)
+
+
+def test_J_matrix_exact_columns():
+    x = AlgebraElement(tuple(range(1, 9)), 8)
+    y = AlgebraElement(tuple(range(2, 10)), 8)
+    M = [list(row) for row in _J_matrix(x, y)]
+    assert len(M) == 10 and len(M[0]) == 16
+    # integer point, integer entries
+    assert all(type(e) is int for row in M for e in row)
+    # first row is (x, 0), last row (0, y)
+    assert M[0] == list(range(1, 9)) + [0] * 8
+    assert M[9] == [0] * 8 + list(range(2, 10))
+    # column p of the middle block is e_p conj(y): check p = 0 gives conj(y)
+    middle_col0 = [M[1 + k][0] for k in range(8)]
+    assert middle_col0 == [2, -3, -4, -5, -6, -7, -8, -9]
 
 
 def test_nullspace_at_point_dimension():
