@@ -195,9 +195,6 @@ class AlgebraElement:
     def re(self):
         return self.coeffs[0]
 
-    def im(self):
-        return AlgebraElement((0,) + self.coeffs[1:], self.dim)
-
     def inverse(self):
         """conj(a) / |a|^2; exact for rational coefficients."""
         n = self.norm_sq()
@@ -265,10 +262,6 @@ def random_rational_element(rng: random.Random, dim: int, num=3, den=2) -> Algeb
         Fraction(rng.randint(-num, num), rng.randint(1, den)) for _ in range(dim)
     )
     return AlgebraElement(coeffs, dim)
-
-
-def gaussian_element(rng: np.random.Generator, dim: int, scale=1.0) -> AlgebraElement:
-    return AlgebraElement(tuple(float(v) for v in rng.normal(0.0, scale, dim)), dim)
 
 
 # -- identity suite -------------------------------------------------------

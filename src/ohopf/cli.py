@@ -33,6 +33,7 @@ SUITE_DIMS = {
     "algebroid": (8,),
     "lie3": (8,),
     "foliation": (2, 4, 8),
+    "all": (1, 2, 4, 8, 16),
 }
 
 
@@ -147,9 +148,10 @@ def _check_dim(suite: str, dim: int):
 
 def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend: str):
     """Dispatch one suite; returns a list of reports."""
+    _check_dim(suite, dim)
     if suite == "all":
         reports = []
-        reports.append(algebra.verify_algebra_identities(dim if dim in (1, 2, 4, 8, 16) else 8, seed))
+        reports.append(algebra.verify_algebra_identities(dim, seed))
         reports.append(leaves.right_mult_counterexample())
         if dim in SUITE_DIMS["leaves"]:
             reports.append(leaves.verify_leaves(dim, samples, seed, max(tol, 1e-9)))
@@ -163,7 +165,6 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
         if dim in SUITE_DIMS["foliation"]:
             reports.append(foliation.verify_foliation(dim, samples, seed, tol))
         return reports
-    _check_dim(suite, dim)
     if suite == "algebra":
         return [algebra.verify_algebra_identities(dim, seed), leaves.right_mult_counterexample()]
     if suite == "leaves":

@@ -213,35 +213,20 @@ def sampled_nullspace_dimension(dim: int, seed: int, extra_points: int = 3):
     equal nullities certify the symbolic computation.
     """
     rng = random.Random(seed)
-    n2 = dim * dim
-    ncols = 4 * n2
+    ncols = 4 * dim * dim
     needed = -(-ncols // (dim + 1)) + extra_points
     rows = []
     for _ in range(needed):
         coords = [rng.randint(-3, 3) for _ in range(2 * dim)]
         if not any(coords):
             coords[0] = 1
-        x = AlgebraElement(tuple(coords[:dim]), dim)
-        y = AlgebraElement(tuple(coords[dim:]), dim)
-        M = _J_matrix(x, y)
-        for c in range(dim + 2):
-            row = [0] * ncols
-            for p in range(dim):
-                mu = M[c][p]
-                mv = M[c][dim + p]
-                for l in range(dim):
-                    xl, yl = x.coeffs[l], y.coeffs[l]
-                    if mu:
-                        if xl:
-                            row[p * dim + l] += mu * xl
-                        if yl:
-                            row[n2 + p * dim + l] += mu * yl
-                    if mv:
-                        if xl:
-                            row[2 * n2 + p * dim + l] += mv * xl
-                        if yl:
-                            row[3 * n2 + p * dim + l] += mv * yl
-            rows.append(row)
+        x, y = coords[:dim], coords[dim:]
+        J = _J_matrix(AlgebraElement(tuple(x), dim), AlgebraElement(tuple(y), dim))
+        # object arrays keep the entries Python ints for the exact rank
+        M, x, y = (np.array(a, dtype=object) for a in (J, x, y))
+        Mu, Mv = M[:, :dim], M[:, dim:]
+        # row c, unknown (block, p, l): the J entry (c, p) of the block times coordinate l
+        rows += np.hstack([np.kron(Mu, x), np.kron(Mu, y), np.kron(Mv, x), np.kron(Mv, y)]).tolist()
     rank = exactsolve.rank_dense(rows, ncols)
     return ncols - rank, len(rows)
 

@@ -16,8 +16,9 @@ The squared rescaling is polynomial, so its defining identity
     |x|^2 * lambda^2 = |x + |x|^2 F + (x*conj(y))*G|^2
 
 is proved symbolically; the square root itself lives on the float backend.
-Membership in the arrow manifold is tested as lambda^2 > eps, the complement
-being the measure-zero vanishing locus that random sampling never hits.
+The numeric maps require lambda^2 > eps (a NaN lambda^2 fails the test too);
+the excluded set is the measure-zero vanishing locus that random sampling
+never hits.
 
 G2, the automorphism group of the octonions, acts componentwise.  Elements
 are built from basic triples (t1, t2, t3): orthonormal imaginary units with
@@ -67,14 +68,10 @@ def rescale_sq(g: Arrow):
     )
 
 
-def is_member(g: Arrow, eps: float = MEMBERSHIP_EPS) -> bool:
-    return float(rescale_sq(g)) > eps
-
-
 def rescale(g: Arrow) -> float:
     """lambda(g); requires a numeric backend and g outside the zero locus."""
     sq = float(rescale_sq(g))
-    if sq <= MEMBERSHIP_EPS:
+    if not sq > MEMBERSHIP_EPS:
         raise ValueError("arrow lies on the zero locus of the rescaling function")
     return math.sqrt(sq)
 
@@ -99,7 +96,7 @@ def compose(g2: Arrow, g1: Arrow, tol: float = 1e-9) -> Arrow:
     t1 = target(g1)
     gap = math.sqrt(float((g2.x - t1.x).norm_sq() + (g2.y - t1.y).norm_sq()))
     scale = math.sqrt(float(t1.x.norm_sq() + t1.y.norm_sq()))
-    if gap > tol * (1.0 + scale):
+    if not gap <= tol * (1.0 + scale):
         raise ValueError("arrows are not composable: source/target gap %.3e" % gap)
     lam = rescale(g1)
     return Arrow(g1.F + g2.F.scale(lam), g1.G + g2.G.scale(lam), g1.x, g1.y)
@@ -130,9 +127,14 @@ def connecting_arrow(p: PointD2, eps: float = MEMBERSHIP_EPS) -> Arrow:
     return Arrow(zero, G, zero, one.scale(ny))
 
 
+def _phi_numerator(g: Arrow) -> AlgebraElement:
+    """1 + conj(x) F + conj(y) G, whose norm is lambda(g)."""
+    return AlgebraElement.one(g.dim) + g.x.conjugate() * g.F + g.y.conjugate() * g.G
+
+
 def phi_group_element(g: Arrow) -> AlgebraElement:
     """(1 + conj(x) F + conj(y) G) normalized; the would-be action-groupoid part."""
-    w = AlgebraElement.one(g.dim) + g.x.conjugate() * g.F + g.y.conjugate() * g.G
+    w = _phi_numerator(g)
     n = math.sqrt(float(w.norm_sq()))
     if n <= MEMBERSHIP_EPS:
         raise ValueError("degenerate arrow: 1 + conj(x) F + conj(y) G vanishes")
@@ -224,15 +226,15 @@ class G2Automorphism:
 
     def automorphism_residual(self) -> float:
         """max over basis pairs of |A(e_i e_j) - A(e_i) A(e_j)|."""
-        worst = 0.0
         images = [from_array(self.matrix[:, i]) for i in range(8)]
         basis = [AlgebraElement.basis(8, i) for i in range(8)]
-        for i in range(8):
-            for j in range(8):
-                lhs = self.apply(basis[i] * basis[j])
-                rhs = images[i] * images[j]
-                worst = max(worst, math.sqrt(float((lhs - rhs).norm_sq())))
-        return worst
+        residuals = [
+            float((self.apply(basis[i] * basis[j]) - images[i] * images[j]).norm_sq())
+            for i in range(8)
+            for j in range(8)
+        ]
+        # np.max, unlike max(), keeps a NaN
+        return math.sqrt(np.max(residuals))
 
     def orthogonality_residual(self) -> float:
         return float(np.max(np.abs(self.matrix.T @ self.matrix - np.eye(8))))
@@ -318,92 +320,78 @@ def verify_structure(dim: int, samples: int, seed: int, tol: float) -> Verificat
             rescale_sq_identity(dim),
         )
 
-        rng = derived_rng(seed, 0)
-        worst = {
-            "unit_rescale": 0.0,
-            "norm_preserved": 0.0,
-            "slope_invariant": 0.0,
-            "lambda_mult": 0.0,
-            "endpoints": 0.0,
-            "assoc": 0.0,
-            "left_unit": 0.0,
-            "right_unit": 0.0,
-            "inv_left": 0.0,
-            "inv_right": 0.0,
-            "lambda_inv": 0.0,
-            "t_of_i_is_s": 0.0,
-            "connect": 0.0,
-            "connect_lambda": 0.0,
+        law = {
+            key: report.law(key, text, tol)
+            for key, text in (
+                ("unit_rescale", "lambda(0, 0, x, y) = 1"),
+                ("norm_preserved", "|t(g)| = |s(g)|"),
+                ("slope_invariant", "y conj(x) agrees at source and target"),
+                ("lambda_mult", "lambda(g2 g1) = lambda(g2) lambda(g1)"),
+                ("endpoints", "t(g2 g1) = t(g2) and s(g2 g1) = s(g1)"),
+                ("assoc", "(g3 g2) g1 = g3 (g2 g1)"),
+                ("left_unit", "1_{t(g)} g = g"),
+                ("right_unit", "g 1_{s(g)} = g"),
+                ("inv_left", "g^-1 g = 1_{s(g)}"),
+                ("inv_right", "g g^-1 = 1_{t(g)}"),
+                ("lambda_inv", "lambda(g^-1) lambda(g) = 1"),
+                ("t_of_i_is_s", "t(i(g)) = s(g)"),
+                ("connect", "target(connecting_arrow(p)) = p"),
+                ("connect_lambda", "lambda(connecting arrow) = |x|"),
+            )
         }
+        rng = derived_rng(seed, 0)
         leaf_ok = True
         for _ in range(samples):
             g1 = _suite_arrow(rng, dim)
             s1, t1 = source(g1), target(g1)
 
-            worst["unit_rescale"] = max(
-                worst["unit_rescale"], abs(rescale(unit(s1)) - 1.0)
-            )
-            worst["norm_preserved"] = max(
-                worst["norm_preserved"],
+            law["unit_rescale"].record(abs(rescale(unit(s1)) - 1.0))
+            law["norm_preserved"].record(
                 abs(
                     float(t1.x.norm_sq() + t1.y.norm_sq())
                     - float(s1.x.norm_sq() + s1.y.norm_sq())
-                ),
+                )
             )
             slope_res = (t1.y * t1.x.conjugate()) - (s1.y * s1.x.conjugate())
-            worst["slope_invariant"] = max(
-                worst["slope_invariant"], math.sqrt(float(slope_res.norm_sq()))
-            )
+            law["slope_invariant"].record(math.sqrt(float(slope_res.norm_sq())))
             if not same_leaf(s1, t1, tol):
                 leaf_ok = False
 
             # exact composable pair and triple, rebased at computed targets
             g2 = _suite_arrow(rng, dim, t1)
             g21 = compose(g2, g1, tol)
-            worst["lambda_mult"] = max(
-                worst["lambda_mult"], abs(rescale(g21) - rescale(g2) * rescale(g1))
-            )
-            worst["endpoints"] = max(
-                worst["endpoints"],
-                _gap(target(g21), target(g2)) + _gap(source(g21), s1),
-            )
+            law["lambda_mult"].record(abs(rescale(g21) - rescale(g2) * rescale(g1)))
+            law["endpoints"].record(_gap(target(g21), target(g2)) + _gap(source(g21), s1))
             g3 = _suite_arrow(rng, dim, target(g2))
             left = compose(g3, g21, tol)
             right = compose(compose(g3, g2, tol), g1, tol)
-            assoc_gap = math.sqrt(
-                float(
-                    (left.F - right.F).norm_sq()
-                    + (left.G - right.G).norm_sq()
-                    + (left.x - right.x).norm_sq()
-                    + (left.y - right.y).norm_sq()
+            law["assoc"].record(
+                math.sqrt(
+                    float(
+                        (left.F - right.F).norm_sq()
+                        + (left.G - right.G).norm_sq()
+                        + (left.x - right.x).norm_sq()
+                        + (left.y - right.y).norm_sq()
+                    )
                 )
             )
-            worst["assoc"] = max(worst["assoc"], assoc_gap)
 
             lu = compose(unit(t1), g1, tol)
-            worst["left_unit"] = max(
-                worst["left_unit"],
-                math.sqrt(float((lu.F - g1.F).norm_sq() + (lu.G - g1.G).norm_sq())),
+            law["left_unit"].record(
+                math.sqrt(float((lu.F - g1.F).norm_sq() + (lu.G - g1.G).norm_sq()))
             )
             ru = compose(g1, unit(s1), tol)
-            worst["right_unit"] = max(
-                worst["right_unit"],
-                math.sqrt(float((ru.F - g1.F).norm_sq() + (ru.G - g1.G).norm_sq())),
+            law["right_unit"].record(
+                math.sqrt(float((ru.F - g1.F).norm_sq() + (ru.G - g1.G).norm_sq()))
             )
 
             gi = inverse(g1)
-            worst["t_of_i_is_s"] = max(worst["t_of_i_is_s"], _gap(target(gi), s1))
-            worst["lambda_inv"] = max(
-                worst["lambda_inv"], abs(rescale(gi) * rescale(g1) - 1.0)
-            )
+            law["t_of_i_is_s"].record(_gap(target(gi), s1))
+            law["lambda_inv"].record(abs(rescale(gi) * rescale(g1) - 1.0))
             il = compose(gi, g1, tol)
-            worst["inv_left"] = max(
-                worst["inv_left"], math.sqrt(float(il.F.norm_sq() + il.G.norm_sq()))
-            )
+            law["inv_left"].record(math.sqrt(float(il.F.norm_sq() + il.G.norm_sq())))
             ir = compose(g1, gi, tol)
-            worst["inv_right"] = max(
-                worst["inv_right"], math.sqrt(float(ir.F.norm_sq() + ir.G.norm_sq()))
-            )
+            law["inv_right"].record(math.sqrt(float(ir.F.norm_sq() + ir.G.norm_sq())))
 
             # leaf containment in the orbit: base point connects to p.  The
             # arrow divides by |x|, so points in the thin sliver near (but
@@ -415,33 +403,12 @@ def verify_structure(dim: int, samples: int, seed: int, tol: float) -> Verificat
             total = nx2 + float(p.y.norm_sq())
             if total > 1e-2 and nx2 > 1e-3 * total:
                 arrow_p = connecting_arrow(p)
-                worst["connect"] = max(worst["connect"], _gap(target(arrow_p), p))
-                worst["connect_lambda"] = max(
-                    worst["connect_lambda"],
-                    abs(rescale(arrow_p) - math.sqrt(nx2)),
-                )
+                law["connect"].record(_gap(target(arrow_p), p))
+                law["connect_lambda"].record(abs(rescale(arrow_p) - math.sqrt(nx2)))
             p_inf = PointD2(AlgebraElement.zero(dim), p.y)
             arrow_inf = connecting_arrow(p_inf)
-            worst["connect"] = max(worst["connect"], _gap(target(arrow_inf), p_inf))
+            law["connect"].record(_gap(target(arrow_inf), p_inf))
 
-        laws = [
-            ("unit_rescale", "lambda(0, 0, x, y) = 1"),
-            ("norm_preserved", "|t(g)| = |s(g)|"),
-            ("slope_invariant", "y conj(x) agrees at source and target"),
-            ("lambda_mult", "lambda(g2 g1) = lambda(g2) lambda(g1)"),
-            ("endpoints", "t(g2 g1) = t(g2) and s(g2 g1) = s(g1)"),
-            ("assoc", "(g3 g2) g1 = g3 (g2 g1)"),
-            ("left_unit", "1_{t(g)} g = g"),
-            ("right_unit", "g 1_{s(g)} = g"),
-            ("inv_left", "g^-1 g = 1_{s(g)}"),
-            ("inv_right", "g g^-1 = 1_{t(g)}"),
-            ("lambda_inv", "lambda(g^-1) lambda(g) = 1"),
-            ("t_of_i_is_s", "t(i(g)) = s(g)"),
-            ("connect", "target(connecting_arrow(p)) = p"),
-            ("connect_lambda", "lambda(connecting arrow) = |x|"),
-        ]
-        for key, law in laws:
-            report.add(key, law, worst[key] <= tol, max_residual=worst[key])
         report.add(
             "orbit_inside_leaf",
             "classify(s(g)) = classify(t(g)) for every sampled arrow",
@@ -470,52 +437,20 @@ def verify_phi_morphism(dim: int, samples: int, seed: int, tol: float) -> Verifi
     ) as report:
         rng = derived_rng(seed, 0)
         if dim in (1, 2, 4):
-            worst_mult = worst_lambda = worst_target = 0.0
+            mult = report.law(
+                "phi_multiplicative", "phi(g2 g1) = phi(g2) . phi(g1) in the action groupoid", tol
+            )
+            lam = report.law("lambda_is_norm", "lambda(g) = |1 + conj(x) F + conj(y) G|", tol)
+            tgt = report.law("phi_matches_target", "t(g) = s(g) . phi(g)", tol)
             for _ in range(samples):
                 g1 = _suite_arrow(rng, dim)
                 g2 = _suite_arrow(rng, dim, target(g1))
                 u1 = phi_group_element(g1)
                 u2 = phi_group_element(g2)
                 u21 = phi_group_element(compose(g2, g1, tol))
-                worst_mult = max(
-                    worst_mult, math.sqrt(float((u21 - u1 * u2).norm_sq()))
-                )
-                worst_lambda = max(
-                    worst_lambda,
-                    abs(
-                        rescale(g1)
-                        - math.sqrt(
-                            float(
-                                (
-                                    AlgebraElement.one(dim)
-                                    + g1.x.conjugate() * g1.F
-                                    + g1.y.conjugate() * g1.G
-                                ).norm_sq()
-                            )
-                        )
-                    ),
-                )
-                t1 = target(g1)
-                tphi = PointD2(g1.x * u1, g1.y * u1)
-                worst_target = max(worst_target, _gap(t1, tphi))
-            report.add(
-                "phi_multiplicative",
-                "phi(g2 g1) = phi(g2) . phi(g1) in the action groupoid",
-                worst_mult <= tol,
-                max_residual=worst_mult,
-            )
-            report.add(
-                "lambda_is_norm",
-                "lambda(g) = |1 + conj(x) F + conj(y) G|",
-                worst_lambda <= tol,
-                max_residual=worst_lambda,
-            )
-            report.add(
-                "phi_matches_target",
-                "t(g) = s(g) . phi(g)",
-                worst_target <= tol,
-                max_residual=worst_target,
-            )
+                mult.record(math.sqrt(float((u21 - u1 * u2).norm_sq())))
+                lam.record(abs(rescale(g1) - math.sqrt(float(_phi_numerator(g1).norm_sq()))))
+                tgt.record(_gap(target(g1), PointD2(g1.x * u1, g1.y * u1)))
             report.add(
                 "phi_of_unit",
                 "phi(1_p) = (p, 1)",
@@ -565,51 +500,24 @@ def verify_g2_equivariance(samples: int, seed: int, tol: float) -> VerificationR
             "the triple (e1, e2, e4) induces the identity matrix",
             float(np.max(np.abs(std.matrix - np.eye(8)))) == 0.0,
         )
+        auto = report.law(
+            "automorphism_on_basis_pairs", "A(e_i e_j) = A(e_i) A(e_j) on all 64 pairs", tol
+        )
+        orth = report.law("orthogonal_matrix", "A^T A = I", tol)
+        lam = report.law("lambda_invariant", "lambda(A g) = lambda(g)", tol)
+        tgt = report.law("target_equivariant", "t(A g) = A t(g)", tol)
+        comp = report.law("composition_equivariant", "A(g2 g1) = (A g2)(A g1)", tol)
         rng = derived_rng(seed, 0)
-        worst_auto = worst_orth = worst_lam = worst_t = worst_comp = 0.0
         for _ in range(samples):
             A = g2_from_basic_triple(*random_basic_triple(rng), tol=tol)
-            worst_auto = max(worst_auto, A.automorphism_residual())
-            worst_orth = max(worst_orth, A.orthogonality_residual())
+            auto.record(A.automorphism_residual())
+            orth.record(A.orthogonality_residual())
             g1 = _suite_arrow(rng, 8)
             Ag1 = A.apply_arrow(g1)
-            worst_lam = max(worst_lam, abs(rescale(Ag1) - rescale(g1)))
-            worst_t = max(worst_t, _gap(target(Ag1), A.apply_point(target(g1))))
+            lam.record(abs(rescale(Ag1) - rescale(g1)))
+            tgt.record(_gap(target(Ag1), A.apply_point(target(g1))))
             g2 = _suite_arrow(rng, 8, target(g1))
             lhs = compose(A.apply_arrow(g2), Ag1, 10 * tol)
             rhs = A.apply_arrow(compose(g2, g1, tol))
-            worst_comp = max(
-                worst_comp,
-                math.sqrt(float((lhs.F - rhs.F).norm_sq() + (lhs.G - rhs.G).norm_sq())),
-            )
-        report.add(
-            "automorphism_on_basis_pairs",
-            "A(e_i e_j) = A(e_i) A(e_j) on all 64 pairs",
-            worst_auto <= tol,
-            max_residual=worst_auto,
-        )
-        report.add(
-            "orthogonal_matrix",
-            "A^T A = I",
-            worst_orth <= tol,
-            max_residual=worst_orth,
-        )
-        report.add(
-            "lambda_invariant",
-            "lambda(A g) = lambda(g)",
-            worst_lam <= tol,
-            max_residual=worst_lam,
-        )
-        report.add(
-            "target_equivariant",
-            "t(A g) = A t(g)",
-            worst_t <= tol,
-            max_residual=worst_t,
-        )
-        report.add(
-            "composition_equivariant",
-            "A(g2 g1) = (A g2)(A g1)",
-            worst_comp <= tol,
-            max_residual=worst_comp,
-        )
+            comp.record(math.sqrt(float((lhs.F - rhs.F).norm_sq() + (lhs.G - rhs.G).norm_sq())))
     return report

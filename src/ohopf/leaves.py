@@ -216,8 +216,11 @@ def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> Verification
         rng = derived_rng(seed, 0)
 
         # scale invariance of the slope
-        ok = True
-        worst = 0.0
+        slope_law = report.law(
+            "slope_scale_invariance",
+            "classify((l*x, l*m*x)) has the slope of classify((x, m*x))",
+            tol,
+        )
         for _ in range(samples):
             x = from_array(rng.normal(size=dim))
             m = from_array(rng.normal(size=dim))
@@ -225,15 +228,7 @@ def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> Verification
             p = PointD2(x, m * x)
             q = PointD2(x.scale(lam), (m * x).scale(lam))
             cp, cq = classify(p), classify(q)
-            res = float((cp.slope - cq.slope).norm_sq()) ** 0.5
-            worst = max(worst, res)
-            ok = ok and res <= tol
-        report.add(
-            "slope_scale_invariance",
-            "classify((l*x, l*m*x)) has the slope of classify((x, m*x))",
-            ok,
-            max_residual=worst,
-        )
+            slope_law.record(float((cp.slope - cq.slope).norm_sq()) ** 0.5)
 
         # sampled leaves live on their sphere and line
         rng = derived_rng(seed, 1)

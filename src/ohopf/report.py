@@ -7,6 +7,14 @@ keys are sorted and wall-clock time is kept out of the canonical form, so two
 runs with the same configuration and package version emit byte-identical
 documents.
 
+A sampled law is one verdict over many samples.  ``VerificationReport.law``
+declares it and returns a ``SampledLaw`` ledger; the suite records one
+residual per sample and the ledger keeps the worst as ``max_residual``.  The
+law passes iff at least one residual was recorded and every recorded residual
+is <= tol.  A NaN residual counts as the worst: it fails the law and is what
+``max_residual`` reports.  A law that recorded nothing fails with
+``max_residual`` null, so zero samples never make a PASS.
+
 Randomized checks draw from generators derived from one root seed by a
 counter scheme: check number k uses numpy's default_rng seeded with the pair
 (root_seed, k), so suites stay reproducible even when checks run in
@@ -16,6 +24,7 @@ parallel or are reordered.
 from __future__ import annotations
 
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -70,6 +79,22 @@ class Check:
         }
 
 
+class SampledLaw:
+    """Worst-residual ledger of one sampled law, written through to its Check."""
+
+    def __init__(self, check: Check, tol: float):
+        self.check = check
+        self.tol = tol
+
+    def record(self, residual) -> None:
+        """Fold one sample's residual; NaN is worse than any number."""
+        r = float(residual)
+        worst = self.check.info["max_residual"]
+        if worst is None or r > worst or (math.isnan(r) and not math.isnan(worst)):
+            self.check.info["max_residual"] = r
+            self.check.passed = r <= self.tol
+
+
 @dataclass
 class VerificationReport:
     suite: str
@@ -83,6 +108,12 @@ class VerificationReport:
 
     def add(self, name, law, passed, **info):
         self.checks.append(Check(name, law, bool(passed), info))
+
+    def law(self, name, law, tol) -> SampledLaw:
+        """Append a sampled law's Check now (failing until a residual is recorded)."""
+        check = Check(name, law, False, {"max_residual": None})
+        self.checks.append(check)
+        return SampledLaw(check, tol)
 
     def extend(self, other: "VerificationReport"):
         self.checks.extend(other.checks)

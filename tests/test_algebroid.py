@@ -1,5 +1,6 @@
 """Anchor, bracket, commutators, groupoid consistency."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -119,3 +120,17 @@ def test_symbolic_suite():
 def test_groupoid_consistency_suite():
     report = verify_groupoid_consistency(60, seed=1, tol=1e-6)
     assert report.passed, [(c.name, c.info) for c in report.checks if not c.passed]
+
+
+def test_nan_anchor_fails_target_derivative(monkeypatch):
+    from ohopf import algebroid
+
+    def nan_rho(sec, x, y):
+        nan = AlgebraElement((float("nan"),) * sec.dim, sec.dim)
+        return VectorField(nan, nan)
+
+    monkeypatch.setattr(algebroid, "_rho", nan_rho)
+    report = verify_groupoid_consistency(5, seed=1, tol=1e-6)
+    check = next(c for c in report.checks if c.name == "target_derivative_is_anchor")
+    assert not check.passed
+    assert math.isnan(check.info["max_residual"])

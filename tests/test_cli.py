@@ -131,6 +131,8 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
         (["verify", "--suite", "groupoid", "--dim", "2"], {"OHOPF_SAMPLES": "0"}),
         (["verify", "--suite", "groupoid", "--dim", "2"], {"OHOPF_SEED": "abc"}),
         (["verify", "--suite", "groupoid"], {"OHOPF_DIM": "two"}),
+        (["verify", "--suite", "all", "--dim", "3"], {}),
+        (["verify", "--suite", "all", "--dim", "0"], {}),
         (["verify"], {"OHOPF_SUITE": "bogus"}),
         (["verify", "--suite", "algebra"], {"OHOPF_BACKEND": "bogus"}),
         (["verify", "--suite", "algebra"], {"OHOPF_FORMAT": "bogus"}),

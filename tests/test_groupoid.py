@@ -128,6 +128,28 @@ def test_compose_rejects_mismatched_arrows():
         compose(g2, g1, tol=1e-9)
 
 
+def _nan_first_coordinate(a):
+    return AlgebraElement((float("nan"),) + a.coeffs[1:], a.dim)
+
+
+def test_rescale_rejects_nan_arrow():
+    g = random_arrow(np.random.default_rng(8), 8)
+    with pytest.raises(ValueError):
+        rescale(Arrow(_nan_first_coordinate(g.F), g.G, g.x, g.y))
+
+
+def test_compose_rejects_nan_target(monkeypatch):
+    from ohopf import groupoid
+
+    rng = np.random.default_rng(9)
+    g1 = random_arrow(rng, 8, min_rescale_sq=1e-2)
+    g2 = rebase(random_arrow(rng, 8, min_rescale_sq=1e-2), target(g1))
+    t1 = target(g1)
+    monkeypatch.setattr(groupoid, "target", lambda g: PointD2(_nan_first_coordinate(t1.x), t1.y))
+    with pytest.raises(ValueError):
+        compose(g2, g1, tol=1e-9)
+
+
 def test_connecting_arrow_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(25):

@@ -1,0 +1,85 @@
+"""The sampled-law ledger: one pass rule for every sampled law."""
+
+import json
+import math
+
+import pytest
+
+from ohopf.algebroid import verify_groupoid_consistency
+from ohopf.groupoid import verify_g2_equivariance, verify_phi_morphism, verify_structure
+from ohopf.leaves import verify_leaves
+from ohopf.report import VerificationReport
+
+TOL = 1e-9
+
+
+def _law(residuals, tol=TOL):
+    report = VerificationReport("t")
+    law = report.law("law", "the residual vanishes", tol)
+    for r in residuals:
+        law.record(r)
+    return report.checks[0]
+
+
+def test_finite_residuals_pass_at_tol():
+    check = _law([0.0, TOL, TOL / 2])
+    assert check.passed
+    assert check.info == {"max_residual": TOL}
+
+
+def test_residual_just_above_tol_fails():
+    above = math.nextafter(TOL, 1.0)
+    check = _law([0.0, above, TOL])
+    assert not check.passed
+    assert check.info["max_residual"] == above
+
+
+@pytest.mark.parametrize(
+    "residuals",
+    [
+        [float("nan")],
+        [float("nan"), 0.0, 2.0],
+        [0.0, float("nan"), 0.0],
+        [0.0, 2.0, float("nan")],
+    ],
+)
+def test_nan_residual_fails_and_is_reported(residuals):
+    check = _law(residuals)
+    assert not check.passed
+    assert math.isnan(check.info["max_residual"])
+    assert '"max_residual": NaN' in json.dumps(check.as_dict())
+
+
+def test_law_without_records_fails():
+    report = VerificationReport("t")
+    report.law("law", "the residual vanishes", TOL)
+    assert not report.passed
+    assert report.checks[0].info == {"max_residual": None}
+
+
+def test_checks_keep_declaration_order():
+    report = VerificationReport("t")
+    report.add("first", "a flag check", True)
+    law = report.law("second", "a sampled law", TOL)
+    report.add("third", "a flag check", True)
+    law.record(0.0)
+    assert [c.name for c in report.checks] == ["first", "second", "third"]
+    assert report.passed
+
+
+@pytest.mark.parametrize(
+    "run, laws",
+    [
+        (lambda: verify_structure(4, 0, 0, TOL), 14),
+        (lambda: verify_phi_morphism(2, 0, 0, TOL), 3),
+        (lambda: verify_g2_equivariance(0, 0, 1e-8), 5),
+        (lambda: verify_groupoid_consistency(0, 0, 1e-6), 2),
+        (lambda: verify_leaves(2, 0, 0, TOL), 1),
+    ],
+)
+def test_zero_samples_fail_every_sampled_law(run, laws):
+    report = run()
+    sampled = [c for c in report.checks if "max_residual" in c.info]
+    assert len(sampled) == laws
+    assert not any(c.passed for c in sampled)
+    assert all(c.info["max_residual"] is None for c in sampled)
