@@ -66,7 +66,7 @@ class E0Section:
         return (*self.u.coeffs, *self.v.coeffs)
 
     def is_zero(self):
-        return _elem_zero(self.u) and _elem_zero(self.v)
+        return self.u.is_zero() and self.v.is_zero()
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,7 @@ class VectorField:
         return VectorField(self.u - other.u, self.v - other.v)
 
     def is_zero(self):
-        return _elem_zero(self.u) and _elem_zero(self.v)
-
-
-def _elem_zero(e: AlgebraElement) -> bool:
-    return all((c.is_zero() if isinstance(c, Polynomial) else not c) for c in e.coeffs)
+        return self.u.is_zero() and self.v.is_zero()
 
 
 def constant_section(dim: int, i: int, slot: int) -> E0Section:
@@ -160,11 +156,9 @@ def _derive_section(X: VectorField, sec: E0Section, ring: PolyRing) -> E0Section
     return E0Section(derive_elem(s.u), derive_elem(s.v))
 
 
-def _section_constant(sec: E0Section) -> bool:
-    return not any(
-        isinstance(c, Polynomial) and c.depends_on_base()
-        for c in (*sec.u.coeffs, *sec.v.coeffs)
-    )
+def _section_constant(sec) -> bool:
+    """No component of a graded section depends on the base point."""
+    return not any(isinstance(c, Polynomial) and c.depends_on_base() for c in sec.components())
 
 
 def vf_commutator(X: VectorField, Y: VectorField, ring: PolyRing) -> VectorField:
@@ -335,12 +329,3 @@ def verify_groupoid_consistency(samples: int, seed: int, tol: float, dim: int = 
         )
     return report
 
-
-def verify_algebroid(samples: int, seed: int, tol: float, dim: int = 8) -> VerificationReport:
-    """Symbolic bracket facts plus numeric groupoid consistency."""
-    with timed_report(
-        "algebroid", {"dim": dim, "samples": samples, "seed": seed, "tol": tol}
-    ) as report:
-        report.extend(verify_algebroid_symbolic(dim))
-        report.extend(verify_groupoid_consistency(samples, seed, tol, dim))
-    return report

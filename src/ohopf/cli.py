@@ -18,11 +18,12 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import algebra, algebroid, foliation, groupoid, leaves, lie3
 from .algebra import from_array
 from .report import VerificationReport
 
-SUITES = ("algebra", "leaves", "groupoid", "algebroid", "lie3", "foliation", "all")
 BACKENDS = ("exact", "float")
 FORMATS = ("json", "text")
 
@@ -35,6 +36,7 @@ SUITE_DIMS = {
     "foliation": (2, 4, 8),
     "all": (1, 2, 4, 8, 16),
 }
+SUITES = tuple(SUITE_DIMS)
 
 
 def _env(name, fallback):
@@ -62,7 +64,10 @@ def _checked(convert, valid, requirement):
 
 _count = _checked(int, lambda v: v >= 1, "must be an integer >= 1")
 _tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0")
-_radius = _checked(float, lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0")
+_seed = _checked(int, lambda v: v >= 0, "must be an integer >= 0")
+_radius = _checked(
+    float, lambda v: v >= 0 and math.isfinite(v * v), "must be >= 0 with a finite square"
+)
 
 
 def _one_of(options):
@@ -83,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=SUITES, type=_one_of(SUITES), default=_env("suite", "all")
     )
     verify.add_argument("--dim", type=int, default=_env("dim", "8"))
-    verify.add_argument("--seed", type=int, default=_env("seed", "0"))
+    verify.add_argument("--seed", type=_seed, default=_env("seed", "0"))
     verify.add_argument("--samples", type=_count, default=_env("samples", "200"))
     verify.add_argument("--tol", type=_tolerance, default=_env("tol", "1e-9"))
     verify.add_argument(
@@ -106,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export.add_argument("--radius", type=_radius, default=_env("radius", "1.0"))
     export.add_argument("-n", "--count", type=_count, default=_env("count", "100"))
-    export.add_argument("--seed", type=int, default=_env("seed", "0"))
+    export.add_argument("--seed", type=_seed, default=_env("seed", "0"))
     export.add_argument("--dim", type=int, default=_env("dim", "8"))
     export.add_argument("--out", required=True)
     return parser
@@ -135,6 +140,9 @@ def _parse_slope(text: str, dim: int):
         _usage_error("slope %r is not 'origin', 'inf', 'eK', or a coefficient list" % text)
     if len(coeffs) != dim:
         _usage_error("slope needs %d comma-separated coefficients" % dim)
+    # |m|^2 is finite only if every coefficient is; a NaN or inf slope samples junk
+    if not math.isfinite(sum(c * c for c in coeffs)):
+        _usage_error("slope coefficients and |m|^2 must be finite, got %r" % text)
     return from_array(coeffs)
 
 
@@ -147,53 +155,45 @@ def _check_dim(suite: str, dim: int):
 
 
 def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend: str):
-    """Dispatch one suite; returns a list of reports."""
+    """The reports a suite runs, in order: the one table of what each suite checks.
+
+    ``all`` runs, in table order and under the same flags, every suite whose
+    SUITE_DIMS contain ``dim``.  ``--backend exact`` drops the float reports.
+    """
     _check_dim(suite, dim)
     if suite == "all":
-        reports = []
-        reports.append(algebra.verify_algebra_identities(dim, seed))
-        reports.append(leaves.right_mult_counterexample())
-        if dim in SUITE_DIMS["leaves"]:
-            reports.append(leaves.verify_leaves(dim, samples, seed, max(tol, 1e-9)))
-        if dim in SUITE_DIMS["groupoid"]:
-            reports.extend(_groupoid_reports(dim, samples, seed, tol, backend))
-        if dim == 8:
-            reports.append(algebroid.verify_algebroid(samples, seed, max(tol, 1e-6)))
-            reports.append(lie3.verify_lie3())
-            reports.append(lie3.verify_matrix_vs_transcription())
-            reports.append(lie3.generic_ranks(max(samples // 2, 20), seed))
-        if dim in SUITE_DIMS["foliation"]:
-            reports.append(foliation.verify_foliation(dim, samples, seed, tol))
-        return reports
+        return [
+            report
+            for name in SUITES
+            if name != "all" and dim in SUITE_DIMS[name]
+            for report in run_suite(name, dim, seed, samples, tol, backend)
+        ]
+    exact = backend == "exact"
     if suite == "algebra":
         return [algebra.verify_algebra_identities(dim, seed), leaves.right_mult_counterexample()]
     if suite == "leaves":
         return [leaves.verify_leaves(dim, samples, seed, max(tol, 1e-9))]
     if suite == "groupoid":
-        return _groupoid_reports(dim, samples, seed, tol, backend)
-    if suite == "algebroid":
-        if backend == "exact":
-            return [algebroid.verify_algebroid_symbolic(dim)]
-        return [algebroid.verify_algebroid(samples, seed, max(tol, 1e-6), dim)]
-    if suite == "lie3":
         reports = [
-            lie3.verify_lie3(),
-            lie3.verify_matrix_vs_transcription(),
+            groupoid.verify_structure(dim, samples, seed, tol),
+            groupoid.verify_phi_morphism(dim, max(samples // 2, 50), seed, tol),
         ]
-        if backend != "exact":
+        if dim == 8 and not exact:
+            reports.append(groupoid.verify_g2_equivariance(max(samples // 20, 10), seed, max(tol, 1e-8)))
+        return reports
+    if suite == "algebroid":
+        reports = [algebroid.verify_algebroid_symbolic(dim)]
+        if not exact:
+            reports.append(algebroid.verify_groupoid_consistency(samples, seed, max(tol, 1e-6), dim))
+        return reports
+    if suite == "lie3":
+        reports = [lie3.verify_lie3(), lie3.verify_matrix_vs_transcription()]
+        if not exact:
             reports.append(lie3.generic_ranks(max(samples // 2, 20), seed))
         return reports
-    if suite == "foliation":
-        return [foliation.verify_foliation(dim, samples, seed, tol)]
-    raise SystemExit("unknown suite %r" % suite)
-
-
-def _groupoid_reports(dim, samples, seed, tol, backend):
-    reports = [groupoid.verify_structure(dim, samples, seed, tol)]
-    if dim in (1, 2, 4, 8):
-        reports.append(groupoid.verify_phi_morphism(dim, max(samples // 2, 50), seed, tol))
-    if dim == 8 and backend != "exact":
-        reports.append(groupoid.verify_g2_equivariance(max(samples // 20, 10), seed, max(tol, 1e-8)))
+    reports = [foliation.verify_foliation(dim, samples, seed, tol)]  # suite == "foliation"
+    if dim == 8:
+        reports.append(foliation.linear_obstruction_report())
     return reports
 
 
@@ -219,7 +219,9 @@ def cmd_verify(args) -> int:
     try:
         reports = run_suite(args.suite, args.dim, args.seed, args.samples, args.tol, args.backend)
     except ValueError as exc:
-        _usage_error(str(exc))
+        # flags were validated by the parser: a suite that raises is a fault, not bad input
+        print("error: suite aborted: %s" % exc, file=sys.stderr)
+        return 1
     merged = _merge(reports, args.suite, config)
     rendered = merged.to_json() if args.format == "json" else merged.to_text()
     if args.out:
@@ -255,18 +257,16 @@ def cmd_export_leaf(args) -> int:
     except OSError as exc:
         print("cannot write CSV: %s" % exc, file=sys.stderr)
         return 2
-    worst_sphere = 0.0
-    worst_slope = 0.0
+    # np.max keeps a NaN residual where max() would drop it
+    sphere, line = [], []
     for p in pts:
-        worst_sphere = max(
-            worst_sphere, abs(float(p.x.norm_sq() + p.y.norm_sq()) - float(leaf.radius_sq))
-        )
+        sphere.append(abs(float(p.x.norm_sq() + p.y.norm_sq()) - float(leaf.radius_sq)))
         if not (leaf.is_origin or leaf.is_infinite_slope):
             res = p.y * p.x.conjugate() - leaf.slope.scale(p.x.norm_sq())
-            worst_slope = max(worst_slope, math.sqrt(float(res.norm_sq())))
+            line.append(math.sqrt(float(res.norm_sq())))
     print(
         "wrote %d points to %s  (max on-sphere residual %.3g, max slope residual %.3g)"
-        % (len(pts), args.out, worst_sphere, worst_slope)
+        % (len(pts), args.out, np.max(sphere), np.max(line, initial=0.0))
     )
     return 0
 

@@ -232,7 +232,8 @@ def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> Verification
 
         # sampled leaves live on their sphere and line
         rng = derived_rng(seed, 1)
-        worst_sphere = worst_slope = 0.0
+        sphere = []
+        worst_slope = 0.0
         for k in range(4):
             r2 = float(rng.uniform(0.25, 4.0))
             if k < 3:
@@ -241,11 +242,10 @@ def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> Verification
                 leaf = LeafId(INFINITY, r2)
             pts = sample_leaf(leaf, max(samples // 4, 8), seed + k, dim=dim)
             for p in pts:
-                worst_sphere = max(
-                    worst_sphere, abs(float(p.x.norm_sq() + p.y.norm_sq()) - r2)
-                )
+                sphere.append(abs(float(p.x.norm_sq() + p.y.norm_sq()) - r2))
                 if not on_leaf(p, leaf, tol):
                     worst_slope = float("inf")
+        worst_sphere = float(np.max(sphere))  # keeps a NaN, unlike max()
         report.add(
             "sampled_points_on_leaf",
             "|p|^2 = r^2 and y = m*x for every sampled leaf point",

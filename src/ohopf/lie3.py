@@ -48,6 +48,7 @@ from .algebroid import (
     E0Section,
     _e0_basis,
     _rho,
+    _section_constant,
     _weight,
     anchor,
     bracket_e0,
@@ -83,7 +84,7 @@ class Sec1:
         return (self.mu, *self.a.coeffs, self.nu)
 
     def is_zero(self):
-        return all(_zero(c) for c in self.components())
+        return not any(self.components())
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,7 @@ class Sec2:
         return (self.t,)
 
     def is_zero(self):
-        return _zero(self.t)
-
-
-def _zero(c):
-    return c.is_zero() if isinstance(c, Polynomial) else not c
+        return not self.t
 
 
 def degree(section) -> int:
@@ -180,10 +177,6 @@ def _derive_sec1(X, s: Sec1, ring: PolyRing) -> Sec1:
     return Sec1(vf_apply(X, s.mu, ring), a, vf_apply(X, s.nu, ring))
 
 
-def _constant(components) -> bool:
-    return not any(isinstance(c, Polynomial) and c.depends_on_base() for c in components)
-
-
 def bracket(s1, s2, ring: PolyRing):
     """Graded 2-bracket; returns None for pairs that are zero by degree."""
     pair = (degree(s1), degree(s2))
@@ -202,7 +195,7 @@ def bracket(s1, s2, ring: PolyRing):
             - (u * y.conjugate()).scale(Z.nu),
             -2 * x.inner(a * v) + 2 * (x.inner(u) * Z.nu),
         )
-        if not _constant(Z.components()):
+        if not _section_constant(Z):
             out = out + _derive_sec1(anchor(X, ring), Z, ring)
         return out
     if pair == (0, -2):
@@ -210,7 +203,7 @@ def bracket(s1, s2, ring: PolyRing):
         T = _lift2(s2, ring)
         x, y = coordinate_elements(ring, X.dim)
         out = Sec2(2 * _weight(X, x, y) * T.t)
-        if not _constant(T.components()):
+        if not _section_constant(T):
             out = out + Sec2(vf_apply(anchor(X, ring), T.t, ring))
         return out
     if pair == (-1, -1):

@@ -15,10 +15,13 @@ is <= tol.  A NaN residual counts as the worst: it fails the law and is what
 ``max_residual`` reports.  A law that recorded nothing fails with
 ``max_residual`` null, so zero samples never make a PASS.
 
-Randomized checks draw from generators derived from one root seed by a
-counter scheme: check number k uses numpy's default_rng seeded with the pair
-(root_seed, k), so suites stay reproducible even when checks run in
-parallel or are reordered.
+Every random draw is fixed by the root seed.  Most sampled checks use
+``derived_rng(root_seed, k)``, numpy's default_rng seeded with the pair
+(root_seed, k) for stream k of the suite.  The exceptions: the algebra suite
+uses random.Random(seed) for its sedenion witnesses and random.Random(seed + 1)
+for its exact inverse samples, the counterexample's quaternion control a fixed
+random.Random(7), the foliation suite's sampled oracle random.Random(seed),
+and the leaf suite's sample_leaf calls default_rng(seed + k) for leaf k.
 """
 
 from __future__ import annotations
@@ -114,9 +117,6 @@ class VerificationReport:
         check = Check(name, law, False, {"max_residual": None})
         self.checks.append(check)
         return SampledLaw(check, tol)
-
-    def extend(self, other: "VerificationReport"):
-        self.checks.extend(other.checks)
 
     def as_dict(self):
         # elapsed_s deliberately omitted: the canonical form must be

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ohopf.cli import main
+from ohopf import groupoid
+from ohopf.cli import _merge, main, run_suite
 
 
 def test_verify_algebra_text(tmp_path, capsys):
@@ -136,12 +137,21 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
         (["verify"], {"OHOPF_SUITE": "bogus"}),
         (["verify", "--suite", "algebra"], {"OHOPF_BACKEND": "bogus"}),
         (["verify", "--suite", "algebra"], {"OHOPF_FORMAT": "bogus"}),
+        (["verify", "--suite", "algebra", "--seed", "-1"], {}),
+        (["verify", "--suite", "leaves", "--seed", "-1"], {}),
+        (["verify", "--suite", "algebra"], {"OHOPF_SEED": "-1"}),
         (["export-leaf", "-n", "0", "--out", "leaf.csv"], {}),
         (["export-leaf", "--radius", "-1", "--out", "leaf.csv"], {}),
         (["export-leaf", "--radius", "inf", "--out", "leaf.csv"], {}),
         (["export-leaf", "--out", "leaf.csv"], {"OHOPF_COUNT": "1.5"}),
         (["export-leaf", "--slope", "e9", "--out", "leaf.csv"], {}),
         (["export-leaf", "--dim", "3", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--seed", "-1", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--out", "leaf.csv"], {"OHOPF_SEED": "-1"}),
+        (["export-leaf", "--radius", "1e200", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--slope", "nan,0,0,0,0,0,0,0", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--slope", "inf,0,0,0,0,0,0,0", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--slope", "1e200,0,0,0,0,0,0,0", "--out", "leaf.csv"], {}),
     ],
 )
 def test_bad_input_exits_2(tmp_path, argv, env):
@@ -159,3 +169,37 @@ def test_bad_input_exits_2(tmp_path, argv, env):
     assert proc.stderr.strip()
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "leaf.csv").exists()
+
+
+def test_suite_that_aborts_exits_1_without_usage_hint(monkeypatch, capsys):
+    # a NaN target makes compose refuse every arrow pair: a fault, not bad input
+    def nan_target(g):
+        nan = g.x.scale(float("nan"))
+        return groupoid.PointD2(nan, nan)
+
+    monkeypatch.setattr(groupoid, "target", nan_target)
+    assert main(["verify", "--suite", "groupoid", "--dim", "4", "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "suite aborted" in err
+    assert "--help" not in err
+
+
+def _checks(reports, suite):
+    return [c.as_dict() for c in _merge(reports, suite, {}).checks]
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_all_is_the_union_of_the_suites(backend):
+    args = (2, 5, 20, 1e-9, backend)
+    per_suite = []
+    for suite in ("algebra", "leaves", "groupoid", "foliation"):
+        per_suite += run_suite(suite, *args)
+    assert _checks(run_suite("all", *args), "all") == _checks(per_suite, "all")
+
+
+def test_algebroid_check_names_keep_their_report(tmp_path):
+    out = tmp_path / "algebroid.json"
+    main(["verify", "--suite", "algebroid", "--samples", "5", "--format", "json", "--out", str(out)])
+    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    assert len(names) == len(set(names)) == 9
+    assert all(n.startswith(("algebroid_symbolic.", "algebroid_vs_groupoid.")) for n in names)

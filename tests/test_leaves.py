@@ -119,3 +119,20 @@ def test_counterexample_values():
 def test_leaf_suite(dim):
     report = verify_leaves(dim, 32, seed=2, tol=1e-9)
     assert report.passed, [c.name for c in report.checks if not c.passed]
+
+
+def test_nan_leaf_point_fails_and_is_reported(monkeypatch):
+    from ohopf import leaves
+
+    real = leaves.sample_leaf
+
+    def with_nan(leaf, n, seed, dim=None):
+        pts = real(leaf, n, seed, dim=dim)
+        nan = from_array([float("nan")] * pts[0].x.dim)
+        return [PointD2(nan, nan)] + pts[1:]
+
+    monkeypatch.setattr(leaves, "sample_leaf", with_nan)
+    report = verify_leaves(4, 16, seed=3, tol=1e-9)
+    check = {c.name: c for c in report.checks}["sampled_points_on_leaf"]
+    assert not check.passed
+    assert math.isnan(check.info["max_sphere_residual"])
