@@ -28,8 +28,11 @@ print("J of the Euler field: (%s, ..., %s)" % (first, last))
 print("\nlinear tangent fields (u = Ax + By, v = Cx + Dy):")
 for dim in (2, 4, 8):
     nullity, basis = linear_nullspace(dim)
-    sampled, neq = sampled_nullspace_dimension(dim, seed=5)
-    print("  dim %d: exact nullity %d, sampled oracle %d over %d equations" % (dim, nullity, sampled, neq))
+    sampled, neq, certificate = sampled_nullspace_dimension(dim, seed=5)
+    print(
+        "  dim %d: exact nullity %d, sampled oracle %d over %d equations (%s)"
+        % (dim, nullity, sampled, neq, certificate)
+    )
     if basis:
         a = basis[0].a
         print("        a sample solution has A[0] =", [str(v) for v in a[0]])

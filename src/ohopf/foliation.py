@@ -12,7 +12,9 @@ functions.  J is written once, as a function of the field and a base point
   * fiberwise numeric nullspaces of J (leaf dimensions at a point),
   * the exact nullspace of J on fields linear in (x, y), assembled
     coefficient-wise over the rationals and solved by fraction-free
-    elimination, cross-checked against a system sampled at integer points,
+    elimination, cross-checked against a system sampled at integer points
+    whose rank is certified modulo a prime (exact elimination when that
+    certificate does not close),
   * Lie derivatives of the flat metric and the planar rotation example
     separating geometric from module-compatible metrics.
 
@@ -189,11 +191,16 @@ def sampled_nullspace_dimension(dim: int, seed: int, extra_points: int = 3):
     """Independent oracle: the same unknowns constrained at random points.
 
     Evaluates J on the ansatz at random integer points, giving at least
-    4 n^2 equations, and computes the exact rank by fraction-free
-    elimination.  J has rank n+1 at a generic point, so roughly
+    4 n^2 equations.  J has rank n+1 at a generic point, so roughly
     4 n^2 / (n+1) points are needed before the sampled rank can saturate.
     Solutions of the symbolic system satisfy every sampled equation, so
     equal nullities certify the symbolic computation.
+
+    Returns (nullity, equations, certificate).  The exact rank comes from
+    ``exactsolve.certified_rank``: "full_rank_mod_p" when the system has
+    full rank modulo a prime, which proves nullity 0 (the dim 8 case), and
+    "exact_elimination" when sparse exact elimination had to decide (dims 2
+    and 4, where the nullity is positive).
     """
     rng = random.Random(seed)
     ncols = 4 * dim * dim
@@ -210,8 +217,8 @@ def sampled_nullspace_dimension(dim: int, seed: int, extra_points: int = 3):
         Mu, Mv = M[:, :dim], M[:, dim:]
         # row c, unknown (block, p, l): the J entry (c, p) of the block times coordinate l
         rows += np.hstack([np.kron(Mu, x), np.kron(Mu, y), np.kron(Mv, x), np.kron(Mv, y)]).tolist()
-    rank = exactsolve.rank_dense(rows, ncols)
-    return ncols - rank, len(rows)
+    rank, certificate = exactsolve.certified_rank(rows, ncols)
+    return ncols - rank, len(rows), certificate
 
 
 # -- metric compatibility -----------------------------------------------------
@@ -356,13 +363,14 @@ def verify_foliation(dim: int, samples: int, seed: int, tol: float) -> Verificat
             nullity == expected,
             dimension=nullity,
         )
-        sampled, neq = sampled_nullspace_dimension(dim, seed)
+        sampled, neq, certificate = sampled_nullspace_dimension(dim, seed)
         report.add(
             "linear_nullspace_sampled_oracle",
             "point-sampled system of >= 4 n^2 equations has the same nullity",
             sampled == nullity,
             sampled_dimension=sampled,
             equations=neq,
+            rank_certificate=certificate,
         )
         basis_ok = True
         for ans in basis:

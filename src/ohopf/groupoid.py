@@ -39,6 +39,8 @@ from .polyring import PolyRing
 from .report import VerificationReport, derived_rng, timed_report
 
 MEMBERSHIP_EPS = 1e-12
+# rejection sampling raises ValueError after this many draws in a row
+MAX_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def random_arrow(
     inverse blows up), so sampling keeps a margin.  Membership itself stays
     at the tiny epsilon.
     """
-    while True:
+    for _ in range(MAX_DRAWS):
         g = Arrow(
             from_array(rng.normal(0.0, scale, dim)),
             from_array(rng.normal(0.0, scale, dim)),
@@ -180,6 +182,7 @@ def random_arrow(
         )
         if float(rescale_sq(g)) > min_rescale_sq:
             return g
+    raise ValueError("no arrow with lambda^2 > %g in %d draws" % (min_rescale_sq, MAX_DRAWS))
 
 
 def rebase(g: Arrow, p: PointD2) -> Arrow:
@@ -192,13 +195,14 @@ def _suite_arrow(rng: np.random.Generator, dim: int, at: PointD2 = None) -> Arro
 
     Rebasing changes the rescaling, so the margin is re-checked after it.
     """
-    while True:
+    for _ in range(MAX_DRAWS):
         g = random_arrow(rng, dim, min_rescale_sq=1e-2)
         if at is not None:
             g = rebase(g, at)
             if float(rescale_sq(g)) <= 1e-2:
                 continue
         return g
+    raise ValueError("no arrow at the given source with lambda^2 > 0.01 in %d draws" % MAX_DRAWS)
 
 
 def _gap(p: PointD2, q: PointD2) -> float:
@@ -282,7 +286,7 @@ def random_basic_triple(rng: np.random.Generator):
             raise ValueError("degenerate draw")
         return vec / n
 
-    while True:
+    for _ in range(MAX_DRAWS):
         try:
             v1 = imaginary_unit(rng.normal(size=8))
             v2 = imaginary_unit(rng.normal(size=8), v1)
@@ -291,6 +295,8 @@ def random_basic_triple(rng: np.random.Generator):
             return from_array(v1), from_array(v2), from_array(v3)
         except ValueError:
             continue
+    # outside the try: the degenerate-draw handler cannot swallow it
+    raise ValueError("no basic triple in %d draws" % MAX_DRAWS)
 
 
 # -- verification suites ------------------------------------------------------
@@ -340,7 +346,7 @@ def verify_structure(dim: int, samples: int, seed: int, tol: float) -> Verificat
             )
         }
         rng = derived_rng(seed, 0)
-        leaf_ok = True
+        leaf_ok = samples > 0  # each pass classifies one arrow; none classified fails
         for _ in range(samples):
             g1 = _suite_arrow(rng, dim)
             s1, t1 = source(g1), target(g1)

@@ -88,8 +88,9 @@ def on_leaf(p: PointD2, leaf: LeafId, tol: float = 0.0) -> bool:
     return math.sqrt(float(residual.norm_sq())) <= bound
 
 
-def sample_leaf(leaf: LeafId, n: int, seed: int, dim: int = None) -> list:
-    """n points of the leaf, deterministic in the seed.
+def sample_leaf(leaf: LeafId, n: int, seed, dim: int = None) -> list:
+    """n points of the leaf, deterministic in the seed (an int or a sequence
+    of ints, as numpy's default_rng takes it).
 
     Finite-slope leaves are parametrized as x = c*u with u a uniform unit
     octonion and c = r / sqrt(1 + |m|^2), y = m*x; infinite-slope leaves as
@@ -240,7 +241,8 @@ def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> Verification
                 leaf = LeafId(from_array(rng.normal(size=dim)), r2)
             else:
                 leaf = LeafId(INFINITY, r2)
-            pts = sample_leaf(leaf, max(samples // 4, 8), seed + k, dim=dim)
+            # stream (seed, 10 + k): apart from streams 0-3 and from other seeds
+            pts = sample_leaf(leaf, max(samples // 4, 8), [seed, 10 + k], dim=dim)
             for p in pts:
                 sphere.append(abs(float(p.x.norm_sq() + p.y.norm_sq()) - r2))
                 if not on_leaf(p, leaf, tol):

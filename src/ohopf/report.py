@@ -20,8 +20,9 @@ Every random draw is fixed by the root seed.  Most sampled checks use
 (root_seed, k) for stream k of the suite.  The exceptions: the algebra suite
 uses random.Random(seed) for its sedenion witnesses and random.Random(seed + 1)
 for its exact inverse samples, the counterexample's quaternion control a fixed
-random.Random(7), the foliation suite's sampled oracle random.Random(seed),
-and the leaf suite's sample_leaf calls default_rng(seed + k) for leaf k.
+random.Random(7), and the foliation suite's sampled oracle random.Random(seed).
+The leaf suite samples leaf k through sample_leaf with default_rng([seed,
+10 + k]), a stream of its own under each root seed.
 """
 
 from __future__ import annotations

@@ -134,9 +134,11 @@ def test_10_linear_nullspace_ladder():
     details = []
     for dim, want in expected.items():
         got, _ = foliation.linear_nullspace(dim)
-        sampled, neq = foliation.sampled_nullspace_dimension(dim, seed=29)
+        sampled, neq, certificate = foliation.sampled_nullspace_dimension(dim, seed=29)
         ok = ok and got == want and sampled == want and neq >= 4 * dim * dim
-        details.append("dim %d: exact %d sampled %d (%d eqs)" % (dim, got, sampled, neq))
+        details.append(
+            "dim %d: exact %d sampled %d (%d eqs, %s)" % (dim, got, sampled, neq, certificate)
+        )
     _stamp("10-linear-nullspace-0-3-1", ok, "; ".join(details))
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ohopf import groupoid
@@ -181,6 +182,25 @@ def test_suite_that_aborts_exits_1_without_usage_hint(monkeypatch, capsys):
     assert main(["verify", "--suite", "groupoid", "--dim", "4", "--samples", "5"]) == 1
     err = capsys.readouterr().err
     assert "suite aborted" in err
+    assert "--help" not in err
+
+
+def test_rejection_bound_aborts_the_suite(monkeypatch, capsys):
+    class ZeroLocus:
+        """Draws F = -e0, G = 0, x = e0, y = 0 in turn: every arrow has lambda^2 = 0."""
+
+        calls = 0
+
+        def normal(self, loc=0.0, scale=1.0, size=None):
+            v = np.zeros(size)
+            v[0] = (-1.0, 0.0, 1.0, 0.0)[self.calls % 4]
+            self.calls += 1
+            return v
+
+    monkeypatch.setattr(groupoid, "derived_rng", lambda seed, stream: ZeroLocus())
+    assert main(["verify", "--suite", "groupoid", "--dim", "2", "--samples", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "suite aborted: no arrow with lambda^2 > 0.01 in %d draws" % groupoid.MAX_DRAWS in err
     assert "--help" not in err
 
 

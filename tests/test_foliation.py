@@ -96,9 +96,10 @@ def test_degree_mismatch_rejected():
 def test_sampled_oracle_agreement():
     for dim in (2, 4):
         sym = linear_nullspace(dim)[0]
-        sampled, neq = sampled_nullspace_dimension(dim, seed=23)
+        sampled, neq, certificate = sampled_nullspace_dimension(dim, seed=23)
         assert sampled == sym
         assert neq >= 4 * dim * dim
+        assert certificate == "exact_elimination"
 
 
 def test_right_multiplication_fields_span_quaternion_case():
@@ -167,15 +168,20 @@ def test_exactsolve_duplicate_rows_and_scaling():
     assert exactsolve.dot(rows[0], basis[0]) == 0
 
 
-def test_rank_dense_matches_sparse():
+def _sparse(M):
+    return [{j: int(v) for j, v in enumerate(row) if v} for row in M]
+
+
+def test_modular_rank_matches_sparse():
     rng = np.random.default_rng(5)
     M = rng.integers(-4, 5, size=(12, 7))
     M[5] = M[1] + 2 * M[2]  # force a dependence
-    dense = exactsolve.rank_dense([list(map(int, row)) for row in M], 7)
-    sparse, _ = exactsolve.nullspace(
-        [{j: int(v) for j, v in enumerate(row) if v} for row in M], 7, want_basis=False
-    )
-    assert dense == sparse == int(np.linalg.matrix_rank(M))
+    rows = [list(map(int, row)) for row in M]
+    sparse, _ = exactsolve.nullspace(_sparse(M), 7, want_basis=False)
+    for p in exactsolve.PRIMES:
+        assert exactsolve.rank_mod_p(rows, 7, p) == sparse
+    assert exactsolve.certified_rank(rows, 7) == (sparse, "full_rank_mod_p")
+    assert sparse == int(np.linalg.matrix_rank(M)) == 7
 
 
 def test_elimination_matches_numpy_rank_randomized():
@@ -187,12 +193,49 @@ def test_elimination_matches_numpy_rank_randomized():
         if rng.random() < 0.5 and rows >= 2:
             M[-1] = M[0] - M[rows // 2]
         expected = int(np.linalg.matrix_rank(M))
-        dense = exactsolve.rank_dense([list(map(int, r)) for r in M], cols)
-        sparse, basis = exactsolve.nullspace(
-            [{j: int(v) for j, v in enumerate(r) if v} for r in M], cols
-        )
-        assert dense == sparse == expected
+        dense = [list(map(int, r)) for r in M]
+        sparse, basis = exactsolve.nullspace(_sparse(M), cols)
+        assert sparse == expected
+        for p in exactsolve.PRIMES:
+            assert exactsolve.rank_mod_p(dense, cols, p) == sparse
+        rank, certificate = exactsolve.certified_rank(dense, cols)
+        assert rank == sparse
+        assert certificate == ("full_rank_mod_p" if sparse == cols else "exact_elimination")
         assert len(basis) == cols - expected
         for vec in basis:
             for r in M:
                 assert sum(int(r[j]) * v for j, v in vec.items()) == 0
+
+
+def test_modular_rank_reduces_huge_and_negative_entries():
+    # neither 2**64 + 3 nor -(2**63) - 1 fits int64 unreduced
+    rows = [[2**64 + 3, -1], [-(2**63) - 1, 2**70]]
+    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    for p in exactsolve.PRIMES:
+        assert det % p != 0
+        assert exactsolve.rank_mod_p(rows, 2, p) == 2
+    assert exactsolve.certified_rank(rows, 2) == (2, "full_rank_mod_p")
+    # a negative multiple of a huge row is dependent modulo p too
+    dependent = [[2**65, -7, 3], [-(2**66), 14, -6]]
+    for p in exactsolve.PRIMES:
+        assert exactsolve.rank_mod_p(dependent, 3, p) == 1
+    assert exactsolve.certified_rank(dependent, 3) == (1, "exact_elimination")
+
+
+def test_rank_that_drops_modulo_both_primes_is_decided_exactly():
+    p1, p2 = exactsolve.PRIMES
+    rows = [[p1 * p2, 0], [0, 1]]
+    assert [exactsolve.rank_mod_p(rows, 2, p) for p in (p1, p2)] == [1, 1]
+    assert exactsolve.certified_rank(rows, 2) == (2, "exact_elimination")
+
+
+@pytest.mark.parametrize(
+    "dim, sampled, certificate",
+    [(2, 1, "exact_elimination"), (4, 3, "exact_elimination"), (8, 0, "full_rank_mod_p")],
+)
+def test_foliation_records_the_rank_certificate(dim, sampled, certificate):
+    report = verify_foliation(dim, 4, 101, 1e-9)
+    oracle = {c.name: c for c in report.checks}["linear_nullspace_sampled_oracle"]
+    assert oracle.passed
+    assert oracle.info["sampled_dimension"] == sampled
+    assert oracle.info["rank_certificate"] == certificate

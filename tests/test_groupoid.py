@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from ohopf import groupoid
 from ohopf.algebra import AlgebraElement, from_array
 from ohopf.groupoid import (
+    MAX_DRAWS,
     Arrow,
     G2Automorphism,
     compose,
@@ -139,8 +141,6 @@ def test_rescale_rejects_nan_arrow():
 
 
 def test_compose_rejects_nan_target(monkeypatch):
-    from ohopf import groupoid
-
     rng = np.random.default_rng(9)
     g1 = random_arrow(rng, 8, min_rescale_sq=1e-2)
     g2 = rebase(random_arrow(rng, 8, min_rescale_sq=1e-2), target(g1))
@@ -243,3 +243,39 @@ def test_wrong_composition_rule_is_detected():
         if abs(rescale(wrong) - rescale(g2) * lam1) > 1e-6:
             violated = True
     assert violated
+
+
+class RejectingRng:
+    """rng stub: F = -x e0 with x = x0 e0 and G = y = 0, cycling.
+
+    At x0 = 2 the arrow has lambda^2 = 1 but rebasing it to x = e0 puts it on
+    the zero locus; at x0 = 1 every arrow is on it; normal(size=8) for a
+    basic triple is the degenerate draw 0.
+    """
+
+    def __init__(self, x0=1.0):
+        self.cycle = (-1.0, 0.0, x0, 0.0)
+        self.calls = 0
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        v = np.zeros(size)
+        if size != 8:
+            v[0] = self.cycle[self.calls % 4]
+        self.calls += 1
+        return v
+
+
+def test_rejection_loops_are_bounded():
+    rng = RejectingRng()
+    with pytest.raises(ValueError, match="%d draws" % MAX_DRAWS):
+        random_arrow(rng, 4)
+    assert rng.calls == 4 * MAX_DRAWS
+    at = PointD2(AlgebraElement.basis(4, 0), AlgebraElement.zero(4))
+    rng = RejectingRng(x0=2.0)
+    with pytest.raises(ValueError, match="given source.*%d draws" % MAX_DRAWS):
+        groupoid._suite_arrow(rng, 4, at)
+    assert rng.calls == 4 * MAX_DRAWS
+    rng = RejectingRng()
+    with pytest.raises(ValueError, match="no basic triple in %d draws" % MAX_DRAWS):
+        random_basic_triple(rng)
+    assert rng.calls == MAX_DRAWS

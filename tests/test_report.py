@@ -83,3 +83,5 @@ def test_zero_samples_fail_every_sampled_law(run, laws):
     assert len(sampled) == laws
     assert not any(c.passed for c in sampled)
     assert all(c.info["max_residual"] is None for c in sampled)
+    if report.suite == "groupoid":  # a flag check over the sampled arrows fails too
+        assert not {c.name: c for c in report.checks}["orbit_inside_leaf"].passed
