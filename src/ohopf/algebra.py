@@ -2,9 +2,13 @@
 
 Elements are coefficient vectors over an orthonormal basis e_0..e_{d-1} with
 e_0 the unit.  The scalar backend is whatever the coefficients support:
-ints/Fractions for exact checks, floats for the numerical groupoid suites,
-and Polynomial for symbolic identity proofs.  Basis multiplication is held
-in a (sign, index) table: e_i * e_j = sign[i][j] * e_{index[i][j]}.
+ints/Fractions for exact checks, Polynomial for symbolic identity proofs, and
+floats for the numerical suites.  A float coefficient may be an (N,) numpy
+array: the element is then a batch of N elements, one per row, and every
+map written on elements evaluates all N rows with the same operations, in
+the same order, as it would one row at a time.  Scalar coefficients of a
+batch are shared by every row.  Basis multiplication is held in a (sign,
+index) table: e_i * e_j = sign[i][j] * e_{index[i][j]}.
 
 Two table constructions are kept side by side and cross-checked:
 
@@ -28,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polyring import PolyRing, Polynomial
-from .report import Check, VerificationReport, timed_report
+from .report import Check, VerificationReport, derived_random, timed_report
 
 DIMS = (1, 2, 4, 8, 16)
 
@@ -87,11 +91,16 @@ def mult_table(dim: int):
     return octonion_table() if dim == 8 else doubling_table(dim)
 
 
+def _nonzero(coeffs):
+    """(index, coefficient) pairs without the zero scalars; an array always stays."""
+    return [(i, c) for i, c in enumerate(coeffs) if c.__class__ is np.ndarray or c]
+
+
 class AlgebraElement:
     """Element of the Cayley-Dickson algebra of the given dimension.
 
-    Coefficients may be ints, Fractions, floats, or Polynomials; they are
-    never mutated, so elements can be shared freely.
+    Coefficients may be ints, Fractions, floats, (N,) float arrays or
+    Polynomials; they are never mutated, so elements can be shared freely.
     """
 
     __slots__ = ("dim", "coeffs")
@@ -151,16 +160,17 @@ class AlgebraElement:
             self._check_dim(other)
             sign, index = mult_table(self.dim)
             acc = [None] * self.dim
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
+            right = _nonzero(other.coeffs)
+            for i, a in _nonzero(self.coeffs):
                 srow, irow = sign[i], index[i]
-                for j, b in enumerate(other.coeffs):
-                    if not b:
-                        continue
+                for j, b in right:
                     k = irow[j]
-                    t = a * b if srow[j] > 0 else -(a * b)
-                    acc[k] = t if acc[k] is None else acc[k] + t
+                    t = a * b
+                    c = acc[k]
+                    if c is None:
+                        acc[k] = t if srow[j] > 0 else -t
+                    else:
+                        acc[k] = c + t if srow[j] > 0 else c - t
             return AlgebraElement(tuple(0 if t is None else t for t in acc), self.dim)
         return self.scale(other)
 
@@ -183,7 +193,7 @@ class AlgebraElement:
         self._check_dim(other)
         total = None
         for a, b in zip(self.coeffs, other.coeffs):
-            if not a or not b:
+            if not (a.__class__ is np.ndarray or a) or not (b.__class__ is np.ndarray or b):
                 continue
             t = a * b
             total = t if total is None else total + t
@@ -196,13 +206,14 @@ class AlgebraElement:
         return self.coeffs[0]
 
     def inverse(self):
-        """conj(a) / |a|^2; exact for rational coefficients."""
+        """conj(a) / |a|^2; exact for rational coefficients, row by row for a batch."""
         n = self.norm_sq()
         if isinstance(n, Polynomial):
             raise TypeError("no inverse in the polynomial backend; clear denominators instead")
-        if not n:
+        batch = isinstance(n, np.ndarray)
+        if not (n.all() if batch else n):
             raise ZeroDivisionError("zero element has no inverse")
-        if isinstance(n, float):
+        if batch or isinstance(n, float):
             return self.conjugate() / n
         return self.conjugate().scale(Fraction(1, 1) / n)
 
@@ -219,14 +230,43 @@ class AlgebraElement:
     __hash__ = None
 
     def as_floats(self) -> np.ndarray:
+        """Coefficient vector, shape (dim,); a batch gives one row per element, (N, dim)."""
+        if any(c.__class__ is np.ndarray for c in self.coeffs):
+            return np.stack(np.broadcast_arrays(*self.coeffs), axis=-1).astype(float, copy=False)
         return np.array([float(c) for c in self.coeffs])
+
+    def rows(self, index) -> "AlgebraElement":
+        """The rows of a batch picked by an index or boolean mask."""
+        return AlgebraElement(
+            tuple(c[index] if c.__class__ is np.ndarray else c for c in self.coeffs), self.dim
+        )
 
     def __repr__(self):
         return "AlgebraElement(%s)" % (list(self.coeffs),)
 
 
 def from_array(arr) -> AlgebraElement:
-    return AlgebraElement(tuple(float(v) for v in arr))
+    """Element from a (dim,) vector of floats; an (N, dim) array gives a batch of N."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.ndim == 1:
+        return AlgebraElement(tuple(float(v) for v in arr))
+    # contiguous (N,) coefficient rows
+    return AlgebraElement(tuple(np.ascontiguousarray(arr.T)))
+
+
+def where(mask, a, b):
+    """Row by row, a where mask holds and b elsewhere.
+
+    a and b are numbers or elements, batched or not; a scalar mask picks one
+    of them whole, so a single element goes through the same code as a batch.
+    """
+    if np.ndim(mask) == 0:
+        return a if mask else b
+    if isinstance(a, AlgebraElement):
+        return AlgebraElement(
+            tuple(np.where(mask, ca, cb) for ca, cb in zip(a.coeffs, b.coeffs)), a.dim
+        )
+    return np.where(mask, a, b)
 
 
 def associator(a, b, c):
@@ -423,7 +463,7 @@ def verify_algebra_identities(dim: int, seed: int = 0) -> VerificationReport:
                 )
             )
         else:
-            rng = random.Random(seed)
+            rng = derived_random(seed, 0)
             witness = None
             for _ in range(100):
                 wa = random_rational_element(rng, dim, num=2, den=1)
@@ -498,7 +538,7 @@ def verify_algebra_identities(dim: int, seed: int = 0) -> VerificationReport:
         checks.append(Check("orthonormal_basis", "<e_i, e_j> = delta_ij", ortho, {}))
         # exact inverse check on random rational elements
         if dim <= 8:
-            rng = random.Random(seed + 1)
+            rng = derived_random(seed, 1)
             ok = True
             for _ in range(10):
                 ra = random_rational_element(rng, dim)

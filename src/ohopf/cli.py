@@ -170,7 +170,7 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
         ]
     exact = backend == "exact"
     if suite == "algebra":
-        return [algebra.verify_algebra_identities(dim, seed), leaves.right_mult_counterexample()]
+        return [algebra.verify_algebra_identities(dim, seed), leaves.right_mult_counterexample(seed)]
     if suite == "leaves":
         return [leaves.verify_leaves(dim, samples, seed, max(tol, 1e-9))]
     if suite == "groupoid":
@@ -258,15 +258,14 @@ def cmd_export_leaf(args) -> int:
         print("cannot write CSV: %s" % exc, file=sys.stderr)
         return 2
     # np.max keeps a NaN residual where max() would drop it
-    sphere, line = [], []
-    for p in pts:
-        sphere.append(abs(float(p.x.norm_sq() + p.y.norm_sq()) - float(leaf.radius_sq)))
-        if not (leaf.is_origin or leaf.is_infinite_slope):
-            res = p.y * p.x.conjugate() - leaf.slope.scale(p.x.norm_sq())
-            line.append(math.sqrt(float(res.norm_sq())))
+    sphere = np.abs(pts.x.norm_sq() + pts.y.norm_sq() - float(leaf.radius_sq))
+    line = 0.0
+    if not (leaf.is_origin or leaf.is_infinite_slope):
+        res = pts.y * pts.x.conjugate() - leaf.slope.scale(pts.x.norm_sq())
+        line = np.sqrt(res.norm_sq())
     print(
         "wrote %d points to %s  (max on-sphere residual %.3g, max slope residual %.3g)"
-        % (len(pts), args.out, np.max(sphere), np.max(line, initial=0.0))
+        % (args.count, args.out, np.max(sphere), np.max(line))
     )
     return 0
 

@@ -20,6 +20,11 @@ The numeric maps require lambda^2 > eps (a NaN lambda^2 fails the test too);
 the excluded set is the measure-zero vanishing locus that random sampling
 never hits.
 
+Every map takes a single arrow or a batch of N arrows whose float
+coefficients are (N,) arrays, with no second definition for batches: the
+float suites draw and check whole batches, and a map that must refuse an
+arrow (zero locus, NaN, source/target gap) raises if any row fails.
+
 G2, the automorphism group of the octonions, acts componentwise.  Elements
 are built from basic triples (t1, t2, t3): orthonormal imaginary units with
 t3 also orthogonal to t1*t2; images of e1, e2, e4 determine the rest of the
@@ -28,23 +33,29 @@ basis through the table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, coordinate_elements, from_array, vector_names, vector_symbol
+from .algebra import (
+    AlgebraElement,
+    coordinate_elements,
+    from_array,
+    vector_names,
+    vector_symbol,
+    where,
+)
 from .leaves import PointD2, same_leaf
 from .polyring import PolyRing
-from .report import VerificationReport, derived_rng, timed_report
+from .report import VerificationReport, chunks, derived_rng, timed_report
 
 MEMBERSHIP_EPS = 1e-12
-# rejection sampling raises ValueError after this many draws in a row
+# a masked redraw raises ValueError after this many rounds with a row still rejected
 MAX_DRAWS = 1000
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     F: AlgebraElement
     G: AlgebraElement
     x: AlgebraElement
@@ -53,6 +64,11 @@ class Arrow:
     @property
     def dim(self):
         return self.x.dim
+
+
+def _rows(obj, index):
+    """The rows of a batched point or arrow picked by an index or mask."""
+    return type(obj)(*(e.rows(index) for e in obj))
 
 
 def source(g: Arrow) -> PointD2:
@@ -70,12 +86,12 @@ def rescale_sq(g: Arrow):
     )
 
 
-def rescale(g: Arrow) -> float:
-    """lambda(g); requires a numeric backend and g outside the zero locus."""
-    sq = float(rescale_sq(g))
-    if not sq > MEMBERSHIP_EPS:
+def rescale(g: Arrow):
+    """lambda(g); requires a numeric backend and every row outside the zero locus."""
+    sq = np.asarray(rescale_sq(g), dtype=float)
+    if not np.all(sq > MEMBERSHIP_EPS):
         raise ValueError("arrow lies on the zero locus of the rescaling function")
-    return math.sqrt(sq)
+    return np.sqrt(sq)
 
 
 def _shift(F: AlgebraElement, G: AlgebraElement, x: AlgebraElement, y: AlgebraElement):
@@ -94,12 +110,12 @@ def unit(p: PointD2) -> Arrow:
 
 
 def compose(g2: Arrow, g1: Arrow, tol: float = 1e-9) -> Arrow:
-    """g2 * g1, defined when source(g2) matches target(g1) up to tol."""
+    """g2 * g1, defined when source(g2) matches target(g1) up to tol in every row."""
     t1 = target(g1)
-    gap = math.sqrt(float((g2.x - t1.x).norm_sq() + (g2.y - t1.y).norm_sq()))
-    scale = math.sqrt(float(t1.x.norm_sq() + t1.y.norm_sq()))
-    if not gap <= tol * (1.0 + scale):
-        raise ValueError("arrows are not composable: source/target gap %.3e" % gap)
+    gap = np.sqrt((g2.x - t1.x).norm_sq() + (g2.y - t1.y).norm_sq())
+    scale = np.sqrt(t1.x.norm_sq() + t1.y.norm_sq())
+    if not np.all(gap <= tol * (1.0 + scale)):
+        raise ValueError("arrows are not composable: source/target gap %.3e" % np.max(gap))
     lam = rescale(g1)
     return Arrow(g1.F + g2.F.scale(lam), g1.G + g2.G.scale(lam), g1.x, g1.y)
 
@@ -111,22 +127,34 @@ def inverse(g: Arrow) -> Arrow:
 
 
 def connecting_arrow(p: PointD2, eps: float = MEMBERSHIP_EPS) -> Arrow:
-    """Arrow from the leaf base point (|x|, m|x|) or (0, |y|) to p."""
+    """Arrow from the leaf base point (|x|, m|x|) or (0, |y|) to p.
+
+    The branch is picked row by row: the finite-slope one where |x|^2 >
+    eps |p|^2, the infinity-line one elsewhere.  Each branch is evaluated on
+    every row, with the unit standing in for the coordinate it divides by on
+    the rows of the other branch, and where() keeps the rows it owns.
+    """
     dim = p.x.dim
-    nx2 = float(p.x.norm_sq())
-    ny2 = float(p.y.norm_sq())
-    if nx2 + ny2 <= eps:
+    nx2 = p.x.norm_sq()
+    ny2 = p.y.norm_sq()
+    if np.any(nx2 + ny2 <= eps):
         raise ValueError("the origin is its own leaf; no connecting arrow")
     one = AlgebraElement.one(dim)
     zero = AlgebraElement.zero(dim)
-    if nx2 > eps * (nx2 + ny2):
-        nx = math.sqrt(nx2)
-        m = p.y * p.x.inverse()
-        F = (p.x - one) / nx
-        return Arrow(F, zero, one.scale(nx), m.scale(nx))
-    ny = math.sqrt(ny2)
-    G = (p.y - one) / ny
-    return Arrow(zero, G, zero, one.scale(ny))
+    finite = nx2 > eps * (nx2 + ny2)
+    x = where(finite, p.x, one)
+    nx = np.sqrt(x.norm_sq())
+    m = p.y * x.inverse()
+    F = (x - one) / nx
+    y = where(finite, one, p.y)
+    ny = np.sqrt(y.norm_sq())
+    G = (y - one) / ny
+    return Arrow(
+        where(finite, F, zero),
+        where(finite, zero, G),
+        where(finite, one.scale(nx), zero),
+        where(finite, m.scale(nx), one.scale(ny)),
+    )
 
 
 def _phi_numerator(g: Arrow) -> AlgebraElement:
@@ -137,8 +165,8 @@ def _phi_numerator(g: Arrow) -> AlgebraElement:
 def phi_group_element(g: Arrow) -> AlgebraElement:
     """(1 + conj(x) F + conj(y) G) normalized; the would-be action-groupoid part."""
     w = _phi_numerator(g)
-    n = math.sqrt(float(w.norm_sq()))
-    if n <= MEMBERSHIP_EPS:
+    n = np.sqrt(w.norm_sq())
+    if np.any(n <= MEMBERSHIP_EPS):
         raise ValueError("degenerate arrow: 1 + conj(x) F + conj(y) G vanishes")
     return w / n
 
@@ -155,34 +183,60 @@ def phi_to_action_groupoid(g: Arrow):
 
 
 # -- sampling ----------------------------------------------------------------
+#
+# Every sampler draws one element, or a batch of n when n is given.  Rejection
+# sampling is a masked redraw: each round draws again only the rows that were
+# rejected, and a row rejected MAX_DRAWS times in a row raises.
 
 
-def random_point(rng: np.random.Generator, dim: int, scale=0.7) -> PointD2:
-    return PointD2(
-        from_array(rng.normal(0.0, scale, dim)), from_array(rng.normal(0.0, scale, dim))
-    )
+def _masked_redraw(draw, rows: int, what: str) -> np.ndarray:
+    """rows accepted candidates; draw(todo) returns (candidates, accepted mask)
+    for the output rows todo, one candidate per row."""
+    todo = np.arange(rows)
+    out = None
+    for _ in range(MAX_DRAWS):
+        values, ok = draw(todo)
+        if out is None:
+            out = np.empty((rows,) + values.shape[1:])
+        out[todo[ok]] = values[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return out
+    raise ValueError("no %s in %d draws" % (what, MAX_DRAWS))
+
+
+def _arrows(raw: np.ndarray) -> Arrow:
+    """Arrow from a (4, dim) draw of F, G, x, y; a batch from (N, 4, dim)."""
+    return Arrow(*(from_array(raw[..., slot, :]) for slot in range(4)))
+
+
+def random_point(rng: np.random.Generator, dim: int, scale=0.7, n: int = None) -> PointD2:
+    """Gaussian point of D^2 (a batch of n when n is given)."""
+    size = dim if n is None else (n, dim)
+    return PointD2(from_array(rng.normal(0.0, scale, size)), from_array(rng.normal(0.0, scale, size)))
 
 
 def random_arrow(
-    rng: np.random.Generator, dim: int, scale=0.7, min_rescale_sq: float = MEMBERSHIP_EPS
+    rng: np.random.Generator,
+    dim: int,
+    scale=0.7,
+    min_rescale_sq: float = MEMBERSHIP_EPS,
+    n: int = None,
 ) -> Arrow:
-    """Gaussian arrow away from the zero locus.
+    """Gaussian arrow away from the zero locus (a batch of n when n is given).
 
     The suites raise min_rescale_sq to 1e-2: arrows close to the locus are
     legal, but float law-checking there is unconditioned (lambda of the
     inverse blows up), so sampling keeps a margin.  Membership itself stays
     at the tiny epsilon.
     """
-    for _ in range(MAX_DRAWS):
-        g = Arrow(
-            from_array(rng.normal(0.0, scale, dim)),
-            from_array(rng.normal(0.0, scale, dim)),
-            from_array(rng.normal(0.0, scale, dim)),
-            from_array(rng.normal(0.0, scale, dim)),
-        )
-        if float(rescale_sq(g)) > min_rescale_sq:
-            return g
-    raise ValueError("no arrow with lambda^2 > %g in %d draws" % (min_rescale_sq, MAX_DRAWS))
+
+    def draw(todo):
+        raw = rng.normal(0.0, scale, (todo.size, 4, dim))
+        return raw, rescale_sq(_arrows(raw)) > min_rescale_sq
+
+    raw = _masked_redraw(draw, 1 if n is None else n, "arrow with lambda^2 > %g" % min_rescale_sq)
+    return _arrows(raw[0] if n is None else raw)
 
 
 def rebase(g: Arrow, p: PointD2) -> Arrow:
@@ -190,23 +244,27 @@ def rebase(g: Arrow, p: PointD2) -> Arrow:
     return Arrow(g.F, g.G, p.x, p.y)
 
 
-def _suite_arrow(rng: np.random.Generator, dim: int, at: PointD2 = None) -> Arrow:
-    """Arrow for law checking: conditioning margin, optionally rebased.
+def _suite_arrow(rng: np.random.Generator, dim: int, n: int = None, at: PointD2 = None) -> Arrow:
+    """Arrow for law checking (a batch of n when n is given): conditioning
+    margin, optionally rebased at the point or batch of n points ``at``.
 
-    Rebasing changes the rescaling, so the margin is re-checked after it.
+    Rebasing changes the rescaling, so the margin must hold before and after it.
     """
-    for _ in range(MAX_DRAWS):
-        g = random_arrow(rng, dim, min_rescale_sq=1e-2)
-        if at is not None:
-            g = rebase(g, at)
-            if float(rescale_sq(g)) <= 1e-2:
-                continue
-        return g
-    raise ValueError("no arrow at the given source with lambda^2 > 0.01 in %d draws" % MAX_DRAWS)
+    if at is None:
+        return random_arrow(rng, dim, min_rescale_sq=1e-2, n=n)
+
+    def draw(todo):
+        raw = rng.normal(0.0, 0.7, (todo.size, 4, dim))
+        g = _arrows(raw)
+        ok = (rescale_sq(g) > 1e-2) & (rescale_sq(rebase(g, _rows(at, todo))) > 1e-2)
+        return raw, ok
+
+    raw = _masked_redraw(draw, 1 if n is None else n, "arrow at the given source with lambda^2 > 0.01")
+    return rebase(_arrows(raw[0] if n is None else raw), at)
 
 
-def _gap(p: PointD2, q: PointD2) -> float:
-    return math.sqrt(float((p.x - q.x).norm_sq() + (p.y - q.y).norm_sq()))
+def _gap(p: PointD2, q: PointD2):
+    return np.sqrt((p.x - q.x).norm_sq() + (p.y - q.y).norm_sq())
 
 
 # -- G2 ----------------------------------------------------------------------
@@ -214,13 +272,14 @@ def _gap(p: PointD2, q: PointD2) -> float:
 
 @dataclass(frozen=True)
 class G2Automorphism:
-    """Octonion automorphism given by its matrix in the standard basis."""
+    """Octonion automorphism given by its matrix in the standard basis; a
+    batch of N automorphisms has an (N, 8, 8) stack of matrices."""
 
     matrix: np.ndarray
     triple: tuple
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
-        return from_array(self.matrix @ a.as_floats())
+        return from_array(np.einsum("...ij,...j->...i", self.matrix, a.as_floats()))
 
     def apply_point(self, p: PointD2) -> PointD2:
         return PointD2(self.apply(p.x), self.apply(p.y))
@@ -228,36 +287,38 @@ class G2Automorphism:
     def apply_arrow(self, g: Arrow) -> Arrow:
         return Arrow(self.apply(g.F), self.apply(g.G), self.apply(g.x), self.apply(g.y))
 
-    def automorphism_residual(self) -> float:
-        """max over basis pairs of |A(e_i e_j) - A(e_i) A(e_j)|."""
-        images = [from_array(self.matrix[:, i]) for i in range(8)]
+    def automorphism_residual(self):
+        """max over the 64 basis pairs of |A(e_i e_j) - A(e_i) A(e_j)|, per automorphism."""
+        images = [from_array(self.matrix[..., :, i]) for i in range(8)]
         basis = [AlgebraElement.basis(8, i) for i in range(8)]
         residuals = [
-            float((self.apply(basis[i] * basis[j]) - images[i] * images[j]).norm_sq())
+            (self.apply(basis[i] * basis[j]) - images[i] * images[j]).norm_sq()
             for i in range(8)
             for j in range(8)
         ]
         # np.max, unlike max(), keeps a NaN
-        return math.sqrt(np.max(residuals))
+        return np.sqrt(np.max(residuals, axis=0))
 
-    def orthogonality_residual(self) -> float:
-        return float(np.max(np.abs(self.matrix.T @ self.matrix - np.eye(8))))
+    def orthogonality_residual(self):
+        gram = np.swapaxes(self.matrix, -1, -2) @ self.matrix
+        return np.max(np.abs(gram - np.eye(8)), axis=(-2, -1))
 
 
 def g2_from_basic_triple(t1, t2, t3, tol: float = 1e-8) -> G2Automorphism:
     """The automorphism sending the standard basic triple (e1, e2, e4) to
     (t1, t2, t3).  The remaining basis images are forced by the table:
-    e3 -> t1 t2, e5 -> t1 t3, e6 -> t2 t3, e7 -> (t1 t2) t3."""
+    e3 -> t1 t2, e5 -> t1 t3, e6 -> t2 t3, e7 -> (t1 t2) t3.  A batch of
+    triples gives a batch of automorphisms; every row must be a basic triple."""
     triple = tuple(t if isinstance(t, AlgebraElement) else from_array(t) for t in (t1, t2, t3))
     t1, t2, t3 = triple
     for t in triple:
-        if abs(float(t.re())) > tol:
+        if np.any(np.abs(t.re()) > tol):
             raise ValueError("basic triple entries must be imaginary")
-        if abs(float(t.norm_sq()) - 1.0) > tol:
+        if np.any(np.abs(t.norm_sq() - 1.0) > tol):
             raise ValueError("basic triple entries must be unit norm")
     t12 = t1 * t2
-    pairs = [(t1, t2), (t1, t3), (t2, t3)]
-    if any(abs(float(a.inner(b))) > tol for a, b in pairs) or abs(float(t12.inner(t3))) > tol:
+    pairs = [(t1, t2), (t1, t3), (t2, t3), (t12, t3)]
+    if any(np.any(np.abs(a.inner(b)) > tol) for a, b in pairs):
         raise ValueError("basic triple fails orthogonality (incl. t3 vs t1*t2)")
     cols = [
         AlgebraElement.one(8),
@@ -269,34 +330,40 @@ def g2_from_basic_triple(t1, t2, t3, tol: float = 1e-8) -> G2Automorphism:
         t2 * t3,
         t12 * t3,
     ]
-    matrix = np.column_stack([c.as_floats() for c in cols])
+    matrix = np.stack(np.broadcast_arrays(*(c.as_floats() for c in cols)), axis=-1)
     return G2Automorphism(matrix, triple)
 
 
-def random_basic_triple(rng: np.random.Generator):
-    """Gram-Schmidt sampling of a basic triple, dense in the G2 family."""
+def _basic_triples(raw: np.ndarray):
+    """Gram-Schmidt rows (k, 3, 8) from raw draws of the same shape, and the
+    mask of rows where no step met a norm below 1e-6 (a degenerate draw)."""
+    ok = np.ones(len(raw), dtype=bool)
 
     def imaginary_unit(vec, *ortho):
-        vec = np.array(vec, float)
-        vec[0] = 0.0
+        vec = vec.copy()
+        vec[:, 0] = 0.0
         for o in ortho:
-            vec -= np.dot(vec, o) * o
-        n = np.linalg.norm(vec)
-        if n < 1e-6:
-            raise ValueError("degenerate draw")
-        return vec / n
+            vec -= np.sum(vec * o, axis=1, keepdims=True) * o
+        n = np.linalg.norm(vec, axis=1, keepdims=True)
+        ok[:] &= n[:, 0] >= 1e-6
+        return vec / np.where(n >= 1e-6, n, 1.0)
 
-    for _ in range(MAX_DRAWS):
-        try:
-            v1 = imaginary_unit(rng.normal(size=8))
-            v2 = imaginary_unit(rng.normal(size=8), v1)
-            prod = (from_array(v1) * from_array(v2)).as_floats()
-            v3 = imaginary_unit(rng.normal(size=8), v1, v2, prod)
-            return from_array(v1), from_array(v2), from_array(v3)
-        except ValueError:
-            continue
-    # outside the try: the degenerate-draw handler cannot swallow it
-    raise ValueError("no basic triple in %d draws" % MAX_DRAWS)
+    v1 = imaginary_unit(raw[:, 0])
+    v2 = imaginary_unit(raw[:, 1], v1)
+    prod = (from_array(v1) * from_array(v2)).as_floats()
+    v3 = imaginary_unit(raw[:, 2], v1, v2, prod)
+    return np.stack([v1, v2, v3], axis=1), ok
+
+
+def random_basic_triple(rng: np.random.Generator, n: int = None):
+    """Gram-Schmidt sampling of a basic triple, dense in the G2 family (a
+    batch of n triples when n is given)."""
+    rows = _masked_redraw(
+        lambda todo: _basic_triples(rng.normal(size=(todo.size, 3, 8))),
+        1 if n is None else n,
+        "basic triple",
+    )
+    return tuple(from_array(rows[0, k] if n is None else rows[:, k]) for k in range(3))
 
 
 # -- verification suites ------------------------------------------------------
@@ -311,6 +378,60 @@ def rescale_sq_identity(dim: int) -> bool:
     g = Arrow(F, G, x, y)
     lhs = x.norm_sq() * rescale_sq(g)
     return (lhs - _shift(F, G, x, y).norm_sq()).is_zero()
+
+
+def _composition_laws(law, rng, g1: Arrow, n: int, tol: float):
+    """Composable pairs and triples, rebased at computed targets."""
+    g2 = _suite_arrow(rng, g1.dim, n, target(g1))
+    g21 = compose(g2, g1, tol)
+    law["lambda_mult"].record(abs(rescale(g21) - rescale(g2) * rescale(g1)))
+    law["endpoints"].record(_gap(target(g21), target(g2)) + _gap(source(g21), source(g1)))
+    g3 = _suite_arrow(rng, g1.dim, n, target(g2))
+    left = compose(g3, g21, tol)
+    right = compose(compose(g3, g2, tol), g1, tol)
+    law["assoc"].record(
+        np.sqrt(
+            (left.F - right.F).norm_sq()
+            + (left.G - right.G).norm_sq()
+            + (left.x - right.x).norm_sq()
+            + (left.y - right.y).norm_sq()
+        )
+    )
+
+
+def _unit_and_inverse_laws(law, g1: Arrow, tol: float):
+    """Units on both sides of g1, and its inverse on both sides."""
+    s1, t1 = source(g1), target(g1)
+    lu = compose(unit(t1), g1, tol)
+    law["left_unit"].record(np.sqrt((lu.F - g1.F).norm_sq() + (lu.G - g1.G).norm_sq()))
+    ru = compose(g1, unit(s1), tol)
+    law["right_unit"].record(np.sqrt((ru.F - g1.F).norm_sq() + (ru.G - g1.G).norm_sq()))
+    gi = inverse(g1)
+    law["t_of_i_is_s"].record(_gap(target(gi), s1))
+    law["lambda_inv"].record(abs(rescale(gi) * rescale(g1) - 1.0))
+    il = compose(gi, g1, tol)
+    law["inv_left"].record(np.sqrt(il.F.norm_sq() + il.G.norm_sq()))
+    ir = compose(g1, gi, tol)
+    law["inv_right"].record(np.sqrt(ir.F.norm_sq() + ir.G.norm_sq()))
+
+
+def _connecting_laws(law, rng, dim: int, n: int):
+    """Leaf containment in the orbit: the base point connects to p.
+
+    The arrow divides by |x|, so points in the thin sliver near (but not on)
+    the infinity line are skipped: the round trip there is exact in exact
+    arithmetic but unconditioned in floats.  The line itself is exercised
+    through its own branch.
+    """
+    p = random_point(rng, dim, n=n)
+    nx2 = p.x.norm_sq()
+    total = nx2 + p.y.norm_sq()
+    kept = _rows(p, (total > 1e-2) & (nx2 > 1e-3 * total))
+    arrow_p = connecting_arrow(kept)
+    law["connect"].record(_gap(target(arrow_p), kept))
+    law["connect_lambda"].record(abs(rescale(arrow_p) - np.sqrt(kept.x.norm_sq())))
+    p_inf = PointD2(AlgebraElement.zero(dim), p.y)
+    law["connect"].record(_gap(target(connecting_arrow(p_inf)), p_inf))
 
 
 def verify_structure(dim: int, samples: int, seed: int, tol: float) -> VerificationReport:
@@ -346,74 +467,21 @@ def verify_structure(dim: int, samples: int, seed: int, tol: float) -> Verificat
             )
         }
         rng = derived_rng(seed, 0)
-        leaf_ok = samples > 0  # each pass classifies one arrow; none classified fails
-        for _ in range(samples):
-            g1 = _suite_arrow(rng, dim)
+        leaf_ok = samples > 0  # every arrow is classified; none classified fails
+        for n in chunks(samples):
+            g1 = _suite_arrow(rng, dim, n)
             s1, t1 = source(g1), target(g1)
-
             law["unit_rescale"].record(abs(rescale(unit(s1)) - 1.0))
             law["norm_preserved"].record(
-                abs(
-                    float(t1.x.norm_sq() + t1.y.norm_sq())
-                    - float(s1.x.norm_sq() + s1.y.norm_sq())
-                )
+                abs((t1.x.norm_sq() + t1.y.norm_sq()) - (s1.x.norm_sq() + s1.y.norm_sq()))
             )
             slope_res = (t1.y * t1.x.conjugate()) - (s1.y * s1.x.conjugate())
-            law["slope_invariant"].record(math.sqrt(float(slope_res.norm_sq())))
-            if not same_leaf(s1, t1, tol):
-                leaf_ok = False
-
-            # exact composable pair and triple, rebased at computed targets
-            g2 = _suite_arrow(rng, dim, t1)
-            g21 = compose(g2, g1, tol)
-            law["lambda_mult"].record(abs(rescale(g21) - rescale(g2) * rescale(g1)))
-            law["endpoints"].record(_gap(target(g21), target(g2)) + _gap(source(g21), s1))
-            g3 = _suite_arrow(rng, dim, target(g2))
-            left = compose(g3, g21, tol)
-            right = compose(compose(g3, g2, tol), g1, tol)
-            law["assoc"].record(
-                math.sqrt(
-                    float(
-                        (left.F - right.F).norm_sq()
-                        + (left.G - right.G).norm_sq()
-                        + (left.x - right.x).norm_sq()
-                        + (left.y - right.y).norm_sq()
-                    )
-                )
-            )
-
-            lu = compose(unit(t1), g1, tol)
-            law["left_unit"].record(
-                math.sqrt(float((lu.F - g1.F).norm_sq() + (lu.G - g1.G).norm_sq()))
-            )
-            ru = compose(g1, unit(s1), tol)
-            law["right_unit"].record(
-                math.sqrt(float((ru.F - g1.F).norm_sq() + (ru.G - g1.G).norm_sq()))
-            )
-
-            gi = inverse(g1)
-            law["t_of_i_is_s"].record(_gap(target(gi), s1))
-            law["lambda_inv"].record(abs(rescale(gi) * rescale(g1) - 1.0))
-            il = compose(gi, g1, tol)
-            law["inv_left"].record(math.sqrt(float(il.F.norm_sq() + il.G.norm_sq())))
-            ir = compose(g1, gi, tol)
-            law["inv_right"].record(math.sqrt(float(ir.F.norm_sq() + ir.G.norm_sq())))
-
-            # leaf containment in the orbit: base point connects to p.  The
-            # arrow divides by |x|, so points in the thin sliver near (but
-            # not on) the infinity line are skipped: the round trip there is
-            # exact in exact arithmetic but unconditioned in floats.  The
-            # line itself is exercised through its own branch below.
-            p = random_point(rng, dim)
-            nx2 = float(p.x.norm_sq())
-            total = nx2 + float(p.y.norm_sq())
-            if total > 1e-2 and nx2 > 1e-3 * total:
-                arrow_p = connecting_arrow(p)
-                law["connect"].record(_gap(target(arrow_p), p))
-                law["connect_lambda"].record(abs(rescale(arrow_p) - math.sqrt(nx2)))
-            p_inf = PointD2(AlgebraElement.zero(dim), p.y)
-            arrow_inf = connecting_arrow(p_inf)
-            law["connect"].record(_gap(target(arrow_inf), p_inf))
+            law["slope_invariant"].record(np.sqrt(slope_res.norm_sq()))
+            leaf_ok = leaf_ok and bool(np.all(same_leaf(s1, t1, tol)))
+            # each group of laws frees its arrows before the next one runs
+            _composition_laws(law, rng, g1, n, tol)
+            _unit_and_inverse_laws(law, g1, tol)
+            _connecting_laws(law, rng, dim, n)
 
         report.add(
             "orbit_inside_leaf",
@@ -448,39 +516,36 @@ def verify_phi_morphism(dim: int, samples: int, seed: int, tol: float) -> Verifi
             )
             lam = report.law("lambda_is_norm", "lambda(g) = |1 + conj(x) F + conj(y) G|", tol)
             tgt = report.law("phi_matches_target", "t(g) = s(g) . phi(g)", tol)
-            for _ in range(samples):
-                g1 = _suite_arrow(rng, dim)
-                g2 = _suite_arrow(rng, dim, target(g1))
+            for n in chunks(samples):
+                g1 = _suite_arrow(rng, dim, n)
+                g2 = _suite_arrow(rng, dim, n, target(g1))
                 u1 = phi_group_element(g1)
                 u2 = phi_group_element(g2)
                 u21 = phi_group_element(compose(g2, g1, tol))
-                mult.record(math.sqrt(float((u21 - u1 * u2).norm_sq())))
-                lam.record(abs(rescale(g1) - math.sqrt(float(_phi_numerator(g1).norm_sq()))))
+                mult.record(np.sqrt((u21 - u1 * u2).norm_sq()))
+                lam.record(abs(rescale(g1) - np.sqrt(_phi_numerator(g1).norm_sq())))
                 tgt.record(_gap(target(g1), PointD2(g1.x * u1, g1.y * u1)))
             report.add(
                 "phi_of_unit",
                 "phi(1_p) = (p, 1)",
-                math.sqrt(
-                    float(
-                        (
-                            phi_group_element(unit(random_point(rng, dim)))
-                            - AlgebraElement.one(dim)
-                        ).norm_sq()
-                    )
+                np.sqrt(
+                    (phi_group_element(unit(random_point(rng, dim))) - AlgebraElement.one(dim)).norm_sq()
                 )
                 <= tol,
             )
         elif dim == 8:
             witness = None
-            for _ in range(samples):
-                g1 = _suite_arrow(rng, dim)
-                g2 = _suite_arrow(rng, dim, target(g1))
+            for n in chunks(samples):
+                g1 = _suite_arrow(rng, dim, n)
+                g2 = _suite_arrow(rng, dim, n, target(g1))
                 u1 = phi_group_element(g1)
                 u2 = phi_group_element(g2)
                 u21 = phi_group_element(compose(g2, g1, tol))
-                res = math.sqrt(float((u21 - u1 * u2).norm_sq()))
-                if res > 1e-3:
-                    witness = res
+                res = np.sqrt((u21 - u1 * u2).norm_sq())
+                # the witness is the first sampled pair whose residual exceeds 1e-3
+                hits = np.flatnonzero(res > 1e-3)
+                if hits.size:
+                    witness = float(res[hits[0]])
                     break
             report.add(
                 "phi_fails_nonassociative",
@@ -514,16 +579,16 @@ def verify_g2_equivariance(samples: int, seed: int, tol: float) -> VerificationR
         tgt = report.law("target_equivariant", "t(A g) = A t(g)", tol)
         comp = report.law("composition_equivariant", "A(g2 g1) = (A g2)(A g1)", tol)
         rng = derived_rng(seed, 0)
-        for _ in range(samples):
-            A = g2_from_basic_triple(*random_basic_triple(rng), tol=tol)
+        for n in chunks(samples):
+            A = g2_from_basic_triple(*random_basic_triple(rng, n), tol=tol)
             auto.record(A.automorphism_residual())
             orth.record(A.orthogonality_residual())
-            g1 = _suite_arrow(rng, 8)
+            g1 = _suite_arrow(rng, 8, n)
             Ag1 = A.apply_arrow(g1)
             lam.record(abs(rescale(Ag1) - rescale(g1)))
             tgt.record(_gap(target(Ag1), A.apply_point(target(g1))))
-            g2 = _suite_arrow(rng, 8, target(g1))
+            g2 = _suite_arrow(rng, 8, n, target(g1))
             lhs = compose(A.apply_arrow(g2), Ag1, 10 * tol)
             rhs = A.apply_arrow(compose(g2, g1, tol))
-            comp.record(math.sqrt(float((lhs.F - rhs.F).norm_sq() + (lhs.G - rhs.G).norm_sq())))
+            comp.record(np.sqrt((lhs.F - rhs.F).norm_sq() + (lhs.G - rhs.G).norm_sq()))
     return report

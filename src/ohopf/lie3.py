@@ -477,7 +477,7 @@ def generic_ranks(samples: int, seed: int, svd_tol: float = 1e-8) -> Verificatio
         "generic_ranks", {"samples": samples, "seed": seed, "svd_tol": svd_tol}
     ) as report:
         rng = derived_rng(seed, 0)
-        ok_generic = True
+        ok_generic = samples > 0  # no sampled point fails: all() of nothing is no proof
         seen = set()
         for _ in range(samples):
             coords = rng.uniform(0.5, 2.0, 16) * rng.choice([-1.0, 1.0], 16)
@@ -496,7 +496,7 @@ def generic_ranks(samples: int, seed: int, svd_tol: float = 1e-8) -> Verificatio
         report.add(
             "rank_exactness",
             "rank d2 + rank d1 = 10 and rank d1 + rank rho = 16",
-            all(r[2] + r[1] == 10 and r[1] + r[0] == 16 for r in seen),
+            bool(seen) and all(r[2] + r[1] == 10 and r[1] + r[0] == 16 for r in seen),
         )
         z = AlgebraElement.zero(8)
         report.add(
@@ -517,10 +517,14 @@ def generic_ranks(samples: int, seed: int, svd_tol: float = 1e-8) -> Verificatio
             inf_ranks == {(7, 9, 1)},
             observed=sorted(inf_ranks),
         )
+        # E_0 has one basis section per generator of the tangency module,
+        # and J has one column per basis section
+        rank_e0 = len(_e0_basis(8))
+        generators = len(_J_matrix(z, z)[0])
         report.add(
             "minimal_rank_consequence",
             "minimality at the origin pins rank E_0 = 16 = generators of the tangency module",
-            True,
-            rank_e0=16,
+            rank_e0 == generators == 16,
+            rank_e0=rank_e0,
         )
     return report

@@ -8,27 +8,34 @@ runs with the same configuration and package version emit byte-identical
 documents.
 
 A sampled law is one verdict over many samples.  ``VerificationReport.law``
-declares it and returns a ``SampledLaw`` ledger; the suite records one
-residual per sample and the ledger keeps the worst as ``max_residual``.  The
-law passes iff at least one residual was recorded and every recorded residual
-is <= tol.  A NaN residual counts as the worst: it fails the law and is what
-``max_residual`` reports.  A law that recorded nothing fails with
-``max_residual`` null, so zero samples never make a PASS.
+declares it and returns a ``SampledLaw`` ledger; the suite records the
+residuals of each sample or batch of samples and the ledger keeps the worst
+as ``max_residual``.  The law passes iff at least one residual was recorded
+and every recorded residual is <= tol.  A NaN residual counts as the worst:
+it fails the law and is what ``max_residual`` reports.  A law that recorded
+nothing fails with ``max_residual`` null, so zero samples never make a PASS.
 
-Every random draw is fixed by the root seed.  Most sampled checks use
-``derived_rng(root_seed, k)``, numpy's default_rng seeded with the pair
-(root_seed, k) for stream k of the suite.  The exceptions: the algebra suite
-uses random.Random(seed) for its sedenion witnesses and random.Random(seed + 1)
-for its exact inverse samples, the counterexample's quaternion control a fixed
-random.Random(7), and the foliation suite's sampled oracle random.Random(seed).
-The leaf suite samples leaf k through sample_leaf with default_rng([seed,
-10 + k]), a stream of its own under each root seed.
+The float suites draw and check their samples in batches of at most
+CHUNK_ROWS rows (``chunks``), which bounds the memory a batch takes whatever
+the sample count.
+
+Every random draw is fixed by the root seed and a stream number k within
+its suite.  The float draws come from ``derived_rng(root_seed, k)``, numpy's
+default_rng seeded with the pair (root_seed, k); the foliation suite draws
+its sampled oracle's integer points from stream 0 and its flows from stream
+5.  The exact suites draw integers from ``derived_random(root_seed, k)``,
+Python's generator seeded with the text "root_seed/k": the algebra suite its
+sedenion witnesses from stream 0 and its exact inverse samples from stream
+1, the counterexample its quaternion control from stream 0.  The leaf suite
+samples leaf k through sample_leaf with default_rng([seed, 10 + k]), a
+stream of its own under each root seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -38,11 +45,31 @@ import numpy as np
 
 SCHEMA_VERSION = "1"
 ARTIFACT_VERSION = "0.1.0"
+# rows drawn and checked at once by the float suites
+CHUNK_ROWS = 512
 
 
 def derived_rng(root_seed: int, stream: int) -> np.random.Generator:
     """Generator for check number ``stream`` under the given root seed."""
     return np.random.default_rng([int(root_seed), int(stream)])
+
+
+def derived_random(root_seed: int, stream: int) -> random.Random:
+    """Python's generator for stream ``stream`` under the root seed, for the
+    exact suites' integer draws.
+
+    Seeded with the text "root_seed/stream" (which random hashes with
+    SHA-512), it keys its streams like derived_rng without importing
+    numpy.random: that import alone adds about 6 MB of RSS to a run that
+    draws no floats.
+    """
+    return random.Random("%d/%d" % (int(root_seed), int(stream)))
+
+
+def chunks(samples: int):
+    """Batch sizes that cover ``samples`` rows, none above CHUNK_ROWS."""
+    for start in range(0, samples, CHUNK_ROWS):
+        yield min(CHUNK_ROWS, samples - start)
 
 
 def _jsonable(value):
@@ -90,9 +117,13 @@ class SampledLaw:
         self.check = check
         self.tol = tol
 
-    def record(self, residual) -> None:
-        """Fold one sample's residual; NaN is worse than any number."""
-        r = float(residual)
+    def record(self, residuals) -> None:
+        """Fold the residual of a sample, or an array of them; NaN is worse
+        than any number, and an empty array records nothing."""
+        residuals = np.asarray(residuals, dtype=float)
+        if not residuals.size:
+            return
+        r = float(np.max(residuals))  # np.max, unlike max(), keeps a NaN
         worst = self.check.info["max_residual"]
         if worst is None or r > worst or (math.isnan(r) and not math.isnan(worst)):
             self.check.info["max_residual"] = r

@@ -187,14 +187,11 @@ def test_suite_that_aborts_exits_1_without_usage_hint(monkeypatch, capsys):
 
 def test_rejection_bound_aborts_the_suite(monkeypatch, capsys):
     class ZeroLocus:
-        """Draws F = -e0, G = 0, x = e0, y = 0 in turn: every arrow has lambda^2 = 0."""
-
-        calls = 0
+        """Draws F = -e0, G = 0, x = e0, y = 0 in every row: every arrow has lambda^2 = 0."""
 
         def normal(self, loc=0.0, scale=1.0, size=None):
             v = np.zeros(size)
-            v[0] = (-1.0, 0.0, 1.0, 0.0)[self.calls % 4]
-            self.calls += 1
+            v[:, 0, 0], v[:, 2, 0] = -1.0, 1.0
             return v
 
     monkeypatch.setattr(groupoid, "derived_rng", lambda seed, stream: ZeroLocus())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ohopf import exactsolve
+from ohopf import exactsolve, foliation
 from ohopf.algebra import AlgebraElement, coordinate_elements
 from ohopf.foliation import (
     J_map,
@@ -139,6 +139,17 @@ def test_obstruction_report():
 def test_foliation_suite(dim):
     report = verify_foliation(dim, 20, seed=6, tol=1e-9)
     assert report.passed, [(c.name, c.info) for c in report.checks if not c.passed]
+
+
+# at step 0.0625 every flow point still passes same_leaf at 1e-6, and only
+# the step-doubling estimate (1.2e-6 at dim 4, seed 101) fails the check
+@pytest.mark.parametrize("step", (0.25, 0.0625))
+def test_coarse_flow_step_fails_the_flow_check(monkeypatch, step):
+    monkeypatch.setattr(foliation, "FLOW_STEP", step)
+    report = verify_foliation(4, 20, seed=101, tol=1e-9)
+    check = {c.name: c for c in report.checks}["tangent_flow_stays_on_leaf"]
+    assert not check.passed
+    assert check.info["step_error_estimate"] >= 1e-6
 
 
 # -- exact elimination ---------------------------------------------------------

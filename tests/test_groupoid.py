@@ -246,36 +246,123 @@ def test_wrong_composition_rule_is_detected():
 
 
 class RejectingRng:
-    """rng stub: F = -x e0 with x = x0 e0 and G = y = 0, cycling.
+    """rng stub: every arrow row is F = -e0, x = x0 e0, G = y = 0.
 
     At x0 = 2 the arrow has lambda^2 = 1 but rebasing it to x = e0 puts it on
-    the zero locus; at x0 = 1 every arrow is on it; normal(size=8) for a
-    basic triple is the degenerate draw 0.
+    the zero locus; at x0 = 1 every arrow is on it; a draw for basic triples
+    is the degenerate draw 0.  Each call is one round of a masked redraw.
     """
 
     def __init__(self, x0=1.0):
-        self.cycle = (-1.0, 0.0, x0, 0.0)
+        self.x0 = x0
         self.calls = 0
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         v = np.zeros(size)
-        if size != 8:
-            v[0] = self.cycle[self.calls % 4]
+        if v.shape[-2] == 4:  # (rows, F G x y, dim) arrow draws
+            v[:, 0, 0] = -1.0
+            v[:, 2, 0] = self.x0
         self.calls += 1
         return v
 
 
 def test_rejection_loops_are_bounded():
-    rng = RejectingRng()
-    with pytest.raises(ValueError, match="%d draws" % MAX_DRAWS):
-        random_arrow(rng, 4)
-    assert rng.calls == 4 * MAX_DRAWS
-    at = PointD2(AlgebraElement.basis(4, 0), AlgebraElement.zero(4))
-    rng = RejectingRng(x0=2.0)
-    with pytest.raises(ValueError, match="given source.*%d draws" % MAX_DRAWS):
-        groupoid._suite_arrow(rng, 4, at)
-    assert rng.calls == 4 * MAX_DRAWS
-    rng = RejectingRng()
-    with pytest.raises(ValueError, match="no basic triple in %d draws" % MAX_DRAWS):
-        random_basic_triple(rng)
-    assert rng.calls == MAX_DRAWS
+    # one arrow and a batch of 3 alike: each round redraws the rejected rows
+    for n in (None, 3):
+        rng = RejectingRng()
+        with pytest.raises(ValueError, match="%d draws" % MAX_DRAWS):
+            random_arrow(rng, 4, n=n)
+        assert rng.calls == MAX_DRAWS
+        at = PointD2(AlgebraElement.basis(4, 0), AlgebraElement.zero(4))
+        rng = RejectingRng(x0=2.0)
+        with pytest.raises(ValueError, match="given source.*%d draws" % MAX_DRAWS):
+            groupoid._suite_arrow(rng, 4, n, at)
+        assert rng.calls == MAX_DRAWS
+        rng = RejectingRng()
+        with pytest.raises(ValueError, match="no basic triple in %d draws" % MAX_DRAWS):
+            random_basic_triple(rng, n)
+        assert rng.calls == MAX_DRAWS
+
+
+class OneBadRow:
+    """rng stub: in the first round row 1 is on the zero locus; later rounds draw fine rows."""
+
+    def __init__(self):
+        self.sizes = []
+        self.rng = np.random.default_rng(14)
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        v = self.rng.normal(loc, scale, size)
+        if not self.sizes:
+            v[1] = 0.0
+            v[1, 0, 0], v[1, 2, 0] = -1.0, 1.0
+        self.sizes.append(size)
+        return v
+
+
+def test_masked_redraw_draws_only_rejected_rows():
+    rng = OneBadRow()
+    g = random_arrow(rng, 4, n=3)
+    assert rng.sizes == [(3, 4, 4), (1, 4, 4)]
+    first = np.random.default_rng(14).normal(0.0, 0.7, (3, 4, 4))
+    for row in (0, 2):
+        assert np.array_equal(g.F.as_floats()[row], first[row, 0])
+    assert np.all(rescale_sq(g) > groupoid.MEMBERSHIP_EPS)
+
+
+def _flat(obj):
+    """Float coordinates of an element, point or arrow: (k,) for one, (N, k) for a batch."""
+    parts = [obj] if isinstance(obj, AlgebraElement) else list(obj)
+    return np.hstack([p.as_floats() for p in parts])
+
+
+def _row(obj, i):
+    """Row i of a batched point or arrow as a single one with float coefficients."""
+    return type(obj)(*(from_array(e.as_floats()[i]) for e in obj))
+
+
+@pytest.mark.parametrize("dim", (4, 8))
+def test_batch_maps_equal_their_rows(dim):
+    rng = np.random.default_rng(15)
+    n = 7
+    g1 = random_arrow(rng, dim, min_rescale_sq=1e-2, n=n)
+    g2 = rebase(random_arrow(rng, dim, min_rescale_sq=1e-2, n=n), target(g1))
+    p = groupoid.random_point(rng, dim, n=n)
+    x = p.x.as_floats()
+    x[[1, 4]] = 0.0  # two rows on the infinity line
+    p = PointD2(from_array(x), p.y)
+    maps = {
+        "target": lambda a, b, q: _flat(target(a)),
+        "rescale": lambda a, b, q: rescale(a),
+        "compose": lambda a, b, q: _flat(compose(b, a)),
+        "inverse": lambda a, b, q: _flat(inverse(a)),
+        "connecting_arrow": lambda a, b, q: _flat(connecting_arrow(q)),
+    }
+    for name, f in maps.items():
+        batch = f(g1, g2, p)
+        for i in range(n):
+            row = f(_row(g1, i), _row(g2, i), _row(p, i))
+            assert np.max(np.abs(batch[i] - row)) == 0.0, (name, i)
+
+
+def _with_row(g, i, F, x):
+    """g with row i replaced by the arrow (F e0, 0, x e0, 0)."""
+    cols = [e.as_floats() for e in g]
+    for c in cols:
+        c[i] = 0.0
+    cols[0][i, 0], cols[2][i, 0] = F, x
+    return Arrow(*(from_array(c) for c in cols))
+
+
+@pytest.mark.parametrize("F, x", [(float("nan"), 1.0), (-1.0, 1.0)], ids=["nan", "zero_locus"])
+def test_one_bad_row_makes_the_batch_raise(F, x):
+    rng = np.random.default_rng(16)
+    g1 = random_arrow(rng, 8, min_rescale_sq=1e-2, n=5)
+    g2 = rebase(random_arrow(rng, 8, min_rescale_sq=1e-2, n=5), target(g1))
+    bad = _with_row(g1, 3, F, x)
+    with pytest.raises(ValueError):
+        rescale(bad)
+    with pytest.raises(ValueError):
+        compose(g2, bad)
+    with pytest.raises(ValueError):
+        compose(_with_row(g2, 3, F, x), g1)

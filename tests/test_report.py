@@ -3,11 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ohopf.algebroid import verify_groupoid_consistency
 from ohopf.groupoid import verify_g2_equivariance, verify_phi_morphism, verify_structure
 from ohopf.leaves import verify_leaves
+from ohopf.lie3 import generic_ranks
 from ohopf.report import VerificationReport
 
 TOL = 1e-9
@@ -50,6 +52,16 @@ def test_nan_residual_fails_and_is_reported(residuals):
     assert '"max_residual": NaN' in json.dumps(check.as_dict())
 
 
+def test_arrays_fold_like_their_elements():
+    # an empty array records nothing, so the law still fails
+    assert _law([np.array([])]).info == {"max_residual": None}
+    assert not _law([np.array([])]).passed
+    check = _law([np.array([0.0, float("nan"), 2.0]), np.array([TOL / 2])])
+    assert not check.passed and math.isnan(check.info["max_residual"])
+    check = _law([np.array([TOL / 4, TOL, 0.0])])
+    assert check.passed and check.info == {"max_residual": TOL}
+
+
 def test_law_without_records_fails():
     report = VerificationReport("t")
     report.law("law", "the residual vanishes", TOL)
@@ -85,3 +97,12 @@ def test_zero_samples_fail_every_sampled_law(run, laws):
     assert all(c.info["max_residual"] is None for c in sampled)
     if report.suite == "groupoid":  # a flag check over the sampled arrows fails too
         assert not {c.name: c for c in report.checks}["orbit_inside_leaf"].passed
+
+
+def test_zero_samples_fail_the_generic_rank_checks():
+    # all() over no sampled point is vacuously true; the checks must not pass on it
+    checks = {c.name: c for c in generic_ranks(0, 0).checks}
+    assert not checks["generic_point_ranks"].passed
+    assert not checks["rank_exactness"].passed
+    assert checks["minimal_rank_consequence"].passed
+    assert checks["minimal_rank_consequence"].info == {"rank_e0": 16}
