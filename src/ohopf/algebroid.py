@@ -16,9 +16,9 @@ corrections: [X, Y] also picks up rho(X) applied to the coefficients of Y
 minus rho(Y) applied to the coefficients of X.  With those corrections the
 anchor is a morphism onto the commutator of vector fields, which is proved
 symbolically here, and the whole structure is consistent with the groupoid:
-central finite differences of the target map along arrow directions
-reproduce the anchor, and the derivative of the rescaling function along
-the F_i direction is x^i.
+the derivative of the target map at the units along arrow directions is
+the anchor, and the derivative of the rescaling function along the F_i
+direction is x^i, both proved as polynomial identities.
 
 The weight c and the anchor are each written once, as functions of a
 section and a base point (x, y) whose coefficients may be exact numbers,
@@ -28,15 +28,12 @@ polynomial ring as the point; the numeric checks pass numbers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import groupoid
 from .algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
 from .polyring import PolyRing, Polynomial
-from .report import VerificationReport, derived_rng, timed_report
+from .report import VerificationReport, timed_report
 
 
 @dataclass(frozen=True)
@@ -254,78 +251,50 @@ def verify_algebroid_symbolic(dim: int = 8) -> VerificationReport:
     return report
 
 
-# -- groupoid consistency (finite differences) --------------------------------
+# -- groupoid consistency ------------------------------------------------------
 
 
-def _target_state(F, G, x, y):
-    t = groupoid.target(groupoid.Arrow(F, G, x, y))
-    return np.array([*[float(c) for c in t.x.coeffs], *[float(c) for c in t.y.coeffs]])
+def _section_part(e: AlgebraElement, degree: int) -> AlgebraElement:
+    return AlgebraElement(tuple(c.section_degree_part(degree) for c in e.coeffs), e.dim)
 
 
-def _central_difference(x, y, i, slot, h, dim):
-    z = AlgebraElement.zero(dim)
-    e = AlgebraElement.basis(dim, i, h)
-    if slot == 0:
-        plus, minus = _target_state(e, z, x, y), _target_state(-e, z, x, y)
-    else:
-        plus, minus = _target_state(z, e, x, y), _target_state(z, -e, x, y)
-    return (plus - minus) / (2.0 * h)
+def verify_groupoid_consistency(dim: int = 8) -> VerificationReport:
+    """Prove that the algebroid is the Lie algebroid of the groupoid.
 
-
-def verify_groupoid_consistency(samples: int, seed: int, tol: float, dim: int = 8) -> VerificationReport:
-    """Finite differences of the groupoid target against the anchor."""
-    with timed_report(
-        "algebroid_vs_groupoid", {"dim": dim, "samples": samples, "seed": seed, "tol": tol}
-    ) as report:
-        anchor_law = report.law(
+    With the section (u, v) symbolic, the arrow (tau u, tau v, x, y) has
+    target _shift(tau u, tau v, x, y) / lambda in the x block (and the swap
+    in the y block), where lambda^2 = rescale_sq.  Splitting each map by its
+    degree in the section variables gives the tau-expansion: with sq_0 = 1,
+    lambda(0) = 1 and lambda'(0) = sq_1 / 2, so the target's derivative at
+    the unit is shift_1 - shift_0 lambda'(0).  Each identity below holds
+    coefficient-wise, so it covers every section and base point.
+    """
+    with timed_report("algebroid_vs_groupoid", {"dim": dim}) as report:
+        ring = PolyRing(dim, vector_names("u", dim) + vector_names("v", dim))
+        s = E0Section(vector_symbol(ring, "u", dim), vector_symbol(ring, "v", dim))
+        x, y = coordinate_elements(ring, dim)
+        sq = groupoid.rescale_sq(groupoid.Arrow(s.u, s.v, x, y))
+        lam1 = sq.section_degree_part(1) / 2
+        derivative = VectorField(
+            *(
+                _section_part(shift, 1) - _section_part(shift, 0).scale(lam1)
+                for shift in (groupoid._shift(s.u, s.v, x, y), groupoid._shift(s.v, s.u, y, x))
+            )
+        )
+        report.add(
             "target_derivative_is_anchor",
-            "d/dtau t(tau e_i, 0, x, y)|_0 = rho(e_i, 0)|_(x,y) (and the G slot)",
-            tol,
+            "d/dtau t(tau u, tau v, x, y)|_0 = rho(u, v)|_(x,y) as polynomials",
+            (derivative - _rho(s, x, y)).is_zero(),
         )
-        lambda_law = report.law(
+        report.add(
             "lambda_derivative",
-            "d/dtau lambda|_0 = x^i along F directions, y^i along G directions",
-            tol,
+            "lambda(0) = 1 and d/dtau lambda|_0 = c(u, v): x^i along F_i, y^i along G_i",
+            sq.section_degree_part(0) == 1 and lam1 == _weight(s, x, y),
         )
-        rng = derived_rng(seed, 0)
-        for _ in range(samples):
-            x = AlgebraElement(tuple(rng.normal(0.0, 0.7, dim)), dim)
-            y = AlgebraElement(tuple(rng.normal(0.0, 0.7, dim)), dim)
-            scale = 1.0 + math.sqrt(float(x.norm_sq() + y.norm_sq()))
-            h = 1e-5 * scale
-            i = int(rng.integers(0, dim))
-            slot = int(rng.integers(0, 2))
-            z = AlgebraElement.zero(dim)
-            expected = _rho(constant_section(dim, i, slot), x, y)
-            expected_vec = np.array([float(c) for c in expected.components()])
-            diff = _central_difference(x, y, i, slot, h, dim)
-            res = float(np.max(np.abs(diff - expected_vec)))
-            if res > tol:
-                # Richardson extrapolation before judging
-                fine = _central_difference(x, y, i, slot, h / 2.0, dim)
-                diff = (4.0 * fine - diff) / 3.0
-                res = float(np.max(np.abs(diff - expected_vec)))
-            anchor_law.record(res)
-
-            # derivative of lambda along the same curve
-            he = AlgebraElement.basis(dim, i, h)
-            if slot == 0:
-                lp = groupoid.rescale(groupoid.Arrow(he, z, x, y))
-                lm = groupoid.rescale(groupoid.Arrow(-he, z, x, y))
-                coord = float(x.coeffs[i])
-            else:
-                lp = groupoid.rescale(groupoid.Arrow(z, he, x, y))
-                lm = groupoid.rescale(groupoid.Arrow(z, -he, x, y))
-                coord = float(y.coeffs[i])
-            lambda_law.record(abs((lp - lm) / (2.0 * h) - coord))
-        # both sides vanish at the origin
-        z = AlgebraElement.zero(dim)
-        a0 = _rho(constant_section(dim, 0, 0), z, z)
-        d0 = _central_difference(z, z, 0, 0, 1e-5, dim)
+        origin = {v.name: 0 for v in ring.variables[: 2 * dim]}
         report.add(
             "origin_is_fixed",
-            "at (0,0) the target derivative and the anchor both vanish",
-            float(np.max(np.abs(d0))) <= tol and a0.is_zero(),
+            "at (0,0) the target derivative vanishes",
+            all(c.substitute(origin).is_zero() for c in derivative.components()),
         )
     return report
-

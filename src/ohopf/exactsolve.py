@@ -11,9 +11,10 @@ its own pivot column and otherwise only free columns.  Reducing an incoming
 row therefore strictly removes pivot columns from its support and
 terminates.
 
-Dense rows get a rank certificate instead (``certified_rank``): the rank
-modulo a prime never exceeds the rank over Q, so full column rank in numpy
-int64 over GF(p) proves full rank; otherwise the sparse elimination decides.
+Dense rows get their exact rank from the same elimination (``dense_rank``),
+or a rank certificate first (``certified_rank``): the rank modulo a prime
+never exceeds the rank over Q, so full column rank in numpy int64 over GF(p)
+proves full rank; otherwise the sparse elimination decides.
 An exact integer determinant, should one be needed, would call for Bareiss's
 fraction-free elimination (Math. Comp. 22, 1968).
 """
@@ -133,11 +134,16 @@ def rank_mod_p(rows, ncols: int, p: int) -> int:
     return rank
 
 
+def dense_rank(rows) -> int:
+    """Exact rank over Q of dense integer rows, by the sparse elimination."""
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    return nullspace(sparse, len(rows[0]) if rows else 0, want_basis=False)[0]
+
+
 def certified_rank(rows, ncols: int):
     """(rank, certificate) of dense integer rows: rank ncols modulo a prime
     proves rank ncols over Q; otherwise sparse exact elimination decides."""
     for p in PRIMES:
         if rank_mod_p(rows, ncols, p) == ncols:
             return ncols, "full_rank_mod_p"
-    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
-    return nullspace(sparse, ncols, want_basis=False)[0], "exact_elimination"
+    return dense_rank(rows), "exact_elimination"

@@ -149,12 +149,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(k == 0 for k in self.terms)
-
-    def constant_term(self) -> Scalar:
-        return self.terms.get(0, 0)
-
     def total_degree(self):
         """Largest total degree among terms, or None for the zero polynomial."""
         if not self.terms:
@@ -201,6 +195,14 @@ class Polynomial:
                 raise ValueError("term is not linear in exactly one section variable")
             out.append((key & base_mask, index, c))
         return out
+
+    def section_degree_part(self, degree: int) -> "Polynomial":
+        """The terms of the given total degree in the section variables."""
+        bits = self.ring._base_bits()
+        return Polynomial(
+            self.ring,
+            {k: c for k, c in self.terms.items() if _total_degree(k >> bits) == degree},
+        )
 
     # -- ring operations ----------------------------------------------
 

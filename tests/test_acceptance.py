@@ -86,13 +86,13 @@ def test_05_g2_suite():
 def test_06_algebroid_suite():
     sym = algebroid.verify_algebroid_symbolic()
     sym_bad = [c.name for c in sym.checks if not c.passed]
-    num = algebroid.verify_groupoid_consistency(samples=200, seed=11, tol=1e-6)
-    num_bad = [(c.name, c.info) for c in num.checks if not c.passed]
-    worst = max(c.info.get("max_residual", 0.0) for c in num.checks if c.info)
+    num = algebroid.verify_groupoid_consistency()
+    num_bad = [c.name for c in num.checks if not c.passed]
+    flags = {c.name: c.passed for c in num.checks}
     _stamp(
         "6-algebroid-anchor-and-bracket",
         not sym_bad and not num_bad,
-        "finite-diff max residual %.2e (tol 1e-6) %s%s" % (worst, sym_bad, num_bad),
+        "groupoid consistency %s %s%s" % (flags, sym_bad, num_bad),
     )
 
 
@@ -114,7 +114,7 @@ def test_08_tangency_matrix():
 
 
 def test_09_fiberwise_ranks():
-    report = lie3.generic_ranks(samples=100, seed=17, svd_tol=1e-8)
+    report = lie3.generic_ranks(samples=100, seed=17)
     by_name = {c.name: c for c in report.checks}
     ok = (
         by_name["generic_point_ranks"].passed

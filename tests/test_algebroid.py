@@ -1,10 +1,11 @@
 """Anchor, bracket, commutators, groupoid consistency."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from ohopf import algebroid, lie3
 from ohopf.algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
 from ohopf.algebroid import (
     E0Section,
@@ -118,19 +119,40 @@ def test_symbolic_suite():
 
 
 def test_groupoid_consistency_suite():
-    report = verify_groupoid_consistency(60, seed=1, tol=1e-6)
-    assert report.passed, [(c.name, c.info) for c in report.checks if not c.passed]
+    for dim in (1, 2, 4, 8):
+        report = verify_groupoid_consistency(dim)
+        assert report.passed, (dim, [c.name for c in report.checks if not c.passed])
 
 
-def test_nan_anchor_fails_target_derivative(monkeypatch):
-    from ohopf import algebroid
+def _extra_rho_term(original):
+    def rho(sec, x, y):
+        X = original(sec, x, y)
+        return VectorField(X.u + x.scale(x.inner(sec.u) * y.inner(sec.v)), X.v)
 
-    def nan_rho(sec, x, y):
-        nan = AlgebraElement((float("nan"),) * sec.dim, sec.dim)
-        return VectorField(nan, nan)
+    return rho
 
-    monkeypatch.setattr(algebroid, "_rho", nan_rho)
-    report = verify_groupoid_consistency(5, seed=1, tol=1e-6)
-    check = next(c for c in report.checks if c.name == "target_derivative_is_anchor")
-    assert not check.passed
-    assert math.isnan(check.info["max_residual"])
+
+def _extra_weight_term(original):
+    return lambda sec, x, y: original(sec, x, y) + x.inner(sec.v)
+
+
+def _d1_without_conjugation(original):
+    # a x in place of conj(a) x; dropping the term would keep the ranks (7, 9, 1)
+    return lambda s, x, y: E0Section(original(s, x, y).u, y.scale(s.nu) + s.a * x)
+
+
+@pytest.mark.parametrize(
+    "module, name, mutate, run, check",
+    [
+        (algebroid, "_rho", _extra_rho_term, verify_groupoid_consistency, "target_derivative_is_anchor"),
+        (algebroid, "_weight", _extra_weight_term, verify_groupoid_consistency, "lambda_derivative"),
+        (lie3, "_d1", _d1_without_conjugation, lambda: lie3.generic_ranks(20, 0), "generic_point_ranks"),
+    ],
+    ids=["rho", "weight", "d1"],
+)
+def test_mutated_map_fails_its_exact_check(monkeypatch, module, name, mutate, run, check):
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    checks = {c.name: c for c in run().checks}
+    assert not checks[check].passed
+    if module is lie3:
+        assert checks[check].info["observed"] == [(7, 10, 1)]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ohopf import groupoid
-from ohopf.cli import _merge, main, run_suite
+from ohopf.cli import BACKENDS, _merge, main, run_suite
 
 
 def test_verify_algebra_text(tmp_path, capsys):
@@ -214,9 +214,11 @@ def test_all_is_the_union_of_the_suites(backend):
     assert _checks(run_suite("all", *args), "all") == _checks(per_suite, "all")
 
 
-def test_algebroid_check_names_keep_their_report(tmp_path):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_algebroid_check_names_keep_their_report(tmp_path, backend):
     out = tmp_path / "algebroid.json"
-    main(["verify", "--suite", "algebroid", "--samples", "5", "--format", "json", "--out", str(out)])
+    argv = ["verify", "--suite", "algebroid", "--samples", "5", "--backend", backend]
+    main([*argv, "--format", "json", "--out", str(out)])
     names = [c["name"] for c in json.loads(out.read_text())["checks"]]
     assert len(names) == len(set(names)) == 9
     assert all(n.startswith(("algebroid_symbolic.", "algebroid_vs_groupoid.")) for n in names)

@@ -53,8 +53,7 @@ def test_evaluate_is_ring_morphism(p, q):
 def test_substitute_all_matches_evaluate(p):
     at = {"x0": Fraction(3), "y0": Fraction(-2), "s0": Fraction(1, 2), "s1": Fraction(5)}
     full = p.substitute(at)
-    assert full.is_constant()
-    assert full.constant_term() == p.evaluate(at)
+    assert full == p.ring.const(p.evaluate(at))
 
 
 def test_product_difference_of_squares():
@@ -135,6 +134,17 @@ def test_section_linear_terms():
     for bad in (x, a * a, a * b, x * a + a * b):
         with pytest.raises(ValueError):
             bad.section_linear_terms()
+
+
+def test_section_degree_part():
+    ring = PolyRing(1, ["a", "b"])
+    x, y, a, b = ring.x(0), ring.y(0), ring.poly("a"), ring.poly("b")
+    p = 2 + x * x * y - 3 * x * a + b + a * b * y - a**3
+    assert p.section_degree_part(0) == 2 + x * x * y
+    assert p.section_degree_part(1) == b - 3 * x * a
+    assert p.section_degree_part(2) == a * b * y
+    assert p.section_degree_part(3) == -(a**3)
+    assert p.section_degree_part(4).is_zero()
 
 
 def test_variable_kinds():

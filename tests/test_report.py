@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from ohopf.algebroid import verify_groupoid_consistency
 from ohopf.groupoid import verify_g2_equivariance, verify_phi_morphism, verify_structure
 from ohopf.leaves import verify_leaves
 from ohopf.lie3 import generic_ranks
@@ -85,7 +84,6 @@ def test_checks_keep_declaration_order():
         (lambda: verify_structure(4, 0, 0, TOL), 14),
         (lambda: verify_phi_morphism(2, 0, 0, TOL), 3),
         (lambda: verify_g2_equivariance(0, 0, 1e-8), 5),
-        (lambda: verify_groupoid_consistency(0, 0, 1e-6), 2),
         (lambda: verify_leaves(2, 0, 0, TOL), 1),
     ],
 )
