@@ -6,10 +6,11 @@ points for each division algebra: 0, 1, 3, 7 along the tower.
 """
 
 import math
+import random
 
 import numpy as np
 
-from ohopf.algebra import AlgebraElement
+from ohopf.algebra import AlgebraElement, random_integer_element
 from ohopf.leaves import (
     INFINITY,
     LeafId,
@@ -44,10 +45,10 @@ pts_inf = sample_leaf(LeafId(INFINITY, 1.0), 5, seed=41)
 print("five points of the infinite-slope leaf, x block all zero:",
       not np.any(pts_inf.x.as_floats()))
 
-# leaf dimensions along the tower: rank of the fiberwise tangency system
+# leaf dimensions along the tower: exact rank of the fiberwise tangency system
+# at an integer point, which stands for its direction on the unit sphere
 print("\nunit-sphere leaf dimension by algebra:")
-rng = np.random.default_rng(2)
+rng = random.Random(2)
 for dim in (1, 2, 4, 8):
-    v = rng.normal(size=2 * dim)
-    v /= np.linalg.norm(v)
-    print("  dim %d -> leaf dimension %d" % (dim, leaf_dimension_at(v[:dim], v[dim:], dim)))
+    x, y = random_integer_element(rng, dim), random_integer_element(rng, dim)
+    print("  dim %d -> leaf dimension %d" % (dim, leaf_dimension_at(x, y)))

@@ -297,6 +297,14 @@ def coordinate_elements(ring: PolyRing, dim: int):
     return x, y
 
 
+_NONZERO = (-4, -3, -2, -1, 1, 2, 3, 4)
+
+
+def random_integer_element(rng: random.Random, dim: int) -> AlgebraElement:
+    """Element whose coordinates are nonzero integers in +-[1, 4], so that it is never zero."""
+    return AlgebraElement(tuple(rng.choice(_NONZERO) for _ in range(dim)), dim)
+
+
 def random_rational_element(rng: random.Random, dim: int, num=3, den=2) -> AlgebraElement:
     coeffs = tuple(
         Fraction(rng.randint(-num, num), rng.randint(1, den)) for _ in range(dim)

@@ -24,6 +24,12 @@ The weight c and the anchor are each written once, as functions of a
 section and a base point (x, y) whose coefficients may be exact numbers,
 floats or polynomials.  The symbolic forms pass the coordinate elements of a
 polynomial ring as the point; the numeric checks pass numbers.
+
+Sections, vector fields and the graded sections of lie3 share one fieldwise
+arithmetic (Section).  Numbers and polynomials mix in it, so a section with
+numeric coefficients goes into the symbolic maps as it is, with no lifting
+into the polynomial ring; a Leibniz correction is one map of vf_apply over
+the coefficients, and a constant coefficient derives to zero.
 """
 
 from __future__ import annotations
@@ -36,9 +42,65 @@ from .polyring import PolyRing, Polynomial
 from .report import VerificationReport, timed_report
 
 
+class Section:
+    """Fieldwise arithmetic shared by the section and vector-field types.
+
+    Each subclass is a frozen dataclass whose fields are AlgebraElements or
+    scalars.  Every operation acts field by field, an AlgebraElement field
+    coefficient by coefficient; int, Fraction and Polynomial coefficients mix
+    freely, so no section is ever lifted into a polynomial ring first.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return [getattr(self, name) for name in self.__match_args__]
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(*(a + b for a, b in zip(self._values(), other._values())))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(*(a - b for a, b in zip(self._values(), other._values())))
+
+    def __neg__(self):
+        return type(self)(*(-a for a in self._values()))
+
+    def scale(self, f):
+        return self.map(lambda c: f * c)
+
+    def map(self, fn):
+        """Apply fn to every scalar coefficient."""
+        return type(self)(
+            *(
+                AlgebraElement(tuple(fn(c) for c in v.coeffs), v.dim)
+                if isinstance(v, AlgebraElement)
+                else fn(v)
+                for v in self._values()
+            )
+        )
+
+    def components(self):
+        out = []
+        for v in self._values():
+            if isinstance(v, AlgebraElement):
+                out.extend(v.coeffs)
+            else:
+                out.append(v)
+        return tuple(out)
+
+    def is_zero(self):
+        return not any(self.components())
+
+
 @dataclass(frozen=True)
-class E0Section:
+class E0Section(Section):
     """Section of the algebroid bundle: an O-valued pair (u, v)."""
+
+    DEGREE = 0
 
     u: AlgebraElement
     v: AlgebraElement
@@ -47,40 +109,13 @@ class E0Section:
     def dim(self):
         return self.u.dim
 
-    def __add__(self, other):
-        return E0Section(self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other):
-        return E0Section(self.u - other.u, self.v - other.v)
-
-    def __neg__(self):
-        return E0Section(-self.u, -self.v)
-
-    def scale(self, f):
-        return E0Section(self.u.scale(f), self.v.scale(f))
-
-    def components(self):
-        return (*self.u.coeffs, *self.v.coeffs)
-
-    def is_zero(self):
-        return self.u.is_zero() and self.v.is_zero()
-
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(Section):
     """Vector field on D^2 in the (d/dx, d/dy) block form, components polynomial."""
 
     u: AlgebraElement
     v: AlgebraElement
-
-    def components(self):
-        return (*self.u.coeffs, *self.v.coeffs)
-
-    def __sub__(self, other):
-        return VectorField(self.u - other.u, self.v - other.v)
-
-    def is_zero(self):
-        return self.u.is_zero() and self.v.is_zero()
 
 
 def constant_section(dim: int, i: int, slot: int) -> E0Section:
@@ -97,18 +132,6 @@ def _e0_basis(dim: int):
     return [E0Section(e, z) for e in es] + [E0Section(z, e) for e in es]
 
 
-def lift(sec: E0Section, ring: PolyRing) -> E0Section:
-    """Coerce numeric coefficients into the polynomial ring."""
-
-    def lift_elem(e):
-        coeffs = tuple(
-            c if isinstance(c, Polynomial) else ring.const(c) for c in e.coeffs
-        )
-        return AlgebraElement(coeffs, e.dim)
-
-    return E0Section(lift_elem(sec.u), lift_elem(sec.v))
-
-
 def _weight(sec: E0Section, x: AlgebraElement, y: AlgebraElement):
     """c(u, v) = <x, u> + <y, v> at the base point (x, y)."""
     return x.inner(sec.u) + y.inner(sec.v)
@@ -123,18 +146,15 @@ def _rho(sec: E0Section, x: AlgebraElement, y: AlgebraElement) -> VectorField:
     )
 
 
-def section_weight(sec: E0Section, ring: PolyRing) -> Polynomial:
-    """c(u, v), the scalar that drives the bracket, with symbolic base point."""
-    return _weight(lift(sec, ring), *coordinate_elements(ring, sec.dim))
-
-
 def anchor(sec: E0Section, ring: PolyRing) -> VectorField:
     """The anchor field of a section, with symbolic base point."""
-    return _rho(lift(sec, ring), *coordinate_elements(ring, sec.dim))
+    return _rho(sec, *coordinate_elements(ring, sec.dim))
 
 
-def vf_apply(X: VectorField, f: Polynomial, ring: PolyRing) -> Polynomial:
-    """X acting on a function as a derivation."""
+def vf_apply(X: VectorField, f, ring: PolyRing):
+    """X acting on a function as a derivation; a constant gives zero."""
+    if not isinstance(f, Polynomial):
+        return ring.zero
     names = [v.name for v in ring.variables[: 2 * ring.base_dim]]
     out = ring.zero
     for comp, name in zip(X.components(), names):
@@ -143,50 +163,26 @@ def vf_apply(X: VectorField, f: Polynomial, ring: PolyRing) -> Polynomial:
     return out
 
 
-def _derive_section(X: VectorField, sec: E0Section, ring: PolyRing) -> E0Section:
-    """Apply X to every polynomial coefficient of a section."""
-
-    def derive_elem(e):
-        return AlgebraElement(tuple(vf_apply(X, c, ring) for c in e.coeffs), e.dim)
-
-    s = lift(sec, ring)
-    return E0Section(derive_elem(s.u), derive_elem(s.v))
-
-
 def _section_constant(sec) -> bool:
     """No component of a graded section depends on the base point."""
     return not any(isinstance(c, Polynomial) and c.depends_on_base() for c in sec.components())
 
 
 def vf_commutator(X: VectorField, Y: VectorField, ring: PolyRing) -> VectorField:
-    """[X, Y]_k = sum_j (X_j d_j Y_k - Y_j d_j X_k)."""
-    names = [v.name for v in ring.variables[: 2 * ring.base_dim]]
-    xc, yc = X.components(), Y.components()
-    out = []
-    for k in range(len(names)):
-        acc = ring.zero
-        for j, name in enumerate(names):
-            if xc[j]:
-                acc = acc + xc[j] * yc[k].derive(name)
-            if yc[j]:
-                acc = acc - yc[j] * xc[k].derive(name)
-        out.append(acc)
-    dim = X.u.dim
-    return VectorField(
-        AlgebraElement(tuple(out[:dim]), dim), AlgebraElement(tuple(out[dim:]), dim)
-    )
+    """[X, Y]_k = X(Y_k) - Y(X_k)."""
+    return Y.map(lambda c: vf_apply(X, c, ring)) - X.map(lambda c: vf_apply(Y, c, ring))
 
 
 def bracket_e0(s1: E0Section, s2: E0Section, ring: PolyRing) -> E0Section:
     """Algebroid bracket; Leibniz corrections activate on non-constant input."""
-    a, b = lift(s1, ring), lift(s2, ring)
-    c1 = section_weight(a, ring)
-    c2 = section_weight(b, ring)
-    out = b.scale(c1) - a.scale(c2)
-    if not _section_constant(b):
-        out = out + _derive_section(anchor(a, ring), b, ring)
-    if not _section_constant(a):
-        out = out - _derive_section(anchor(b, ring), a, ring)
+    x, y = coordinate_elements(ring, s1.dim)
+    out = s2.scale(_weight(s1, x, y)) - s1.scale(_weight(s2, x, y))
+    if not _section_constant(s2):
+        X = anchor(s1, ring)
+        out = out + s2.map(lambda c: vf_apply(X, c, ring))
+    if not _section_constant(s1):
+        Y = anchor(s2, ring)
+        out = out - s1.map(lambda c: vf_apply(Y, c, ring))
     return out
 
 
@@ -233,8 +229,8 @@ def verify_algebroid_symbolic(dim: int = 8) -> VerificationReport:
         )
         # Leibniz: [s, f s] = (rho(s) f) s for constant s and a sample function
         f = ring.x(0) * ring.y(min(1, dim - 1)) + ring.x(dim - 1)
-        lhs = bracket_e0(s1, lift(s1, ring).scale(f), ring)
-        rhs = lift(s1, ring).scale(vf_apply(anchor(s1, ring), f, ring))
+        lhs = bracket_e0(s1, s1.scale(f), ring)
+        rhs = s1.scale(vf_apply(anchor(s1, ring), f, ring))
         report.add(
             "leibniz_rule",
             "[s, f s] = (rho(s) . f) s",

@@ -21,6 +21,7 @@ fraction-free elimination (Math. Comp. 22, 1968).
 
 from __future__ import annotations
 
+import operator
 from math import gcd, lcm
 
 import numpy as np
@@ -63,12 +64,13 @@ def nullspace(rows, ncols: int, want_basis: bool = True):
     """Rank and an integer basis of the right nullspace of the row system.
 
     rows: iterable of {column: int} dicts, each encoding one homogeneous
-    equation.  Returns (rank, basis) where basis is a list of {column: int}
+    equation.  A float or Fraction entry raises TypeError rather than being
+    truncated.  Returns (rank, basis) where basis is a list of {column: int}
     vectors spanning the solutions, or None when want_basis is false.
     """
     pivots: dict = {}
     for raw in rows:
-        row = {c: int(v) for c, v in raw.items() if v}
+        row = {c: operator.index(v) for c, v in raw.items() if v}
         while True:
             hit = None
             for c in row:
@@ -118,9 +120,11 @@ def dot(row: dict, vec: dict) -> int:
 def rank_mod_p(rows, ncols: int, p: int) -> int:
     """Rank over GF(p), p < 2**31 prime, of dense integer rows.
 
-    Entries are reduced mod p before the int64 cast, so products stay below 2**62.
+    Entries are reduced mod p before the int64 cast, so products stay below 2**62;
+    a float or Fraction entry raises TypeError.
     """
-    M = np.array([[v % p for v in row] for row in rows], dtype=np.int64).reshape(-1, ncols)
+    M = np.array([[operator.index(v) % p for v in row] for row in rows], dtype=np.int64)
+    M = M.reshape(-1, ncols)
     rank = 0
     for col in range(ncols):
         nz = np.flatnonzero(M[rank:, col])

@@ -9,7 +9,8 @@ functions.  J is written once, as a function of the field and a base point
 (x, y) on any scalar backend; on top of it the module provides:
 
   * the exact symbolic tangency test for polynomial fields,
-  * fiberwise numeric nullspaces of J (leaf dimensions at a point),
+  * the matrix of J at a point, whose exact rank at integer points gives
+    the leaf dimensions,
   * the exact nullspace of J on fields linear in (x, y), assembled
     coefficient-wise over the rationals and solved by fraction-free
     elimination, cross-checked against a system sampled at integer points
@@ -84,19 +85,6 @@ def _J_matrix(x: AlgebraElement, y: AlgebraElement):
     integer matrices.
     """
     return _columns_to_rows([_flatten(*_tangency(s.u, s.v, x, y)) for s in _e0_basis(x.dim)])
-
-
-def J_nullspace_at_point(x, y, dim: int, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis (columns) of the tangent space to the leaf at a point."""
-    xe = AlgebraElement(tuple(float(v) for v in x), dim)
-    ye = AlgebraElement(tuple(float(v) for v in y), dim)
-    M = np.array(_J_matrix(xe, ye), dtype=float)
-    u, s, vt = np.linalg.svd(M)
-    if s.size and s[0] > 0:
-        rank = int(np.sum(s > tol * s[0]))
-    else:
-        rank = 0
-    return vt[rank:].T
 
 
 # -- linear tangent fields ---------------------------------------------------

@@ -23,7 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, from_array, random_rational_element, where
+from .algebra import (
+    AlgebraElement,
+    from_array,
+    random_integer_element,
+    random_rational_element,
+    where,
+)
+from .exactsolve import dense_rank
 from .report import VerificationReport, chunks, derived_random, derived_rng, timed_report
 
 
@@ -212,12 +219,15 @@ def right_mult_counterexample(seed: int) -> VerificationReport:
 # -- leaf suite -------------------------------------------------------------
 
 
-def leaf_dimension_at(x, y, dim: int, tol: float = 1e-8) -> int:
-    """Dimension of the leaf through a numeric point, via the tangency system."""
-    from .foliation import J_nullspace_at_point
+def leaf_dimension_at(x: AlgebraElement, y: AlgebraElement) -> int:
+    """Dimension of the leaf through an integer point: the nullity of J there.
 
-    basis = J_nullspace_at_point(np.asarray(x, float), np.asarray(y, float), dim, tol)
-    return basis.shape[1]
+    The rank of the integer matrix of J is exact.  J is linear in (x, y), so
+    its rank at a point p equals its rank at p/|p| on the unit sphere S(1).
+    """
+    from .foliation import _J_matrix
+
+    return 2 * x.dim - dense_rank(_J_matrix(x, y))
 
 
 def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> VerificationReport:
@@ -285,14 +295,14 @@ def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> Verification
             ok,
         )
 
-        # unit-sphere leaf dimension per algebra (0, 1, 3, 7 along the tower)
+        # unit-sphere leaf dimension per algebra (0, 1, 3, 7 along the tower),
+        # exact at nonzero integer points, each standing for its direction on S(1)
         expected = {1: 0, 2: 1, 4: 3, 8: 7}[dim]
-        rng = derived_rng(seed, 3)
+        rng = derived_random(seed, 3)
         dims_seen = set()
         for _ in range(8):
-            v = rng.normal(size=2 * dim)
-            v /= np.linalg.norm(v)
-            dims_seen.add(leaf_dimension_at(v[:dim], v[dim:], dim))
+            x, y = random_integer_element(rng, dim), random_integer_element(rng, dim)
+            dims_seen.add(leaf_dimension_at(x, y))
         report.add(
             "unit_sphere_leaf_dimension",
             "leaves through generic points of S(1) have dimension %d" % expected,

@@ -21,7 +21,10 @@ with the degree-0/degree-0 case the algebroid bracket; every other degree
 pair brackets to zero, and all k-brackets with k >= 3 vanish.  On
 polynomial-coefficient sections the 2-bracket picks up the single Leibniz
 correction rho(degree-0 argument) applied to the other argument's
-coefficients.
+coefficients.  Sec1 and Sec2 declare only their fields and their degree;
+their arithmetic is the Section arithmetic shared with E_0, in which int,
+Fraction and Polynomial coefficients mix, so no section needs lifting into
+the polynomial ring before a bracket or a differential.
 
 verify_lie3 proves, with every section component a symbolic indeterminate:
 the complex property, graded antisymmetry, the Leibniz compatibility of the
@@ -42,16 +45,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
+from .algebra import (
+    AlgebraElement,
+    coordinate_elements,
+    random_integer_element,
+    vector_names,
+    vector_symbol,
+)
 from .algebroid import (
     E0Section,
+    Section,
     _e0_basis,
     _rho,
     _section_constant,
     _weight,
     anchor,
     bracket_e0,
-    lift,
     vf_apply,
 )
 from .exactsolve import dense_rank
@@ -61,77 +70,30 @@ from .report import VerificationReport, derived_random, timed_report
 
 
 @dataclass(frozen=True)
-class Sec1:
+class Sec1(Section):
     """Degree -1 section: scalar mu, octonion a, scalar nu."""
+
+    DEGREE = -1
 
     mu: object
     a: AlgebraElement
     nu: object
 
-    def __add__(self, other):
-        return Sec1(self.mu + other.mu, self.a + other.a, self.nu + other.nu)
-
-    def __sub__(self, other):
-        return Sec1(self.mu - other.mu, self.a - other.a, self.nu - other.nu)
-
-    def __neg__(self):
-        return Sec1(-self.mu, -self.a, -self.nu)
-
-    def scale(self, f):
-        return Sec1(self.mu * f, self.a.scale(f), self.nu * f)
-
-    def components(self):
-        return (self.mu, *self.a.coeffs, self.nu)
-
-    def is_zero(self):
-        return not any(self.components())
-
 
 @dataclass(frozen=True)
-class Sec2:
+class Sec2(Section):
     """Degree -2 section: a single scalar."""
+
+    DEGREE = -2
 
     t: object
 
-    def __add__(self, other):
-        return Sec2(self.t + other.t)
-
-    def __sub__(self, other):
-        return Sec2(self.t - other.t)
-
-    def __neg__(self):
-        return Sec2(-self.t)
-
-    def scale(self, f):
-        return Sec2(self.t * f)
-
-    def components(self):
-        return (self.t,)
-
-    def is_zero(self):
-        return not self.t
-
 
 def degree(section) -> int:
-    if isinstance(section, E0Section):
-        return 0
-    if isinstance(section, Sec1):
-        return -1
-    if isinstance(section, Sec2):
-        return -2
-    raise TypeError("not a graded section: %r" % (section,))
-
-
-def _lift1(s: Sec1, ring: PolyRing) -> Sec1:
-    def c(v):
-        return v if isinstance(v, Polynomial) else ring.const(v)
-
-    a = AlgebraElement(tuple(c(v) for v in s.a.coeffs), s.a.dim)
-    return Sec1(c(s.mu), a, c(s.nu))
-
-
-def _lift2(s: Sec2, ring: PolyRing) -> Sec2:
-    return Sec2(s.t if isinstance(s.t, Polynomial) else ring.const(s.t))
+    deg = getattr(section, "DEGREE", None)
+    if deg is None:
+        raise TypeError("not a graded section: %r" % (section,))
+    return deg
 
 
 # -- differentials ------------------------------------------------------------
@@ -151,14 +113,14 @@ def d1(s: Sec1, ring: PolyRing) -> E0Section:
     """d1 with symbolic base point."""
     if not isinstance(s, Sec1):
         raise TypeError("d1 acts on degree -1 sections, got degree %s" % degree(s))
-    return _d1(_lift1(s, ring), *coordinate_elements(ring, s.a.dim))
+    return _d1(s, *coordinate_elements(ring, s.a.dim))
 
 
 def d2(s: Sec2, ring: PolyRing) -> Sec1:
     """d2 with symbolic base point."""
     if not isinstance(s, Sec2):
         raise TypeError("d2 acts on degree -2 sections, got degree %s" % degree(s))
-    return _d2(_lift2(s, ring), *coordinate_elements(ring, ring.base_dim))
+    return _d2(s, *coordinate_elements(ring, ring.base_dim))
 
 
 def l1(section, ring: PolyRing):
@@ -172,44 +134,31 @@ def l1(section, ring: PolyRing):
 # -- the 2-bracket -------------------------------------------------------------
 
 
-def _derive_sec1(X, s: Sec1, ring: PolyRing) -> Sec1:
-    a = AlgebraElement(tuple(vf_apply(X, c, ring) for c in s.a.coeffs), s.a.dim)
-    return Sec1(vf_apply(X, s.mu, ring), a, vf_apply(X, s.nu, ring))
-
-
 def bracket(s1, s2, ring: PolyRing):
     """Graded 2-bracket; returns None for pairs that are zero by degree."""
     pair = (degree(s1), degree(s2))
     if pair == (0, 0):
         return bracket_e0(s1, s2, ring)
-    if pair == (0, -1):
-        X = lift(s1, ring)
-        Z = _lift1(s2, ring)
-        x, y = coordinate_elements(ring, X.dim)
-        u, v, a = X.u, X.v, Z.a
-        out = Sec1(
-            -2 * y.inner(a.conjugate() * u) + 2 * (y.inner(v) * Z.mu),
-            x * (u.conjugate() * a)
-            + (a * v) * y.conjugate()
-            - (x * v.conjugate()).scale(Z.mu)
-            - (u * y.conjugate()).scale(Z.nu),
-            -2 * x.inner(a * v) + 2 * (x.inner(u) * Z.nu),
-        )
-        if not _section_constant(Z):
-            out = out + _derive_sec1(anchor(X, ring), Z, ring)
-        return out
-    if pair == (0, -2):
-        X = lift(s1, ring)
-        T = _lift2(s2, ring)
-        x, y = coordinate_elements(ring, X.dim)
-        out = Sec2(2 * _weight(X, x, y) * T.t)
-        if not _section_constant(T):
-            out = out + Sec2(vf_apply(anchor(X, ring), T.t, ring))
+    if pair in ((0, -1), (0, -2)):
+        x, y = coordinate_elements(ring, s1.dim)
+        if pair == (0, -1):
+            u, v, a = s1.u, s1.v, s2.a
+            out = Sec1(
+                -2 * y.inner(a.conjugate() * u) + 2 * (y.inner(v) * s2.mu),
+                x * (u.conjugate() * a)
+                + (a * v) * y.conjugate()
+                - (x * v.conjugate()).scale(s2.mu)
+                - (u * y.conjugate()).scale(s2.nu),
+                -2 * x.inner(a * v) + 2 * (x.inner(u) * s2.nu),
+            )
+        else:
+            out = Sec2(2 * _weight(s1, x, y) * s2.t)
+        if not _section_constant(s2):
+            X = anchor(s1, ring)
+            out = out + s2.map(lambda c: vf_apply(X, c, ring))
         return out
     if pair == (-1, -1):
-        z1 = _lift1(s1, ring)
-        z2 = _lift1(s2, ring)
-        return Sec2(4 * z1.a.inner(z2.a) - 2 * z1.mu * z2.nu - 2 * z2.mu * z1.nu)
+        return Sec2(4 * s1.a.inner(s2.a) - 2 * s1.mu * s2.nu - 2 * s2.mu * s1.nu)
     if pair in ((-1, 0), (-2, 0)):
         inner = bracket(s2, s1, ring)
         return None if inner is None else -inner
@@ -452,17 +401,11 @@ def verify_matrix_vs_transcription() -> VerificationReport:
 
 # -- fiberwise ranks ---------------------------------------------------------------
 
-_NONZERO = (-4, -3, -2, -1, 1, 2, 3, 4)
-
 
 def _ranks_at(x: AlgebraElement, y: AlgebraElement) -> tuple:
     """Exact fiberwise ranks of (rho, d1, d2) at an integer point."""
     mats = _maps_at(x, y)
     return tuple(dense_rank(M) for M in (mats.Rho, mats.D1, mats.D2))
-
-
-def _integer_point(rng) -> AlgebraElement:
-    return AlgebraElement(tuple(rng.choice(_NONZERO) for _ in range(8)), 8)
 
 
 def generic_ranks(samples: int, seed: int) -> VerificationReport:
@@ -483,7 +426,7 @@ def generic_ranks(samples: int, seed: int) -> VerificationReport:
         ok_generic = samples > 0  # no sampled point fails: all() of nothing is no proof
         seen = set()
         for _ in range(samples):
-            ranks = _ranks_at(_integer_point(rng), _integer_point(rng))
+            ranks = _ranks_at(random_integer_element(rng, 8), random_integer_element(rng, 8))
             seen.add(ranks)
             if ranks != (7, 9, 1):
                 ok_generic = False
@@ -506,7 +449,9 @@ def generic_ranks(samples: int, seed: int) -> VerificationReport:
         )
         # the infinity stratum x = 0, y != 0 keeps the generic ranks
         rng = derived_random(seed, 1)
-        inf_ranks = {_ranks_at(z, _integer_point(rng)) for _ in range(max(samples // 10, 4))}
+        inf_ranks = {
+            _ranks_at(z, random_integer_element(rng, 8)) for _ in range(max(samples // 10, 4))
+        }
         report.add(
             "infinity_line_ranks",
             "points with x = 0, y != 0 also show ranks (7, 9, 1)",

@@ -14,16 +14,22 @@ variables (components of sections, matrix unknowns, scalar parameters),
 which are formal parameters and may not be derived.  The canonical term
 order is graded lexicographic in the (kind, index) variable order.
 
-Five exponent bits per variable means individual exponents must stay below
-32; nothing in this package exceeds ten.  Coefficients stay plain ints as
-long as the inputs are integral, which keeps the identity suites fast.
+Five exponent bits per variable hold exponents up to 31.  Only a product
+raises an exponent, so Polynomial * Polynomial refuses (ExponentOverflow) any
+factor with an exponent of 16 or more: factors whose exponents are all at most
+15 give products whose exponents are at most 30, so no field ever carries
+into its neighbour.  Addition, derive and substitute never raise an
+exponent.  Nothing in this package exceeds ten.  Coefficients stay plain ints
+as long as the inputs are integral, which keeps the identity suites fast.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -34,6 +40,10 @@ _MASK = (1 << _SHIFT) - 1
 
 class RingMismatch(ValueError):
     """Raised when polynomials from different ring contexts are combined."""
+
+
+class ExponentOverflow(ValueError):
+    """Raised when a product could overflow the five exponent bits of a variable."""
 
 
 class VarKind(enum.IntEnum):
@@ -67,6 +77,8 @@ class PolyRing:
             variables.append(Variable(VarKind.SECTION, pos, str(name)))
         self.base_dim = base_dim
         self.variables = tuple(variables)
+        # the top bit of every exponent field: set iff that exponent is >= 16
+        self._high_bits = sum(1 << (_SHIFT * o + _SHIFT - 1) for o in range(len(variables)))
         self._ordinals = {v.name: o for o, v in enumerate(self.variables)}
         if len(self._ordinals) != len(self.variables):
             raise ValueError("duplicate variable name in ring")
@@ -250,6 +262,8 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._check(other)
             a, b = self.terms, other.terms
+            if reduce(operator.or_, b, reduce(operator.or_, a, 0)) & self.ring._high_bits:
+                raise ExponentOverflow("a factor has an exponent of 16 or more")
             if len(a) > len(b):
                 a, b = b, a
             out: dict = {}

@@ -14,12 +14,12 @@ from ohopf.algebroid import (
     anchor,
     bracket_e0,
     constant_section,
-    lift,
     vf_apply,
     vf_commutator,
     verify_algebroid_symbolic,
     verify_groupoid_consistency,
 )
+from ohopf.lie3 import Sec1, Sec2
 from ohopf.polyring import PolyRing
 
 
@@ -30,9 +30,8 @@ def test_anchor_basis_formula():
     for i in (0, 3, 7):
         X = anchor(constant_section(8, i, 0), ring)
         e = AlgebraElement.basis(8, i)
-        lifted = lift(E0Section(e, AlgebraElement.zero(8)), ring)
-        expected_u = lifted.u.scale(x.norm_sq()) - x.scale(ring.x(i))
-        expected_v = (y * x.conjugate()) * lifted.u - y.scale(ring.x(i))
+        expected_u = e.scale(x.norm_sq()) - x.scale(ring.x(i))
+        expected_v = (y * x.conjugate()) * e - y.scale(ring.x(i))
         assert (X.u - expected_u).is_zero()
         assert (X.v - expected_v).is_zero()
 
@@ -71,8 +70,74 @@ def test_bracket_constant_sections_formula():
     s1 = constant_section(8, 0, 0)
     s2 = constant_section(8, 0, 1)
     br = bracket_e0(s1, s2, ring)
-    expected = lift(s2, ring).scale(ring.x(0)) - lift(s1, ring).scale(ring.y(0))
+    expected = s2.scale(ring.x(0)) - s1.scale(ring.y(0))
     assert (br - expected).is_zero()
+
+
+def _coefficient(ring, k):
+    """int, Fraction and Polynomial coefficients in turn; k = 3 gives a zero."""
+    return (k - 3, Fraction(k, 3), ring.x(k % 8) + k, ring.y(k % 8) * Fraction(k, 2))[k % 4]
+
+
+def _from_components(cls, comps):
+    if cls is Sec1:
+        return Sec1(comps[0], AlgebraElement(comps[1:9]), comps[9])
+    if cls is Sec2:
+        return Sec2(comps[0])
+    return cls(AlgebraElement(comps[:8]), AlgebraElement(comps[8:]))
+
+
+SECTION_SIZES = {E0Section: 16, VectorField: 16, Sec1: 10, Sec2: 1}
+
+
+@pytest.mark.parametrize("cls", list(SECTION_SIZES), ids=lambda c: c.__name__)
+def test_section_arithmetic_is_componentwise(cls):
+    ring = PolyRing(8)
+    n = SECTION_SIZES[cls]
+    ca = tuple(_coefficient(ring, k) for k in range(n))
+    cb = tuple(_coefficient(ring, k + 5) for k in range(n))
+    a, b = _from_components(cls, ca), _from_components(cls, cb)
+    f = ring.x(1) - Fraction(2, 3)
+    assert a.components() == ca
+    results = {
+        "add": ((a + b), [p + q for p, q in zip(ca, cb)]),
+        "sub": ((a - b), [p - q for p, q in zip(ca, cb)]),
+        "neg": ((-a), [-p for p in ca]),
+        "scale": (a.scale(f), [f * p for p in ca]),
+        "map": (a.map(lambda c: c * c + 1), [p * p + 1 for p in ca]),
+    }
+    for name, (got, expected) in results.items():
+        assert type(got) is cls, name
+        assert got.components() == tuple(expected), name
+    assert (a - a).is_zero()
+    assert _from_components(cls, (0,) * n).is_zero()
+    for k in range(n):
+        # one nonzero coefficient anywhere makes the section nonzero
+        assert not _from_components(cls, tuple(ring.y(0) if j == k else 0 for j in range(n))).is_zero()
+
+
+def test_vf_apply_to_a_constant_is_zero():
+    ring = PolyRing(8)
+    X = anchor(constant_section(8, 1, 0), ring)
+    assert vf_apply(X, 3, ring).is_zero()
+    assert vf_apply(X, Fraction(1, 2), ring).is_zero()
+
+
+def test_integer_sections_match_constant_polynomials():
+    # numbers mix with polynomials, so integer sections need no lift
+    ring = PolyRing(8)
+    s1 = E0Section(AlgebraElement(tuple(range(1, 9))), AlgebraElement(tuple(range(-4, 4))))
+    s2 = E0Section(AlgebraElement((0, 2, 0, -1, 0, 0, 5, 0)), AlgebraElement.basis(8, 3, 7))
+    p1, p2 = s1.map(ring.const), s2.map(ring.const)
+    assert anchor(s1, ring) == anchor(p1, ring)
+    assert bracket_e0(s1, s2, ring) == bracket_e0(p1, p2, ring)
+    assert bracket_e0(s1, p2, ring) == bracket_e0(p1, p2, ring)
+    Z = Sec1(2, AlgebraElement(tuple(range(3, 11))), Fraction(-1, 2))
+    T = Sec2(3)
+    for a, b in ((s1, Z), (s1, T), (Z, Z), (Z, s1), (T, s1)):
+        assert lie3.bracket(a, b, ring) == lie3.bracket(a.map(ring.const), b.map(ring.const), ring)
+    assert lie3.d1(Z, ring) == lie3.d1(Z.map(ring.const), ring)
+    assert lie3.d2(T, ring) == lie3.d2(T.map(ring.const), ring)
 
 
 def test_bracket_self_is_zero():

@@ -1,14 +1,16 @@
 """Tangency map, exact nullspaces, metric checks, exact elimination."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from ohopf import exactsolve, foliation
-from ohopf.algebra import AlgebraElement, coordinate_elements
+from ohopf.algebra import AlgebraElement, coordinate_elements, random_integer_element
 from ohopf.foliation import (
     J_map,
     _J_matrix,
-    J_nullspace_at_point,
     lie_derivative_flat,
     linear_nullspace,
     linear_obstruction_report,
@@ -17,6 +19,7 @@ from ohopf.foliation import (
     is_tangent_symbolic,
     verify_foliation,
 )
+from ohopf.leaves import leaf_dimension_at
 from ohopf.polyring import PolyRing
 
 
@@ -52,12 +55,10 @@ def test_J_matrix_exact_columns():
 
 
 def test_nullspace_at_point_dimension():
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     for dim, expected in ((1, 0), (2, 1), (4, 3), (8, 7)):
-        v = rng.normal(size=2 * dim)
-        v /= np.linalg.norm(v)
-        basis = J_nullspace_at_point(v[:dim], v[dim:], dim)
-        assert basis.shape == (2 * dim, expected)
+        x, y = random_integer_element(rng, dim), random_integer_element(rng, dim)
+        assert leaf_dimension_at(x, y) == expected
 
 
 def test_linear_nullspace_dimensions():
@@ -238,6 +239,19 @@ def test_rank_that_drops_modulo_both_primes_is_decided_exactly():
     rows = [[p1 * p2, 0], [0, 1]]
     assert [exactsolve.rank_mod_p(rows, 2, p) for p in (p1, p2)] == [1, 1]
     assert exactsolve.certified_rank(rows, 2) == (2, "exact_elimination")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.5, 1], [1.25, 1]], [[Fraction(1, 2), 1], [Fraction(1, 3), 1]]],
+    ids=["float", "fraction"],
+)
+def test_exact_ranks_refuse_non_integer_entries(rows):
+    # truncating the entries would report rank 1 where the rank is 2
+    with pytest.raises(TypeError):
+        exactsolve.dense_rank(rows)
+    with pytest.raises(TypeError):
+        exactsolve.certified_rank(rows, 2)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ohopf.polyring import Polynomial, PolyRing, RingMismatch, VarKind
+from ohopf.polyring import ExponentOverflow, Polynomial, PolyRing, RingMismatch, VarKind
 
 RING = PolyRing(1, ("s0", "s1"))
 NAMES = ("x0", "y0", "s0", "s1")
@@ -158,6 +158,15 @@ def test_canonical_string():
     x, y = ring.x(0), ring.y(0)
     p = y * y - x * x * 2 + 1
     assert str(p) == "-2*x0^2 + y0^2 + 1"
+
+
+def test_exponent_overflow_raises():
+    # five bits per variable: x0^32 would carry into x1
+    x = PolyRing(2).x(0)
+    with pytest.raises(ExponentOverflow):
+        x**32
+    assert str(x**16) == "x0^16"
+    assert issubclass(ExponentOverflow, ValueError)
 
 
 # -- independent CAS oracle -----------------------------------------------
