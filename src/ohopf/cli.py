@@ -173,14 +173,14 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
     if suite == "algebra":
         return [algebra.verify_algebra_identities(dim, seed), leaves.right_mult_counterexample(seed)]
     if suite == "leaves":
-        return [leaves.verify_leaves(dim, samples, seed, max(tol, 1e-9))]
+        return [leaves.verify_leaves(dim, samples, seed, tol)]
     if suite == "groupoid":
         reports = [
             groupoid.verify_structure(dim, samples, seed, tol),
             groupoid.verify_phi_morphism(dim, max(samples // 2, 50), seed, tol),
         ]
         if dim == 8 and not exact:
-            reports.append(groupoid.verify_g2_equivariance(max(samples // 20, 10), seed, max(tol, 1e-8)))
+            reports.append(groupoid.verify_g2_equivariance(max(samples // 20, 10), seed, tol))
         return reports
     if suite == "algebroid":
         return [algebroid.verify_algebroid_symbolic(dim), algebroid.verify_groupoid_consistency(dim)]
@@ -189,7 +189,7 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
         if not exact:
             reports.append(lie3.generic_ranks(max(samples // 2, 20), seed))
         return reports
-    reports = [foliation.verify_foliation(dim, samples, seed, tol)]  # suite == "foliation"
+    reports = [foliation.verify_foliation(dim, seed)]  # suite == "foliation"
     if dim == 8:
         reports.append(foliation.linear_obstruction_report())
     return reports

@@ -369,6 +369,9 @@ class Polynomial:
                     val = vals[o]
                     if val is None:
                         rest += e << (_SHIFT * o)
+                    elif not val:
+                        acc = 0
+                        break
                     else:
                         acc = acc * val ** e
                 k >>= _SHIFT

@@ -22,13 +22,13 @@ the sample count.
 Every random draw is fixed by the root seed and a stream number k within
 its suite.  The float draws come from ``derived_rng(root_seed, k)``, numpy's
 default_rng seeded with the pair (root_seed, k); the foliation suite draws
-its sampled oracle's integer points from stream 0 and its flows from stream
-5.  The exact suites draw integers from ``derived_random(root_seed, k)``,
-Python's generator seeded with the text "root_seed/k": the algebra suite its
-sedenion witnesses from stream 0 and its exact inverse samples from stream
-1, the counterexample its quaternion control from stream 0.  The leaf suite
-samples leaf k through sample_leaf with default_rng([seed, 10 + k]), a
-stream of its own under each root seed.
+its sampled oracle's integer points from stream 0.  The exact suites draw
+integers from ``derived_random(root_seed, k)``, Python's generator seeded
+with the text "root_seed/k": the algebra suite its sedenion witnesses from
+stream 0 and its exact inverse samples from stream 1, the counterexample
+its quaternion control from stream 0.  The leaf suite samples leaf k
+through sample_leaf with default_rng([seed, 10 + k]), a stream of its own
+under each root seed.
 """
 
 from __future__ import annotations

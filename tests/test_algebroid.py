@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ohopf import algebroid, lie3
+from ohopf import algebroid, foliation, lie3
 from ohopf.algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
 from ohopf.algebroid import (
     E0Section,
@@ -212,8 +212,9 @@ def _d1_without_conjugation(original):
         (algebroid, "_rho", _extra_rho_term, verify_groupoid_consistency, "target_derivative_is_anchor"),
         (algebroid, "_weight", _extra_weight_term, verify_groupoid_consistency, "lambda_derivative"),
         (lie3, "_d1", _d1_without_conjugation, lambda: lie3.generic_ranks(20, 0), "generic_point_ranks"),
+        (algebroid, "_rho", _extra_rho_term, lambda: foliation.verify_foliation(8, 0), "tangent_flow_stays_on_leaf"),
     ],
-    ids=["rho", "weight", "d1"],
+    ids=["rho", "weight", "d1", "rho_flow"],
 )
 def test_mutated_map_fails_its_exact_check(monkeypatch, module, name, mutate, run, check):
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))

@@ -12,6 +12,7 @@ import pytest
 
 from ohopf import groupoid
 from ohopf.cli import BACKENDS, _merge, main, run_suite
+from ohopf.report import VerificationReport
 
 
 def test_verify_algebra_text(tmp_path, capsys):
@@ -222,3 +223,39 @@ def test_algebroid_check_names_keep_their_report(tmp_path, backend):
     names = [c["name"] for c in json.loads(out.read_text())["checks"]]
     assert len(names) == len(set(names)) == 9
     assert all(n.startswith(("algebroid_symbolic.", "algebroid_vs_groupoid.")) for n in names)
+
+
+@pytest.mark.parametrize("tol, rc", [("1e-16", 1), ("1e-12", 0)])
+def test_leaf_suite_applies_the_tol_as_given(capsys, tol, rc):
+    # at dim 8 the float leaf residuals are about 1e-15: 1e-16 must fail them
+    assert main(["verify", "--suite", "leaves", "--dim", "8", "--seed", "101", "--tol", tol]) == rc
+
+
+def test_g2_suite_gets_the_tol_as_given(monkeypatch, capsys):
+    seen = []
+
+    def g2(samples, seed, tol):
+        seen.append(tol)
+        return VerificationReport("g2_equivariance", {})
+
+    monkeypatch.setattr(groupoid, "verify_g2_equivariance", g2)
+    main(["verify", "--suite", "groupoid", "--dim", "8", "--samples", "20", "--tol", "1e-10"])
+    assert seen == [1e-10]
+
+
+def test_foliation_suite_uses_no_floats(tmp_path):
+    # every foliation check is exact, so only the config may see these flags
+    def checks(*flags):
+        out = tmp_path / "foliation.json"
+        argv = ["verify", "--suite", "foliation", "--dim", "8", "--format", "json", "--out", str(out)]
+        assert main([*argv, *flags]) == 0
+        return json.loads(out.read_text())["checks"]
+
+    reference = checks("--backend", "float", "--seed", "101")
+    for flags in (
+        ("--backend", "exact", "--seed", "101"),
+        ("--samples", "3", "--seed", "101"),
+        ("--tol", "0.5", "--seed", "101"),
+        ("--seed", "7"),
+    ):
+        assert checks(*flags) == reference, flags

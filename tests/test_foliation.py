@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ohopf import exactsolve, foliation
+from ohopf import exactsolve
 from ohopf.algebra import AlgebraElement, coordinate_elements, random_integer_element
 from ohopf.foliation import (
     J_map,
@@ -19,7 +19,7 @@ from ohopf.foliation import (
     is_tangent_symbolic,
     verify_foliation,
 )
-from ohopf.leaves import leaf_dimension_at
+from ohopf.leaves import PointD2, classify, leaf_dimension_at
 from ohopf.polyring import PolyRing
 
 
@@ -138,19 +138,29 @@ def test_obstruction_report():
 
 @pytest.mark.parametrize("dim", (2, 4, 8))
 def test_foliation_suite(dim):
-    report = verify_foliation(dim, 20, seed=6, tol=1e-9)
+    report = verify_foliation(dim, seed=6)
     assert report.passed, [(c.name, c.info) for c in report.checks if not c.passed]
 
 
-# at step 0.0625 every flow point still passes same_leaf at 1e-6, and only
-# the step-doubling estimate (1.2e-6 at dim 4, seed 101) fails the check
-@pytest.mark.parametrize("step", (0.25, 0.0625))
-def test_coarse_flow_step_fails_the_flow_check(monkeypatch, step):
-    monkeypatch.setattr(foliation, "FLOW_STEP", step)
-    report = verify_foliation(4, 20, seed=101, tol=1e-9)
-    check = {c.name: c for c in report.checks}["tangent_flow_stays_on_leaf"]
-    assert not check.passed
-    assert check.info["step_error_estimate"] >= 1e-6
+@pytest.mark.parametrize("dim", (2, 4, 8))
+def test_classify_is_a_function_of_the_leaf_invariants(dim):
+    # the flow proof shows pi = (|x|^2, x*conj(y), |y|^2) is constant along
+    # anchor flows; classify must read the leaf off pi alone
+    rng = random.Random(dim)
+    zero = AlgebraElement.zero(dim)
+    nonzero = random_integer_element(rng, dim)
+    points = [(zero, zero), (zero, nonzero), (nonzero, zero)]
+    for _ in range(6):
+        x, y = (AlgebraElement(tuple(rng.randint(-3, 3) for _ in range(dim)), dim) for _ in range(2))
+        points.append((x, y))
+    for x, y in points:
+        pi1, pi2, pi3 = x.norm_sq(), x * y.conjugate(), y.norm_sq()
+        leaf = classify(PointD2(x, y))
+        assert leaf.radius_sq == pi1 + pi3
+        assert leaf.origin == (pi1 + pi3 == 0)
+        assert leaf.infinite == (pi1 == 0 and pi1 + pi3 != 0)
+        # the slope is reported as 0 where it is not defined
+        assert leaf.slope == (pi2.conjugate().scale(Fraction(1, pi1)) if pi1 else zero)
 
 
 # -- exact elimination ---------------------------------------------------------
@@ -259,7 +269,7 @@ def test_exact_ranks_refuse_non_integer_entries(rows):
     [(2, 1, "exact_elimination"), (4, 3, "exact_elimination"), (8, 0, "full_rank_mod_p")],
 )
 def test_foliation_records_the_rank_certificate(dim, sampled, certificate):
-    report = verify_foliation(dim, 4, 101, 1e-9)
+    report = verify_foliation(dim, 101)
     oracle = {c.name: c for c in report.checks}["linear_nullspace_sampled_oracle"]
     assert oracle.passed
     assert oracle.info["sampled_dimension"] == sampled
