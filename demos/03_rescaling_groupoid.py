@@ -24,7 +24,7 @@ from ohopf.groupoid import (
     source,
     target,
 )
-from ohopf.leaves import PointD2, classify
+from ohopf.leaves import PointD2, same_leaf
 from ohopf.algebra import from_array
 
 rng = np.random.default_rng(7)
@@ -51,8 +51,7 @@ arrow = connecting_arrow(p)
 gap = target(arrow)
 print("\nconnecting arrow lands on p up to",
       math.sqrt(float((gap.x - p.x).norm_sq() + (gap.y - p.y).norm_sq())))
-print("source and p on the same leaf:", classify(source(arrow)).radius_sq, "vs",
-      classify(p).radius_sq)
+print("source and p on the same leaf:", same_leaf(source(arrow), p, 1e-9))
 
 # the defining identity of the squared rescaling, proved exactly
 print("\n|x|^2 lambda^2 identity holds symbolically:", rescale_sq_identity(8))

@@ -217,12 +217,19 @@ class AlgebraElement:
             return self.conjugate() / n
         return self.conjugate().scale(Fraction(1, 1) / n)
 
+    def _refuse_batch(self, op: str):
+        if any(c.__class__ is np.ndarray for c in self.coeffs):
+            raise TypeError("%s of a batch has one answer per row; compare as_floats() rows" % op)
+
     def is_zero(self):
+        self._refuse_batch("is_zero")
         return all(not c for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
+        self._refuse_batch("==")
+        other._refuse_batch("==")
         return self.dim == other.dim and all(
             a == b for a, b in zip(self.coeffs, other.coeffs)
         )

@@ -123,17 +123,17 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
-def _parse_slope(text: str, dim: int):
+def _parse_leaf(text: str, dim: int, radius_sq: float) -> leaves.LeafId:
     text = text.strip().lower()
     if text in ("origin", "0-leaf"):
-        return leaves.LeafId(leaves.ORIGIN, 0)
+        return leaves.origin_leaf(dim)
     if text in ("inf", "infinity", "oo"):
-        return None  # radius applied by caller
+        return leaves.infinity_leaf(dim, radius_sq)
     if text.startswith("e") and text[1:].isdigit():
         k = int(text[1:])
         if k >= dim:
             _usage_error("slope e%d needs an index below the dimension %d" % (k, dim))
-        return from_array([1.0 if i == k else 0.0 for i in range(dim)])
+        return leaves.slope_leaf(from_array([1.0 if i == k else 0.0 for i in range(dim)]), radius_sq)
     try:
         coeffs = [float(p) for p in text.split(",")]
     except ValueError:
@@ -143,7 +143,7 @@ def _parse_slope(text: str, dim: int):
     # |m|^2 is finite only if every coefficient is; a NaN or inf slope samples junk
     if not math.isfinite(sum(c * c for c in coeffs)):
         _usage_error("slope coefficients and |m|^2 must be finite, got %r" % text)
-    return from_array(coeffs)
+    return leaves.slope_leaf(from_array(coeffs), radius_sq)
 
 
 def _check_dim(suite: str, dim: int):
@@ -241,30 +241,16 @@ def cmd_verify(args) -> int:
 
 def cmd_export_leaf(args) -> int:
     _check_dim("leaves", args.dim)
-    slope = _parse_slope(args.slope, args.dim)
-    r2 = args.radius * args.radius
-    if isinstance(slope, leaves.LeafId):
-        leaf = slope
-    elif slope is None:
-        leaf = leaves.LeafId(leaves.INFINITY, r2)
-    else:
-        leaf = leaves.LeafId(slope, r2)
-    pts = leaves.sample_leaf(leaf, args.count, args.seed, dim=args.dim)
+    leaf = _parse_leaf(args.slope, args.dim, args.radius * args.radius)
+    pts = leaves.sample_leaf(leaf, args.count, args.seed)
     try:
         leaves.export_csv(pts, args.out)
     except OSError as exc:
         print("cannot write CSV: %s" % exc, file=sys.stderr)
         return 2
     # np.max keeps a NaN residual where max() would drop it
-    sphere = np.abs(pts.x.norm_sq() + pts.y.norm_sq() - float(leaf.radius_sq))
-    line = 0.0
-    if not (leaf.is_origin or leaf.is_infinite_slope):
-        res = pts.y * pts.x.conjugate() - leaf.slope.scale(pts.x.norm_sq())
-        line = np.sqrt(res.norm_sq())
-    print(
-        "wrote %d points to %s  (max on-sphere residual %.3g, max slope residual %.3g)"
-        % (args.count, args.out, np.max(sphere), np.max(line))
-    )
+    residual = np.sqrt(np.max(leaves.leaf_distance_sq(leaves.classify(pts), leaf)))
+    print("wrote %d points to %s  (max leaf residual %.3g)" % (args.count, args.out, residual))
     return 0
 
 

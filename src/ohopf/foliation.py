@@ -37,6 +37,7 @@ import numpy as np
 from . import exactsolve
 from .algebra import AlgebraElement, coordinate_elements, vector_symbol
 from .algebroid import E0Section, _e0_basis, anchor, constant_section, vf_apply
+from .leaves import PointD2, classify
 from .polyring import PolyRing
 from .report import VerificationReport, derived_rng, timed_report
 
@@ -308,24 +309,19 @@ def verify_foliation(dim: int, seed: int) -> VerificationReport:
     Every check is exact; the seed only picks the integer points of the
     sampled nullspace oracle.
 
-    The flow check proves that the leaf invariants
-
-        pi = (|x|^2, x*conj(y), |y|^2)     (dim + 2 polynomial components)
-
-    are first integrals of X = rho(u, v) for symbolic constant (u, v):
-    X(f) = 0 for every component f of pi, as polynomials in (x, y, u, v).
-    That is the claim "the flow of an anchor field stays on its leaf" for
-    all start points and all times:
+    The leaves are the fibres of pi = (|x|^2, x*conj(y), |y|^2), the dim + 2
+    polynomial components that leaves.classify computes.  The flow check
+    applies classify to the polynomial point (x, y) and proves X(f) = 0 for
+    every component f of pi and X = rho(u, v) with symbolic constant (u, v),
+    as polynomials in (x, y, u, v).  So pi is constant along the flow of an
+    anchor field, which stays in one fibre of pi, its leaf, for all start
+    points and all times:
 
       * rho is C-infinity-linear, so rho(s) at a point equals rho of the
         constant section s(p); every anchor field, not only a constant one,
         kills pi;
-      * |x|^2 + |y|^2 is conserved, so the flows stay on a compact sphere
-        and are complete;
-      * leaves.classify reads the leaf off pi alone: the slope y*x^-1 is
-        conj(pi_2) / pi_1, the squared radius is pi_1 + pi_3, and the point
-        is on the infinity line iff pi_1 = 0 and at the origin iff
-        pi_1 + pi_3 = 0.  So classify is constant along every flow.
+      * |x|^2 + |y|^2 = pi_1 + pi_3 is conserved, so the flows stay on a
+        compact sphere and are complete.
     """
     if dim not in (2, 4, 8):
         raise ValueError("foliation suite runs at dims 2, 4, 8")
@@ -347,10 +343,11 @@ def verify_foliation(dim: int, seed: int) -> VerificationReport:
         base = PolyRing(dim)
         x, y = coordinate_elements(base, dim)
         first, middle, last = J_map(x, y, base)
+        pi = classify(PointD2(x, y))
         euler_ok = (
-            first == x.norm_sq()
-            and last == y.norm_sq()
-            and (middle - (x * y.conjugate()).scale(2)).is_zero()
+            first == pi.a
+            and last == pi.c
+            and (middle - pi.b.scale(2)).is_zero()
             and not is_tangent_symbolic(x, y, base)
         )
         report.add(
@@ -401,7 +398,7 @@ def verify_foliation(dim: int, seed: int) -> VerificationReport:
 
         # the leaf invariants are first integrals of every anchor field
         xs, ys = coordinate_elements(ring, dim)
-        invariants = _flatten(xs.norm_sq(), xs * ys.conjugate(), ys.norm_sq())
+        invariants = _flatten(*classify(PointD2(xs, ys)))
         report.add(
             "tangent_flow_stays_on_leaf",
             "rho(u, v)(pi) = 0 for pi = (|x|^2, x*conj(y), |y|^2) and symbolic constant (u, v)",

@@ -210,18 +210,14 @@ def _arrows(raw: np.ndarray) -> Arrow:
     return Arrow(*(from_array(raw[..., slot, :]) for slot in range(4)))
 
 
-def random_point(rng: np.random.Generator, dim: int, scale=0.7, n: int = None) -> PointD2:
+def random_point(rng: np.random.Generator, dim: int, n: int = None) -> PointD2:
     """Gaussian point of D^2 (a batch of n when n is given)."""
     size = dim if n is None else (n, dim)
-    return PointD2(from_array(rng.normal(0.0, scale, size)), from_array(rng.normal(0.0, scale, size)))
+    return PointD2(from_array(rng.normal(0.0, 0.7, size)), from_array(rng.normal(0.0, 0.7, size)))
 
 
 def random_arrow(
-    rng: np.random.Generator,
-    dim: int,
-    scale=0.7,
-    min_rescale_sq: float = MEMBERSHIP_EPS,
-    n: int = None,
+    rng: np.random.Generator, dim: int, min_rescale_sq: float = MEMBERSHIP_EPS, n: int = None
 ) -> Arrow:
     """Gaussian arrow away from the zero locus (a batch of n when n is given).
 
@@ -232,7 +228,7 @@ def random_arrow(
     """
 
     def draw(todo):
-        raw = rng.normal(0.0, scale, (todo.size, 4, dim))
+        raw = rng.normal(0.0, 0.7, (todo.size, 4, dim))
         return raw, rescale_sq(_arrows(raw)) > min_rescale_sq
 
     raw = _masked_redraw(draw, 1 if n is None else n, "arrow with lambda^2 > %g" % min_rescale_sq)
@@ -588,7 +584,7 @@ def verify_g2_equivariance(samples: int, seed: int, tol: float) -> VerificationR
             lam.record(abs(rescale(Ag1) - rescale(g1)))
             tgt.record(_gap(target(Ag1), A.apply_point(target(g1))))
             g2 = _suite_arrow(rng, 8, n, target(g1))
-            lhs = compose(A.apply_arrow(g2), Ag1, 10 * tol)
+            lhs = compose(A.apply_arrow(g2), Ag1, tol)
             rhs = A.apply_arrow(compose(g2, g1, tol))
             comp.record(np.sqrt((lhs.F - rhs.F).norm_sq() + (lhs.G - rhs.G).norm_sq()))
     return report

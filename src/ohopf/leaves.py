@@ -2,34 +2,27 @@
 
 A line of slope m is {(x, m*x)}; the line of slope infinity is {(0, y)}.
 Leaves are intersections of lines with spheres |x|^2 + |y|^2 = r^2, plus the
-origin.  This module classifies points into leaves, compares leaves robustly
-near the infinity line, samples leaf point clouds, and reproduces the failure
-of right multiplication by unit octonions to fibrate the 15-sphere.
-
-Slope comparison is projective: a point (x, y) lies on the leaf of slope m
-iff |y*conj(x) - m*|x|^2| <= tol*|x|^2, which avoids dividing by small |x|.
-
-Points may be batches (elements with (N,) array coefficients).  classify
-labels each row and marks its origin and infinity-line rows; on_leaf and
-same_leaf then answer row by row, picking each row's test by those masks.
+origin.  They are exactly the fibres of pi(x, y) = (|x|^2, x*conj(y), |y|^2),
+the octonionic Hopf map together with the radius: on the leaf of slope m and
+squared radius r^2, pi = r^2 / (1 + |m|^2) * (1, conj(m), |m|^2); on the
+infinity line pi = (0, 0, |y|^2); at the origin pi = 0.  Alternativity gives
+both directions at dims 1, 2, 4, 8 (x*conj(m*x) = |x|^2 conj(m), and where
+pi_1 > 0 the slope is conj(pi_2) / pi_1).  So pi is the leaf label, and
+membership compares it: no case split, no division, row by row for batches
+(elements with (N,) array coefficients).  The module also samples leaves
+and reproduces the failure of right multiplication by unit octonions to
+fibrate the 15-sphere.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    from_array,
-    random_integer_element,
-    random_rational_element,
-    where,
-)
+from .algebra import AlgebraElement, from_array, random_integer_element, random_rational_element
 from .exactsolve import dense_rank
 from .report import VerificationReport, chunks, derived_random, derived_rng, timed_report
 
@@ -39,110 +32,83 @@ class PointD2(NamedTuple):
     y: AlgebraElement
 
 
-ORIGIN = "origin"
-INFINITY = "infinity"
+class LeafId(NamedTuple):
+    """Leaf label pi = (|x|^2, x*conj(y), |y|^2), row by row for a batch."""
+
+    a: object
+    b: AlgebraElement
+    c: object
+
+    # b first: its TypeError names a batch, where a would raise numpy's ambiguous truth value
+    def __eq__(self, other):
+        return self.b == other.b and self.a == other.a and self.c == other.c
+
+    def __ne__(self, other):
+        return not self == other
 
 
-@dataclass(frozen=True)
-class LeafId:
-    """Leaf label: slope (element, INFINITY, or ORIGIN) plus squared radius.
-
-    classify labels a batch of points with row masks instead: ``origin`` and
-    ``infinite`` mark the rows on the origin leaf and on infinity-line
-    leaves, and the slope (a batch of elements) is 0 on those rows.  For a
-    single point the masks are booleans.
-    """
-
-    slope: object
-    radius_sq: object
-    origin: object = False
-    infinite: object = False
-
-    @property
-    def is_origin(self):
-        return self.origin | (isinstance(self.slope, str) and self.slope == ORIGIN)
-
-    @property
-    def is_infinite_slope(self):
-        return self.infinite | (isinstance(self.slope, str) and self.slope == INFINITY)
-
-
-def classify(p: PointD2, tol: float = 0.0) -> LeafId:
-    """Leaf through a point, row by row: the origin, (infinity, |y|^2), or
-    (y*x^-1, |p|^2)."""
+def classify(p: PointD2) -> LeafId:
+    """The leaf through a point: pi(p), on every scalar backend."""
     x, y = p
-    nx, ny = x.norm_sq(), y.norm_sq()
-    scale = nx + ny
-    origin = scale <= tol * tol
-    infinite = (nx <= tol * tol * scale) & (scale > tol * tol)
-    finite = (nx > tol * tol * scale) & (scale > tol * tol)
-    # the unit stands in for x on the rows where the slope is not defined,
-    # and the slope of those rows is reported as 0
-    one, zero = AlgebraElement.one(x.dim), AlgebraElement.zero(x.dim)
-    slope = where(finite, y * where(finite, x, one).inverse(), zero)
-    return LeafId(slope, where(origin, 0, scale), origin, infinite)
+    return LeafId(x.norm_sq(), x * y.conjugate(), y.norm_sq())
+
+
+def slope_leaf(m: AlgebraElement, radius_sq) -> LeafId:
+    """The leaf of slope m and squared radius r^2: r^2 / (1 + |m|^2) * (1, conj(m), |m|^2)."""
+    n = m.norm_sq()
+    k = radius_sq / (1 + n)
+    return LeafId(k, m.conjugate().scale(k), k * n)
+
+
+def infinity_leaf(dim: int, radius_sq) -> LeafId:
+    """The leaf {(0, y) : |y|^2 = r^2} of the infinity line."""
+    return LeafId(0, AlgebraElement.zero(dim), radius_sq)
+
+
+def origin_leaf(dim: int) -> LeafId:
+    return LeafId(0, AlgebraElement.zero(dim), 0)
+
+
+def leaf_distance_sq(leaf: LeafId, other: LeafId):
+    """|leaf - other|^2 over the dim + 2 components of pi, row by row."""
+    return (leaf.a - other.a) ** 2 + (leaf.b - other.b).norm_sq() + (leaf.c - other.c) ** 2
+
+
+def on_leaf(p: PointD2, leaf: LeafId, tol: float = 0.0):
+    """|pi(p) - leaf| <= tol * (1 + |p|^2) row by row (pi is quadratic in p);
+    with tol 0 this is exact equality, and a NaN row fails."""
+    pi = classify(p)
+    return leaf_distance_sq(pi, leaf) <= (tol * (1 + pi.a + pi.c)) ** 2
 
 
 def same_leaf(p: PointD2, q: PointD2, tol: float = 0.0):
     """Whether two points lie on the same leaf, up to tolerance, row by row."""
-    rp = p.x.norm_sq() + p.y.norm_sq()
-    rq = q.x.norm_sq() + q.y.norm_sq()
-    close = abs(rp - rq) <= tol * (1 + where(rp > rq, rp, rq))
-    return close & on_leaf(p, classify(q, tol), tol)
+    return on_leaf(p, classify(q), tol)
 
 
-def on_leaf(p: PointD2, leaf: LeafId, tol: float = 0.0):
-    """Membership of a point in a leaf via the projective slope test, row by row."""
-    x, y = p
-    nx, ny = x.norm_sq(), y.norm_sq()
-    scale = nx + ny
-    on_sphere = abs(scale - leaf.radius_sq) <= tol * (1 + leaf.radius_sq)
-    on_infinity_line = nx <= tol * tol * scale
-    on_line = False
-    if isinstance(leaf.slope, AlgebraElement):
-        residual = (y * x.conjugate() - leaf.slope.scale(nx)).norm_sq()
-        if tol == 0:
-            on_line = residual == 0
-        else:
-            on_line = np.sqrt(np.asarray(residual, dtype=float)) <= tol * nx
-    return where(
-        leaf.is_origin,
-        scale <= tol * tol,
-        on_sphere & where(leaf.is_infinite_slope, on_infinity_line, on_line),
-    )
-
-
-def sample_leaf(leaf: LeafId, n: int, seed, dim: int = None) -> PointD2:
+def sample_leaf(leaf: LeafId, n: int, seed) -> PointD2:
     """A batch of n points of the leaf, deterministic in the seed (an int, a
     sequence of ints, or a Generator, as numpy's default_rng takes it; a
     Generator is drawn from in place, so consecutive calls continue its
     stream).
 
-    Finite-slope leaves are parametrized as x = c*u with u a uniform unit
-    octonion and c = r / sqrt(1 + |m|^2), y = m*x; infinite-slope leaves as
-    (0, r*u).  The origin yields n copies of (0, 0).  The dimension is read
-    off a finite slope; for origin/infinity leaves it defaults to 8 unless
-    given.
+    With u uniform on the unit sphere of dimension leaf.b.dim: x = sqrt(a) u
+    and y = m*x for the slope m = conj(b) / a when a > 0, else x = 0 and
+    y = sqrt(c) u (the origin when c = 0).
     """
     if n < 1:
         raise ValueError("need n >= 1 points")
-    if not leaf.is_origin and not leaf.is_infinite_slope:
-        dim = leaf.slope.dim
-    elif dim is None:
-        dim = 8
-    zero = from_array(np.zeros((n, dim)))
-    if leaf.is_origin:
-        return PointD2(zero, zero)
     rng = np.random.default_rng(seed)
-    r = math.sqrt(float(leaf.radius_sq))
-    units = rng.normal(size=(n, dim))
+    units = rng.normal(size=(n, leaf.b.dim))
     units /= np.linalg.norm(units, axis=1, keepdims=True)
     u = from_array(units)
-    if leaf.is_infinite_slope:
-        return PointD2(zero, u.scale(r))
-    m = leaf.slope
-    x = u.scale(r / math.sqrt(1.0 + float(m.norm_sq())))
-    return PointD2(x, m * x)
+    a = float(leaf.a)
+    if a > 0:
+        x = u.scale(math.sqrt(a))
+        return PointD2(x, leaf.b.conjugate().scale(1.0 / a) * x)
+    # adding the +0.0 rows turns the -0.0 of 0 * u into +0.0
+    zero = from_array(np.zeros((n, leaf.b.dim)))
+    return PointD2(zero, zero + u.scale(math.sqrt(float(leaf.c))))
 
 
 def export_csv(points: PointD2, path):
@@ -231,7 +197,8 @@ def leaf_dimension_at(x: AlgebraElement, y: AlgebraElement) -> int:
 
 
 def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> VerificationReport:
-    """Randomized leaf-decomposition suite at the given algebra dimension."""
+    """Randomized leaf-decomposition suite at the given algebra dimension; leaves
+    are compared by their label pi, and slopes read off it as conj(pi_2) / pi_1."""
     with timed_report(
         "leaves", {"dim": dim, "samples": samples, "seed": seed, "tol": tol}
     ) as report:
@@ -250,7 +217,7 @@ def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> Verification
             p = PointD2(x, m * x)
             q = PointD2(x.scale(lam), (m * x).scale(lam))
             cp, cq = classify(p), classify(q)
-            slope_law.record(np.sqrt((cp.slope - cq.slope).norm_sq()))
+            slope_law.record(np.sqrt((cp.b.conjugate() / cp.a - cq.b.conjugate() / cq.a).norm_sq()))
 
         # sampled leaves live on their sphere and line
         rng = derived_rng(seed, 1)
@@ -259,13 +226,13 @@ def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> Verification
         for k in range(4):
             r2 = float(rng.uniform(0.25, 4.0))
             if k < 3:
-                leaf = LeafId(from_array(rng.normal(size=dim)), r2)
+                leaf = slope_leaf(from_array(rng.normal(size=dim)), r2)
             else:
-                leaf = LeafId(INFINITY, r2)
+                leaf = infinity_leaf(dim, r2)
             # stream (seed, 10 + k): apart from streams 0-3 and from other seeds
             stream = np.random.default_rng([seed, 10 + k])
             for n in chunks(max(samples // 4, 8)):
-                pts = sample_leaf(leaf, n, stream, dim=dim)
+                pts = sample_leaf(leaf, n, stream)
                 sphere.append(np.abs((pts.x.norm_sq() + pts.y.norm_sq()) - r2))
                 slope_ok = slope_ok and bool(np.all(on_leaf(pts, leaf, tol)))
         worst_sphere = float(np.max(np.concatenate(sphere)))  # keeps a NaN, unlike max()
@@ -283,6 +250,8 @@ def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> Verification
             x = from_array(rng.normal(size=(n, dim)))
             m1 = from_array(rng.normal(size=(n, dim)))
             m2 = from_array(rng.normal(size=(n, dim)))
+            # |m2| = |m1| gives p and q the same |x|^2 and |y|^2: only pi_2 tells them apart
+            m2 = m2.scale(np.sqrt(m1.norm_sq() / m2.norm_sq()))
             xs = x.scale(1.0 / np.sqrt(x.norm_sq()))
             p = PointD2(xs, m1 * xs)
             q = PointD2(xs, m2 * xs)

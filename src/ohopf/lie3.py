@@ -65,6 +65,7 @@ from .algebroid import (
 )
 from .exactsolve import dense_rank
 from .foliation import _columns_to_rows, _J_matrix
+from .leaves import PointD2, classify
 from .polyring import PolyRing, Polynomial
 from .report import VerificationReport, derived_random, timed_report
 
@@ -105,8 +106,9 @@ def _d1(s: Sec1, x: AlgebraElement, y: AlgebraElement) -> E0Section:
 
 
 def _d2(s: Sec2, x: AlgebraElement, y: AlgebraElement) -> Sec1:
-    """(-|y|^2 t, (x conj(y)) t, -|x|^2 t) at the base point (x, y)."""
-    return Sec1(-(y.norm_sq() * s.t), (x * y.conjugate()).scale(s.t), -(x.norm_sq() * s.t))
+    """(-|y|^2 t, (x conj(y)) t, -|x|^2 t) = t (-pi_3, pi_2, -pi_1) at the base point (x, y)."""
+    pi = classify(PointD2(x, y))
+    return Sec1(-(pi.c * s.t), pi.b.scale(s.t), -(pi.a * s.t))
 
 
 def d1(s: Sec1, ring: PolyRing) -> E0Section:
@@ -317,7 +319,12 @@ class ResolutionMatrices:
 
 
 def _maps_at(x: AlgebraElement, y: AlgebraElement) -> ResolutionMatrices:
-    """J, rho, d1, d2 applied to the basis sections at the point (x, y).
+    """J, rho, d1, d2 applied to the basis sections at the point (x, y)."""
+    return ResolutionMatrices(_J_matrix(x, y), *_resolution_at(x, y))
+
+
+def _resolution_at(x: AlgebraElement, y: AlgebraElement) -> tuple:
+    """The matrices Rho, D1, D2 at the point (x, y).
 
     Columns follow the bases (e_i, 0), (0, e_i) of E_0, (1, 0, 0), (0, e_i, 0),
     (0, 0, 1) of E_-1 and 1 of E_-2; entries stay in the scalar backend of
@@ -327,8 +334,7 @@ def _maps_at(x: AlgebraElement, y: AlgebraElement) -> ResolutionMatrices:
     z = AlgebraElement.zero(dim)
     e1 = [Sec1(0, AlgebraElement.basis(dim, i), 0) for i in range(dim)]
     e1 = [Sec1(1, z, 0), *e1, Sec1(0, z, 1)]
-    return ResolutionMatrices(
-        _J_matrix(x, y),
+    return (
         _columns_to_rows([_rho(s, x, y).components() for s in _e0_basis(dim)]),
         _columns_to_rows([_d1(s, x, y).components() for s in e1]),
         _columns_to_rows([_d2(Sec2(1), x, y).components()]),
@@ -404,8 +410,7 @@ def verify_matrix_vs_transcription() -> VerificationReport:
 
 def _ranks_at(x: AlgebraElement, y: AlgebraElement) -> tuple:
     """Exact fiberwise ranks of (rho, d1, d2) at an integer point."""
-    mats = _maps_at(x, y)
-    return tuple(dense_rank(M) for M in (mats.Rho, mats.D1, mats.D2))
+    return tuple(dense_rank(M) for M in _resolution_at(x, y))
 
 
 def generic_ranks(samples: int, seed: int) -> VerificationReport:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ohopf.algebra import (
@@ -10,6 +11,7 @@ from ohopf.algebra import (
     DIMS,
     associator,
     doubling_table,
+    from_array,
     mult_table,
     octonion_table,
     random_rational_element,
@@ -74,6 +76,14 @@ def test_scalar_dimensions_and_errors():
         AlgebraElement((1, 2, 3))
     with pytest.raises(ValueError):
         E(1, 4) * E(1, 8)
+
+
+@pytest.mark.parametrize("rows", (1, 3))
+def test_truth_of_a_batch_names_the_batch(rows):
+    batch = from_array(np.zeros((rows, 8)))
+    for ask in (batch.is_zero, lambda: batch == batch, lambda: E(0) == batch):
+        with pytest.raises(TypeError, match="batch.*as_floats"):
+            ask()
 
 
 def test_conjugate_norm_inner():

@@ -71,12 +71,15 @@ def test_invalid_tol_rejected():
     assert err.value.code == 2
 
 
-def test_export_leaf_csv(tmp_path):
+def test_export_leaf_csv(tmp_path, capsys):
     out = tmp_path / "leaf.csv"
     rc = main(
         ["export-leaf", "--slope", "e1", "--radius", "1.0", "-n", "20", "--seed", "3", "--out", str(out)]
     )
     assert rc == 0
+    # one residual, max |classify(p) - leaf| over the samples
+    residual = capsys.readouterr().out.split("max leaf residual ")[1].rstrip(")\n")
+    assert float(residual) < 1e-15
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 21
@@ -95,10 +98,11 @@ def test_export_leaf_infinity_single_point(tmp_path):
     assert all(float(v) == 0.0 for v in rows[1][:8])
 
 
-def test_export_leaf_origin(tmp_path):
+def test_export_leaf_origin(tmp_path, capsys):
     out = tmp_path / "origin.csv"
     rc = main(["export-leaf", "--slope", "origin", "-n", "3", "--out", str(out)])
     assert rc == 0
+    assert "max leaf residual 0)" in capsys.readouterr().out
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 4

@@ -19,7 +19,15 @@ from ohopf.foliation import (
     is_tangent_symbolic,
     verify_foliation,
 )
-from ohopf.leaves import PointD2, classify, leaf_dimension_at
+from ohopf.leaves import (
+    LeafId,
+    PointD2,
+    classify,
+    infinity_leaf,
+    leaf_dimension_at,
+    origin_leaf,
+    slope_leaf,
+)
 from ohopf.polyring import PolyRing
 
 
@@ -144,23 +152,22 @@ def test_foliation_suite(dim):
 
 @pytest.mark.parametrize("dim", (2, 4, 8))
 def test_classify_is_a_function_of_the_leaf_invariants(dim):
-    # the flow proof shows pi = (|x|^2, x*conj(y), |y|^2) is constant along
-    # anchor flows; classify must read the leaf off pi alone
+    # classify(p) = pi(p) is what the leaf constructors give for the leaf
+    # through p: slope y*x^-1 and squared radius |p|^2 off the infinity line,
+    # |y|^2 on it, and nothing at the origin; exact at integer points
     rng = random.Random(dim)
     zero = AlgebraElement.zero(dim)
     nonzero = random_integer_element(rng, dim)
-    points = [(zero, zero), (zero, nonzero), (nonzero, zero)]
+    assert classify(PointD2(zero, zero)) == origin_leaf(dim)
+    assert classify(PointD2(zero, nonzero)) == infinity_leaf(dim, nonzero.norm_sq())
+    points = [(nonzero, zero)]
     for _ in range(6):
-        x, y = (AlgebraElement(tuple(rng.randint(-3, 3) for _ in range(dim)), dim) for _ in range(2))
-        points.append((x, y))
+        x = random_integer_element(rng, dim)
+        points.append((x, AlgebraElement(tuple(rng.randint(-3, 3) for _ in range(dim)), dim)))
     for x, y in points:
-        pi1, pi2, pi3 = x.norm_sq(), x * y.conjugate(), y.norm_sq()
         leaf = classify(PointD2(x, y))
-        assert leaf.radius_sq == pi1 + pi3
-        assert leaf.origin == (pi1 + pi3 == 0)
-        assert leaf.infinite == (pi1 == 0 and pi1 + pi3 != 0)
-        # the slope is reported as 0 where it is not defined
-        assert leaf.slope == (pi2.conjugate().scale(Fraction(1, pi1)) if pi1 else zero)
+        assert leaf == LeafId(x.norm_sq(), x * y.conjugate(), y.norm_sq())
+        assert leaf == slope_leaf(y * x.inverse(), Fraction(x.norm_sq() + y.norm_sq()))
 
 
 # -- exact elimination ---------------------------------------------------------

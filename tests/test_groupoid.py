@@ -230,6 +230,19 @@ def test_g2_suite():
     assert report.passed, [(c.name, c.info) for c in report.checks if not c.passed]
 
 
+def test_g2_composition_gets_the_tol_as_given(monkeypatch):
+    seen = []
+    real = groupoid.compose
+
+    def spy(g2, g1, tol=1e-9):
+        seen.append(tol)
+        return real(g2, g1, tol)
+
+    monkeypatch.setattr(groupoid, "compose", spy)
+    assert verify_g2_equivariance(10, seed=0, tol=1e-9).passed
+    assert seen and set(seen) == {1e-9}
+
+
 def test_wrong_composition_rule_is_detected():
     # scaling the wrong factor in the product breaks multiplicativity of
     # the rescaling; guards against a vacuous lambda_mult check

@@ -9,16 +9,17 @@ import pytest
 
 from ohopf.algebra import AlgebraElement, from_array
 from ohopf.leaves import (
-    INFINITY,
     LeafId,
-    ORIGIN,
     PointD2,
     classify,
     export_csv,
+    infinity_leaf,
     on_leaf,
+    origin_leaf,
     right_mult_counterexample,
     same_leaf,
     sample_leaf,
+    slope_leaf,
     verify_leaves,
 )
 
@@ -29,23 +30,29 @@ def E(i, dim=8):
 
 def test_classify_origin_and_infinity():
     z = AlgebraElement.zero(8)
-    assert classify(PointD2(z, z)).is_origin
-    leaf = classify(PointD2(z, E(1).scale(2.0)))
-    assert leaf.is_infinite_slope and leaf.radius_sq == 4.0
+    assert classify(PointD2(z, z)) == origin_leaf(8) == LeafId(0, z, 0)
+    assert classify(PointD2(z, E(1).scale(2.0))) == infinity_leaf(8, 4.0)
+    assert classify(PointD2(E(1), z)) != infinity_leaf(8, 1)
 
 
 def test_classify_basis_point():
     leaf = classify(PointD2(E(0), E(1)))
-    assert leaf.slope == E(1)
-    assert leaf.radius_sq == 2
+    # pi = (|x|^2, x*conj(y), |y|^2) = (1, -e1, 1), the leaf of slope e1 and r^2 = 2
+    assert leaf == LeafId(1, -E(1), 1) == slope_leaf(E(1), 2)
 
 
 def test_classify_slope_through_table():
     s = 1.0 / math.sqrt(2.0)
     leaf = classify(PointD2(E(1).scale(s), E(2).scale(s)))
-    # y x^-1 = e2 (-e1) = e3 after the inverse flips the sign
-    assert np.allclose(leaf.slope.as_floats(), E(3).as_floats())
-    assert abs(leaf.radius_sq - 1.0) < 1e-15
+    # the slope conj(pi_2) / pi_1 is y x^-1 = e2 (-e1) = e3
+    assert np.allclose((leaf.b.conjugate() / leaf.a).as_floats(), E(3).as_floats())
+    assert abs(leaf.a + leaf.c - 1.0) < 1e-15
+
+
+def test_leaf_equality_of_a_batch_names_the_batch():
+    p = PointD2(from_array(np.ones((3, 8))), from_array(np.zeros((3, 8))))
+    with pytest.raises(TypeError, match="batch"):
+        classify(p) == classify(p)
 
 
 def test_same_leaf_exact_rationals():
@@ -75,28 +82,32 @@ def _coords(pts):
 
 
 def test_sample_leaf_origin_and_determinism():
-    pts = sample_leaf(LeafId(ORIGIN, 0), 3, seed=5)
-    assert _coords(pts).shape == (3, 16) and not np.any(_coords(pts))
-    a = sample_leaf(LeafId(E(1), 1.0), 10, seed=42)
-    b = sample_leaf(LeafId(E(1), 1.0), 10, seed=42)
+    pts = sample_leaf(origin_leaf(8), 3, seed=5)
+    # exact +0.0 rows, not -0.0
+    assert _coords(pts).shape == (3, 16) and not np.any(np.signbit(_coords(pts)) | (_coords(pts) != 0))
+    a = sample_leaf(slope_leaf(E(1), 1.0), 10, seed=42)
+    b = sample_leaf(slope_leaf(E(1), 1.0), 10, seed=42)
     assert np.array_equal(_coords(a), _coords(b))
     # a Generator continues its stream: two draws of 4 and 6 are one draw of 10
     rng = np.random.default_rng(42)
-    parts = [sample_leaf(LeafId(E(1), 1.0), k, seed=rng) for k in (4, 6)]
+    parts = [sample_leaf(slope_leaf(E(1), 1.0), k, seed=rng) for k in (4, 6)]
     assert np.array_equal(np.vstack([_coords(p) for p in parts]), _coords(a))
     with pytest.raises(ValueError):
-        sample_leaf(LeafId(ORIGIN, 0), 0, seed=1)
+        sample_leaf(origin_leaf(8), 0, seed=1)
 
 
 def test_sample_leaf_infinity():
-    pts = sample_leaf(LeafId(INFINITY, 1.0), 10, seed=3)
-    assert _coords(pts).shape == (10, 16)
-    assert not np.any(pts.x.as_floats())
-    assert np.max(np.abs(pts.y.norm_sq() - 1.0)) < 1e-12
+    for dim in (1, 4, 8):  # the dimension is read off the leaf
+        leaf = infinity_leaf(dim, 1.0)
+        pts = sample_leaf(leaf, 10, seed=3)
+        assert _coords(pts).shape == (10, 2 * dim)
+        assert not np.any(pts.x.as_floats())
+        assert np.max(np.abs(pts.y.norm_sq() - 1.0)) < 1e-12
+        assert np.all(on_leaf(pts, leaf, tol=1e-12))
 
 
 def test_sample_leaf_finite_slope():
-    leaf = LeafId(E(1), 1.0)
+    leaf = slope_leaf(E(1), 1.0)
     pts = sample_leaf(leaf, 100, seed=9)
     assert _coords(pts).shape == (100, 16)
     assert np.max(np.abs(pts.x.norm_sq() + pts.y.norm_sq() - 1.0)) < 1e-12
@@ -107,7 +118,7 @@ def test_sample_leaf_finite_slope():
 
 def test_export_csv(tmp_path):
     path = tmp_path / "leaf.csv"
-    pts = sample_leaf(LeafId(E(2), 2.25), 7, seed=1)
+    pts = sample_leaf(slope_leaf(E(2), 2.25), 7, seed=1)
     export_csv(pts, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
@@ -136,8 +147,8 @@ def test_nan_leaf_point_fails_and_is_reported(monkeypatch):
 
     real = leaves.sample_leaf
 
-    def with_nan(leaf, n, seed, dim=None):
-        pts = real(leaf, n, seed, dim=dim)
+    def with_nan(leaf, n, seed):
+        pts = real(leaf, n, seed)
         x, y = pts.x.as_floats(), pts.y.as_floats()
         x[0] = y[0] = float("nan")
         return PointD2(from_array(x), from_array(y))
@@ -154,19 +165,18 @@ def _row(p, i):
 
 
 def test_mixed_batch_equals_its_rows():
-    # rows: finite slope, infinity line (x = 0), origin, and q either on p's
-    # leaf (a rotation along it) or off it
+    # rows: finite slope, infinity line (x = 0), origin, a NaN row, and q
+    # either on p's leaf (a rotation along it) or off it
     rng = np.random.default_rng(17)
     n = 9
     x, y = rng.normal(size=(n, 8)), rng.normal(size=(n, 8))
     x[[1, 5]] = 0.0
     x[[2, 6]] = y[[2, 6]] = 0.0
+    x[7, 3] = float("nan")
     p = PointD2(from_array(x), from_array(y))
     u = from_array(rng.normal(size=(n, 8)))
     q = PointD2(p.x * u, p.y * u)  # off the leaf at dim 8 except on the special rows
-    leaf = classify(p, 1e-9)
-    assert list(leaf.origin) == [i in (2, 6) for i in range(n)]
-    assert list(leaf.infinite) == [i in (1, 5) for i in range(n)]
+    leaf = classify(p)
     for tol in (0.0, 1e-9):
         for other in (p, q):
             batch = same_leaf(p, other, tol)
@@ -174,7 +184,22 @@ def test_mixed_batch_equals_its_rows():
                 assert batch[i] == same_leaf(_row(p, i), _row(other, i), tol), (tol, i)
     on = on_leaf(q, leaf, 1e-9)
     for i in range(n):
-        row_leaf = classify(_row(p, i), 1e-9)
+        row_leaf = classify(_row(p, i))
         assert on[i] == on_leaf(_row(q, i), row_leaf, 1e-9)
-        assert np.max(np.abs(leaf.slope.as_floats()[i] - row_leaf.slope.as_floats())) == 0.0
-    assert all(same_leaf(p, p, 1e-9))
+        assert np.array_equal(leaf.b.as_floats()[i], row_leaf.b.as_floats(), equal_nan=True)
+    assert list(same_leaf(p, p, 1e-9)) == [i != 7 for i in range(n)]
+    assert list(same_leaf(p, q, 1e-9)) == [i in (2, 6) for i in range(n)]
+
+
+@pytest.mark.parametrize("dim", (1, 2, 4, 8))
+def test_same_leaf_separation_needs_the_slope_invariant(monkeypatch, dim):
+    # m' is rescaled to |m|, so (x, m x) and (x, m' x) share |x|^2 and |y|^2:
+    # with pi_2 dropped from classify the check must fail
+    from ohopf import leaves
+
+    def without_pi2(p):
+        return LeafId(p.x.norm_sq(), AlgebraElement.zero(p.x.dim), p.y.norm_sq())
+
+    monkeypatch.setattr(leaves, "classify", without_pi2)
+    report = verify_leaves(dim, 32, seed=2, tol=1e-9)
+    assert not {c.name: c for c in report.checks}["same_leaf_separates_slopes"].passed
