@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polyring import PolyRing, Polynomial
+from .polyring import PolyRing, Polynomial, sum_of_products
 from .report import Check, VerificationReport, derived_random, timed_report
 
 DIMS = (1, 2, 4, 8, 16)
@@ -94,6 +94,13 @@ def mult_table(dim: int):
 def _nonzero(coeffs):
     """(index, coefficient) pairs without the zero scalars; an array always stays."""
     return [(i, c) for i, c in enumerate(coeffs) if c.__class__ is np.ndarray or c]
+
+
+def _symbolic(coeffs) -> bool:
+    """Every nonzero coefficient is a Polynomial."""
+    return all(
+        c.__class__ is Polynomial or (c.__class__ is not np.ndarray and not c) for c in coeffs
+    )
 
 
 class AlgebraElement:
@@ -159,9 +166,20 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check_dim(other)
             sign, index = mult_table(self.dim)
+            left, right = _nonzero(self.coeffs), _nonzero(other.coeffs)
+            if left and right and _symbolic(self.coeffs) and _symbolic(other.coeffs):
+                # one sum of signed products per output coefficient
+                groups = [[] for _ in range(self.dim)]
+                for i, a in left:
+                    srow, irow = sign[i], index[i]
+                    for j, b in right:
+                        groups[irow[j]].append((srow[j], a, b))
+                ring = left[0][1].ring
+                return AlgebraElement(
+                    tuple(sum_of_products(ring, g) if g else 0 for g in groups), self.dim
+                )
             acc = [None] * self.dim
-            right = _nonzero(other.coeffs)
-            for i, a in _nonzero(self.coeffs):
+            for i, a in left:
                 srow, irow = sign[i], index[i]
                 for j, b in right:
                     k = irow[j]
@@ -191,6 +209,10 @@ class AlgebraElement:
     def inner(self, other):
         """Euclidean pairing of coefficient vectors."""
         self._check_dim(other)
+        if _symbolic(self.coeffs) and _symbolic(other.coeffs):
+            pairs = [(1, a, b) for a, b in zip(self.coeffs, other.coeffs) if a and b]
+            if pairs:
+                return sum_of_products(pairs[0][1].ring, pairs)
         total = None
         for a, b in zip(self.coeffs, other.coeffs):
             if not (a.__class__ is np.ndarray or a) or not (b.__class__ is np.ndarray or b):

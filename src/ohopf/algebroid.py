@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from . import groupoid
 from .algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
-from .polyring import PolyRing, Polynomial
+from .polyring import PolyRing, Polynomial, sum_of_products
 from .report import VerificationReport, timed_report
 
 
@@ -152,15 +152,22 @@ def anchor(sec: E0Section, ring: PolyRing) -> VectorField:
 
 
 def vf_apply(X: VectorField, f, ring: PolyRing):
-    """X acting on a function as a derivation; a constant gives zero."""
+    """X acting on a function as a derivation; a constant gives zero.
+
+    X(f) is the sum over the base variables of component times partial
+    derivative, filled into one polynomial by sum_of_products; a numeric
+    component enters as a constant polynomial.
+    """
     if not isinstance(f, Polynomial):
         return ring.zero
     names = [v.name for v in ring.variables[: 2 * ring.base_dim]]
-    out = ring.zero
+    triples = []
     for comp, name in zip(X.components(), names):
         if comp:
-            out = out + comp * f.derive(name)
-    return out
+            df = f.derive(name)
+            if df:
+                triples.append((1, comp if isinstance(comp, Polynomial) else ring.const(comp), df))
+    return sum_of_products(ring, triples)
 
 
 def _section_constant(sec) -> bool:

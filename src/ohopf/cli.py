@@ -123,17 +123,31 @@ def _usage_error(message: str):
     raise SystemExit(2)
 
 
-def _parse_leaf(text: str, dim: int, radius_sq: float) -> leaves.LeafId:
+def _parse_leaf(text: str, dim: int, radius: float) -> leaves.LeafId:
     text = text.strip().lower()
     if text in ("origin", "0-leaf"):
         return leaves.origin_leaf(dim)
     if text in ("inf", "infinity", "oo"):
-        return leaves.infinity_leaf(dim, radius_sq)
+        leaf = leaves.infinity_leaf(dim, radius * radius)
+        size = leaf.c
+    else:
+        leaf = leaves.slope_leaf(_parse_slope(text, dim), radius * radius)
+        size = leaf.a
+    # a size of 0 or a subnormal one would sample the origin, or junk, as this leaf
+    if radius > 0 and size < sys.float_info.min:
+        _usage_error(
+            "radius %r is too small for floating point: the leaf's |x|^2 or |y|^2 is %g"
+            % (radius, size)
+        )
+    return leaf
+
+
+def _parse_slope(text: str, dim: int):
     if text.startswith("e") and text[1:].isdigit():
         k = int(text[1:])
         if k >= dim:
             _usage_error("slope e%d needs an index below the dimension %d" % (k, dim))
-        return leaves.slope_leaf(from_array([1.0 if i == k else 0.0 for i in range(dim)]), radius_sq)
+        return from_array([1.0 if i == k else 0.0 for i in range(dim)])
     try:
         coeffs = [float(p) for p in text.split(",")]
     except ValueError:
@@ -143,7 +157,7 @@ def _parse_leaf(text: str, dim: int, radius_sq: float) -> leaves.LeafId:
     # |m|^2 is finite only if every coefficient is; a NaN or inf slope samples junk
     if not math.isfinite(sum(c * c for c in coeffs)):
         _usage_error("slope coefficients and |m|^2 must be finite, got %r" % text)
-    return leaves.slope_leaf(from_array(coeffs), radius_sq)
+    return from_array(coeffs)
 
 
 def _check_dim(suite: str, dim: int):
@@ -241,7 +255,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_leaf(args) -> int:
     _check_dim("leaves", args.dim)
-    leaf = _parse_leaf(args.slope, args.dim, args.radius * args.radius)
+    leaf = _parse_leaf(args.slope, args.dim, args.radius)
     pts = leaves.sample_leaf(leaf, args.count, args.seed)
     try:
         leaves.export_csv(pts, args.out)

@@ -15,12 +15,17 @@ which are formal parameters and may not be derived.  The canonical term
 order is graded lexicographic in the (kind, index) variable order.
 
 Five exponent bits per variable hold exponents up to 31.  Only a product
-raises an exponent, so Polynomial * Polynomial refuses (ExponentOverflow) any
-factor with an exponent of 16 or more: factors whose exponents are all at most
-15 give products whose exponents are at most 30, so no field ever carries
-into its neighbour.  Addition, derive and substitute never raise an
-exponent.  Nothing in this package exceeds ten.  Coefficients stay plain ints
-as long as the inputs are integral, which keeps the identity suites fast.
+raises an exponent, so the two products, Polynomial * Polynomial and
+sum_of_products, refuse (ExponentOverflow) any factor with an exponent of 16
+or more: factors whose exponents are all at most 15 give products whose
+exponents are at most 30, so no field ever carries into its neighbour.
+Addition, derive and substitute never raise an exponent.  Nothing in this
+package exceeds ten.  Coefficients stay plain ints as long as the inputs are
+integral, which keeps the identity suites fast.
+
+A sum of many products, such as a coefficient of an octonion product or a
+derivation applied to a function, goes through sum_of_products, which fills
+one dict for the whole sum instead of one per partial sum.
 """
 
 from __future__ import annotations
@@ -225,8 +230,11 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
-            terms = dict(self.terms)
-            for k, c in other.terms.items():
+            big, small = self.terms, other.terms
+            if len(big) < len(small):
+                big, small = small, big
+            terms = dict(big)
+            for k, c in small.items():
                 s = terms.get(k, 0) + c
                 if s:
                     terms[k] = s
@@ -251,7 +259,17 @@ class Polynomial:
         return Polynomial(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (Polynomial, int, Fraction)):
+        if isinstance(other, Polynomial):
+            self._check(other)
+            terms = dict(self.terms)
+            for k, c in other.terms.items():
+                s = terms.get(k, 0) - c
+                if s:
+                    terms[k] = s
+                else:
+                    terms.pop(k, None)
+            return Polynomial(self.ring, terms)
+        if isinstance(other, (int, Fraction)):
             return self + (-other)
         return NotImplemented
 
@@ -431,3 +449,29 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%s)" % self
+
+
+def sum_of_products(ring: PolyRing, triples) -> Polynomial:
+    """The sum of s * a * b over (s, a, b) triples, accumulated in one dict.
+
+    a and b are Polynomials of ring and s an int or Fraction factor.  Each
+    pair is checked against the ring and the exponent guard of a product, and
+    the zero coefficients are dropped once, at the end.
+    """
+    high = ring._high_bits
+    out: dict = {}
+    get = out.get
+    for s, a, b in triples:
+        if a.ring is not ring or b.ring is not ring:
+            raise RingMismatch("polynomials belong to different rings")
+        ta, tb = a.terms, b.terms
+        if reduce(operator.or_, tb, reduce(operator.or_, ta, 0)) & high:
+            raise ExponentOverflow("a factor has an exponent of 16 or more")
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        for k1, c1 in ta.items():
+            c1 *= s
+            for k2, c2 in tb.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return Polynomial(ring, {k: c for k, c in out.items() if c})

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ohopf import algebra as algebra_mod
 from ohopf.algebra import (
     AlgebraElement,
     DIMS,
@@ -17,6 +18,7 @@ from ohopf.algebra import (
     random_rational_element,
     verify_algebra_identities,
 )
+from ohopf.polyring import ExponentOverflow, Polynomial, PolyRing, sum_of_products
 
 
 def E(i, dim=8):
@@ -139,3 +141,69 @@ def test_sedenion_norm_witness_recorded():
     by_name = {c.name: c for c in report.checks}
     witness = by_name["norm_multiplicativity_fails"]
     assert witness.passed and witness.info["witness_a"] is not None
+
+
+# -- symbolic products against integer evaluation ----------------------------
+
+
+def _random_poly(ring, rng):
+    p = ring.zero
+    for _ in range(rng.randint(1, 3)):
+        mono = ring.const(rng.choice((-3, -2, -1, 1, 2, 3)))
+        for v in rng.sample(ring.variables, 2):
+            mono = mono * ring.poly(v) ** rng.randint(0, 2)
+        p = p + mono
+    return p
+
+
+@pytest.mark.parametrize("dim", (2, 4, 8, 16))
+def test_symbolic_product_and_inner_match_integer_evaluation(dim, monkeypatch):
+    # sum_of_products serves operands whose nonzero coefficients are all
+    # Polynomials; a nonzero int coefficient sends them through the generic loop
+    summed = []
+
+    def counting(ring, triples):
+        summed.append(1)
+        return sum_of_products(ring, triples)
+
+    monkeypatch.setattr(algebra_mod, "sum_of_products", counting)
+    rng = random.Random(dim)
+    ring = PolyRing(0, ["s%d" % i for i in range(4)])
+    p = AlgebraElement([_random_poly(ring, rng) for _ in range(dim)])
+    q = AlgebraElement([_random_poly(ring, rng) for _ in range(dim)])
+    with_zeros = AlgebraElement([0 if i % 3 == 1 else c for i, c in enumerate(p.coeffs)])
+    with_int = AlgebraElement([5 if i == dim - 1 else c for i, c in enumerate(q.coeffs)])
+    for a, b, symbolic in (
+        (p, q, True),
+        (q, p, True),
+        (with_zeros, q, True),
+        (q, with_zeros, True),
+        (p, with_int, False),
+        (with_int, with_zeros, False),
+    ):
+        for _ in range(3):
+            point = {v.name: rng.randint(-5, 5) for v in ring.variables}
+
+            def at(c):
+                return int(c.evaluate(point)) if isinstance(c, Polynomial) else c
+
+            def at_element(e):
+                return AlgebraElement([at(c) for c in e.coeffs])
+
+            del summed[:]
+            product = a * b
+            assert bool(summed) is symbolic
+            assert at_element(product) == at_element(a) * at_element(b)
+            del summed[:]
+            inner = a.inner(b)
+            assert bool(summed) is symbolic
+            assert at(inner) == at_element(a).inner(at_element(b))
+
+
+def test_symbolic_product_keeps_the_exponent_guard():
+    x = PolyRing(1).x(0)
+    a = AlgebraElement((x**16, x, 0, 0))
+    b = AlgebraElement((x, 0, x, 0))
+    for compute in (lambda: a * b, lambda: b * a, lambda: a.inner(b)):
+        with pytest.raises(ExponentOverflow):
+            compute()

@@ -20,7 +20,7 @@ from ohopf.algebroid import (
     verify_groupoid_consistency,
 )
 from ohopf.lie3 import Sec1, Sec2
-from ohopf.polyring import PolyRing
+from ohopf.polyring import ExponentOverflow, PolyRing
 
 
 def test_anchor_basis_formula():
@@ -165,6 +165,17 @@ def test_vf_commutator_examples():
     assert vf_commutator(X, X, ring).is_zero()
     expected = field(x1=ring.one)
     assert (vf_commutator(X, Y, ring) - expected).is_zero()
+
+
+def test_vf_apply_keeps_the_exponent_guard():
+    ring = PolyRing(2)
+    x = ring.x(0)
+    zero = AlgebraElement.zero(2)
+    X = VectorField(AlgebraElement((ring.y(1), 3), 2), AlgebraElement((x**16, 0), 2))
+    assert vf_apply(X, x * x + ring.x(1), ring) == x * ring.y(1) * 2 + 3
+    with pytest.raises(ExponentOverflow):
+        vf_apply(X, x * ring.y(0), ring)
+    assert vf_apply(VectorField(zero, zero), x, ring).is_zero()
 
 
 def test_vf_apply_is_derivation():

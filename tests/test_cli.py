@@ -109,6 +109,19 @@ def test_export_leaf_origin(tmp_path, capsys):
     assert all(float(v) == 0.0 for row in rows[1:] for v in row)
 
 
+@pytest.mark.parametrize("slope, radius", [("e1", "0"), ("origin", "1e-170"), ("inf", "1e-150")])
+def test_export_leaf_tiny_or_zero_radius(tmp_path, slope, radius):
+    # radius 0 and the origin slope give the origin leaf; a tiny leaf that
+    # floating point still resolves is sampled
+    out = tmp_path / "tiny.csv"
+    rc = main(["export-leaf", "--slope", slope, "--radius", radius, "-n", "2", "--out", str(out)])
+    assert rc == 0
+    with open(out) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 2
+    assert any(float(v) for row in rows for v in row) is (slope == "inf")
+
+
 def test_export_leaf_bad_slope():
     with pytest.raises(SystemExit) as err:
         main(["export-leaf", "--slope", "sideways", "--out", "/tmp/x.csv"])
@@ -158,6 +171,10 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
         (["export-leaf", "--slope", "nan,0,0,0,0,0,0,0", "--out", "leaf.csv"], {}),
         (["export-leaf", "--slope", "inf,0,0,0,0,0,0,0", "--out", "leaf.csv"], {}),
         (["export-leaf", "--slope", "1e200,0,0,0,0,0,0,0", "--out", "leaf.csv"], {}),
+        # a positive radius whose leaf underflows to the origin
+        (["export-leaf", "--slope", "e1", "--radius", "1e-170", "-n", "2", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--slope", "1e150,0,0,0,0,0,0,0", "--radius", "1e-150", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--slope", "inf", "--radius", "1e-160", "--out", "leaf.csv"], {}),
     ],
 )
 def test_bad_input_exits_2(tmp_path, argv, env):

@@ -3,9 +3,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ohopf.polyring import ExponentOverflow, Polynomial, PolyRing, RingMismatch, VarKind
+from ohopf.polyring import (
+    ExponentOverflow,
+    Polynomial,
+    PolyRing,
+    RingMismatch,
+    VarKind,
+    sum_of_products,
+)
 
 RING = PolyRing(1, ("s0", "s1"))
 NAMES = ("x0", "y0", "s0", "s1")
@@ -169,6 +176,53 @@ def test_exponent_overflow_raises():
     assert issubclass(ExponentOverflow, ValueError)
 
 
+# -- sum of products ----------------------------------------------------------
+
+
+FACTORS = st.sampled_from((-2, -1, 1, 2, Fraction(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(FACTORS, polys(), polys()), max_size=4))
+def test_sum_of_products_matches_chained_arithmetic(triples):
+    expected = RING.zero
+    for s, a, b in triples:
+        expected = expected + a * b * s
+    got = sum_of_products(RING, triples)
+    assert got == expected
+    assert all(got.terms.values())
+
+
+def test_sum_of_products_cancels_exactly():
+    x, y = RING.x(0), RING.y(0)
+    a, b = x * x + y + 3, x - y * RING.poly("s0")
+    got = sum_of_products(RING, [(1, a, b), (-1, a, b)])
+    assert got.terms == {}
+    assert sum_of_products(RING, []).terms == {}
+
+
+def test_sum_of_products_guards_every_pair():
+    ring = PolyRing(2)
+    x, y = ring.x(0), ring.y(1)
+    fine = [(1, x, y), (-1, y * y, x)]
+    sum_of_products(ring, fine)
+    for bad in ((1, x**16, ring.one), (1, y, x**16)):
+        with pytest.raises(ExponentOverflow):
+            sum_of_products(ring, fine + [bad])
+        with pytest.raises(ExponentOverflow):
+            sum_of_products(ring, [bad] + fine)
+
+
+def test_sum_of_products_refuses_mixed_rings():
+    other = PolyRing(1, ("s0", "s1"))
+    x = RING.x(0)
+    for triple in ((1, x, other.x(0)), (1, other.x(0), x)):
+        with pytest.raises(RingMismatch):
+            sum_of_products(RING, [(1, x, x), triple])
+    with pytest.raises(RingMismatch):
+        sum_of_products(other, [(1, x, x)])
+
+
 # -- independent CAS oracle -----------------------------------------------
 
 
@@ -188,6 +242,7 @@ def _to_sympy(p, symbols):
 
 @settings(max_examples=25, deadline=None)
 @given(polys(), polys())
+@example(RING.x(0), RING.x(0) * RING.y(0) + RING.poly("s1") * 2 - 1)
 def test_arithmetic_matches_sympy(p, q):
     import sympy
 
@@ -195,4 +250,9 @@ def test_arithmetic_matches_sympy(p, q):
     sp, sq = _to_sympy(p, symbols), _to_sympy(q, symbols)
     assert _to_sympy(p * q, symbols) == sympy.expand(sp * sq)
     assert _to_sympy(p + q, symbols) == sympy.expand(sp + sq)
+    assert _to_sympy(p - q, symbols) == sympy.expand(sp - sq)
+    assert _to_sympy(q - p, symbols) == sympy.expand(sq - sp)
+    # the shorter operand on the left: __add__ copies the longer one
+    short, long = sorted((p, q), key=lambda r: len(r.terms))
+    assert _to_sympy(short + long, symbols) == sympy.expand(sp + sq)
     assert _to_sympy(p.derive("x0"), symbols) == sympy.expand(sympy.diff(sp, symbols[0]))
