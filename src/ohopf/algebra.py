@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polyring import PolyRing, Polynomial, sum_of_products
+from .polyring import Deferred, PolyRing, Polynomial
 from .report import Check, VerificationReport, derived_random, timed_report
 
 DIMS = (1, 2, 4, 8, 16)
@@ -97,9 +97,9 @@ def _nonzero(coeffs):
 
 
 def _symbolic(coeffs) -> bool:
-    """Every nonzero coefficient is a Polynomial."""
+    """Every nonzero coefficient is a Polynomial, deferred or not."""
     return all(
-        c.__class__ is Polynomial or (c.__class__ is not np.ndarray and not c) for c in coeffs
+        isinstance(c, Polynomial) or (c.__class__ is not np.ndarray and not c) for c in coeffs
     )
 
 
@@ -168,7 +168,9 @@ class AlgebraElement:
             sign, index = mult_table(self.dim)
             left, right = _nonzero(self.coeffs), _nonzero(other.coeffs)
             if left and right and _symbolic(self.coeffs) and _symbolic(other.coeffs):
-                # one sum of signed products per output coefficient
+                # one deferred sum of signed products per output coefficient:
+                # the ring check and exponent guard run now, the sum when its
+                # terms are first read
                 groups = [[] for _ in range(self.dim)]
                 for i, a in left:
                     srow, irow = sign[i], index[i]
@@ -176,7 +178,7 @@ class AlgebraElement:
                         groups[irow[j]].append((srow[j], a, b))
                 ring = left[0][1].ring
                 return AlgebraElement(
-                    tuple(sum_of_products(ring, g) if g else 0 for g in groups), self.dim
+                    tuple(Deferred(ring, g) if g else 0 for g in groups), self.dim
                 )
             acc = [None] * self.dim
             for i, a in left:
@@ -207,12 +209,12 @@ class AlgebraElement:
         return AlgebraElement((c[0],) + tuple(-a for a in c[1:]), self.dim)
 
     def inner(self, other):
-        """Euclidean pairing of coefficient vectors."""
+        """Euclidean pairing of coefficient vectors; a symbolic pairing is a Deferred sum."""
         self._check_dim(other)
         if _symbolic(self.coeffs) and _symbolic(other.coeffs):
             pairs = [(1, a, b) for a, b in zip(self.coeffs, other.coeffs) if a and b]
             if pairs:
-                return sum_of_products(pairs[0][1].ring, pairs)
+                return Deferred(pairs[0][1].ring, pairs)
         total = None
         for a, b in zip(self.coeffs, other.coeffs):
             if not (a.__class__ is np.ndarray or a) or not (b.__class__ is np.ndarray or b):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from . import groupoid
 from .algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
-from .polyring import PolyRing, Polynomial, sum_of_products
+from .polyring import Deferred, PolyRing, Polynomial
 from .report import VerificationReport, timed_report
 
 
@@ -155,8 +155,10 @@ def vf_apply(X: VectorField, f, ring: PolyRing):
     """X acting on a function as a derivation; a constant gives zero.
 
     X(f) is the sum over the base variables of component times partial
-    derivative, filled into one polynomial by sum_of_products; a numeric
-    component enters as a constant polynomial.
+    derivative, kept as a Deferred polynomial that is summed in one dict on
+    first read; a numeric component enters as a constant polynomial.  A
+    deferred f is a Polynomial like any other: its terms are read here and
+    derived, so it never counts as a constant.
     """
     if not isinstance(f, Polynomial):
         return ring.zero
@@ -167,7 +169,7 @@ def vf_apply(X: VectorField, f, ring: PolyRing):
             df = f.derive(name)
             if df:
                 triples.append((1, comp if isinstance(comp, Polynomial) else ring.const(comp), df))
-    return sum_of_products(ring, triples)
+    return Deferred(ring, triples) if triples else ring.zero
 
 
 def _section_constant(sec) -> bool:

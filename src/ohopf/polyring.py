@@ -15,17 +15,25 @@ which are formal parameters and may not be derived.  The canonical term
 order is graded lexicographic in the (kind, index) variable order.
 
 Five exponent bits per variable hold exponents up to 31.  Only a product
-raises an exponent, so the two products, Polynomial * Polynomial and
-sum_of_products, refuse (ExponentOverflow) any factor with an exponent of 16
-or more: factors whose exponents are all at most 15 give products whose
+raises an exponent, so the products, Polynomial * Polynomial, sum_of_products
+and Deferred, refuse (ExponentOverflow) any factor with an exponent of 16 or
+more: factors whose exponents are all at most 15 give products whose
 exponents are at most 30, so no field ever carries into its neighbour.
+Whether a polynomial has such an exponent is found once and kept on it.
 Addition, derive and substitute never raise an exponent.  Nothing in this
 package exceeds ten.  Coefficients stay plain ints as long as the inputs are
 integral, which keeps the identity suites fast.
 
 A sum of many products, such as a coefficient of an octonion product or a
-derivation applied to a function, goes through sum_of_products, which fills
-one dict for the whole sum instead of one per partial sum.
+derivation applied to a function, is a Deferred polynomial: it keeps its
+(s, a, b) triples, and sums, differences, negation and scalar multiples of
+deferred values only join or re-sign triple lists.  The terms are filled by
+one sum_of_products call, in one dict for the whole sum, the first time
+anything reads them (is_zero, ==, derive, substitute, str, use as a factor of
+a product), and are kept from then on.  The guards stay eager: building a
+Deferred checks the ring of every pair and applies the exponent guard to it,
+so RingMismatch and ExponentOverflow come from the call that forms the
+product, never from a later read.
 """
 
 from __future__ import annotations
@@ -148,15 +156,20 @@ class Polynomial:
     """Immutable-by-convention sparse polynomial over a PolyRing.
 
     The term dict is owned by the instance and never mutated after
-    construction; all operations build fresh dicts, so values are safe to
-    share across threads.
+    construction; all operations build fresh dicts.  Two fields are filled
+    lazily, at most once each, by a function of the value alone: the terms
+    of a Deferred on first read, and the exponent guard's flag on first use
+    as a factor.  Values are therefore safe to share across threads: two
+    threads that read a fresh value at once may both compute such a field,
+    and both see the same result.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_wide")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
+        self._wide = None  # see _is_wide
 
     # -- basic queries ------------------------------------------------
 
@@ -279,9 +292,9 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
-            a, b = self.terms, other.terms
-            if reduce(operator.or_, b, reduce(operator.or_, a, 0)) & self.ring._high_bits:
+            if _is_wide(self) or _is_wide(other):
                 raise ExponentOverflow("a factor has an exponent of 16 or more")
+            a, b = self.terms, other.terms
             if len(a) > len(b):
                 a, b = b, a
             out: dict = {}
@@ -451,22 +464,36 @@ class Polynomial:
         return "Polynomial(%s)" % self
 
 
+def _is_wide(p: Polynomial) -> bool:
+    """Some exponent of p is 16 or more; computed once and kept on p."""
+    wide = p._wide
+    if wide is None:
+        wide = p._wide = bool(reduce(operator.or_, p.terms, 0) & p.ring._high_bits)
+    return wide
+
+
+def _check_pairs(ring: PolyRing, triples):
+    """The ring check and exponent guard of every product s * a * b."""
+    for _, a, b in triples:
+        if a.ring is not ring or b.ring is not ring:
+            raise RingMismatch("polynomials belong to different rings")
+        if _is_wide(a) or _is_wide(b):
+            raise ExponentOverflow("a factor has an exponent of 16 or more")
+
+
 def sum_of_products(ring: PolyRing, triples) -> Polynomial:
     """The sum of s * a * b over (s, a, b) triples, accumulated in one dict.
 
-    a and b are Polynomials of ring and s an int or Fraction factor.  Each
-    pair is checked against the ring and the exponent guard of a product, and
-    the zero coefficients are dropped once, at the end.
+    triples is a list; a and b are Polynomials of ring and s an int or
+    Fraction factor.  Each pair is checked against the ring and the exponent
+    guard of a product, and the zero coefficients are dropped once, at the
+    end.
     """
-    high = ring._high_bits
+    _check_pairs(ring, triples)
     out: dict = {}
     get = out.get
     for s, a, b in triples:
-        if a.ring is not ring or b.ring is not ring:
-            raise RingMismatch("polynomials belong to different rings")
         ta, tb = a.terms, b.terms
-        if reduce(operator.or_, tb, reduce(operator.or_, ta, 0)) & high:
-            raise ExponentOverflow("a factor has an exponent of 16 or more")
         if len(ta) > len(tb):
             ta, tb = tb, ta
         for k1, c1 in ta.items():
@@ -475,3 +502,102 @@ def sum_of_products(ring: PolyRing, triples) -> Polynomial:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
     return Polynomial(ring, {k: c for k, c in out.items() if c})
+
+
+class Deferred(Polynomial):
+    """The sum of s * a * b over (s, a, b) triples, computed on first read.
+
+    Building one checks every pair as sum_of_products would.  Until the
+    terms are read, +, -, negation and int or Fraction multiples join or
+    re-sign triple lists; a materialized polynomial p joins as (1, p, one).
+    The first read of the terms fills them with one sum_of_products call and
+    drops the triples.
+    """
+
+    __slots__ = ("triples",)
+
+    def __init__(self, ring: PolyRing, triples: list):
+        _check_pairs(ring, triples)
+        self.ring = ring
+        self.triples = triples
+        self._wide = None
+
+    def __getattr__(self, name):
+        # reached only while the terms slot is unset, before the first read
+        if name != "terms":
+            raise AttributeError(name)
+        triples = self.triples
+        if triples is not None:
+            self.terms = sum_of_products(self.ring, triples).terms
+            self.triples = None
+        return self.terms
+
+    def _join(self, other, sign: int):
+        """self + sign * other, deferred unless an addend must be added now."""
+        if isinstance(other, (int, Fraction)):
+            other = self.ring.const(other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
+        self._check(other)
+        mine, theirs = _summands(self), _summands(other)
+        if mine is None or theirs is None:
+            return Polynomial.__add__(self, other) if sign > 0 else Polynomial.__sub__(self, other)
+        if sign < 0:
+            theirs = [(-s, a, b) for s, a, b in theirs]
+        return _deferred(self.ring, mine + theirs)
+
+    def __add__(self, other):
+        return self._join(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._join(other, -1)
+
+    def __rsub__(self, other):
+        out = self._join(other, -1)
+        return out if out is NotImplemented else -out
+
+    def __neg__(self):
+        triples = self.triples
+        if triples is None:
+            return Polynomial.__neg__(self)
+        return _deferred(self.ring, [(-s, a, b) for s, a, b in triples])
+
+    def __mul__(self, other):
+        # a product with a polynomial reads the terms; a scalar re-signs
+        triples = self.triples
+        if triples is None or not isinstance(other, (int, Fraction)):
+            return Polynomial.__mul__(self, other)
+        if not other:
+            return self.ring.zero
+        return _deferred(self.ring, [(s * other, a, b) for s, a, b in triples])
+
+    __rmul__ = __mul__
+
+
+def _deferred(ring: PolyRing, triples: list) -> Deferred:
+    """A Deferred of triples already checked."""
+    out = Deferred.__new__(Deferred)
+    out.ring = ring
+    out.triples = triples
+    out._wide = None
+    return out
+
+
+def _summands(p: Polynomial):
+    """p as the triples of a deferred sum.
+
+    None when p has an exponent of 16 or more: the guard would refuse p as a
+    factor of (1, p, one), so p is added at once instead.
+    """
+    if p.__class__ is Deferred:
+        triples = p.triples
+        if triples is not None:
+            return triples
+    terms = p.terms
+    if not terms:
+        return []
+    if _is_wide(p):
+        return None
+    return [(1, p, p.ring.one)]

@@ -20,7 +20,7 @@ from ohopf.algebroid import (
     verify_groupoid_consistency,
 )
 from ohopf.lie3 import Sec1, Sec2
-from ohopf.polyring import ExponentOverflow, PolyRing
+from ohopf.polyring import Deferred, ExponentOverflow, PolyRing, sum_of_products
 
 
 def test_anchor_basis_formula():
@@ -176,6 +176,21 @@ def test_vf_apply_keeps_the_exponent_guard():
     with pytest.raises(ExponentOverflow):
         vf_apply(X, x * ring.y(0), ring)
     assert vf_apply(VectorField(zero, zero), x, ring).is_zero()
+
+
+def test_vf_apply_derives_a_deferred_function():
+    # a deferred sum is a Polynomial: vf_apply reads and derives it, and
+    # never takes it for a constant
+    ring = PolyRing(8, vector_names("u", 8))
+    x, y = coordinate_elements(ring, 8)
+    u = vector_symbol(ring, "u", 8)
+    deferred = x.inner(y * u)
+    assert isinstance(deferred, Deferred)
+    twin = sum_of_products(ring, deferred.triples)
+    X = VectorField(u, AlgebraElement.zero(8))
+    got = vf_apply(X, deferred, ring)
+    assert not got.is_zero()
+    assert got == vf_apply(X, twin, ring)
 
 
 def test_vf_apply_is_derivation():

@@ -233,6 +233,27 @@ def test_missing_leibniz_correction_is_detected(monkeypatch):
     assert out is not None and not out.is_zero()
 
 
+def test_flipped_bracket_term_is_detected(monkeypatch):
+    # the term (a v) conj(y) of [x, z] with its sign flipped: the deferred
+    # sums of the Jacobi and Leibniz residuals must not cancel it away
+    import ohopf.lie3 as lie3_mod
+    from ohopf.algebra import coordinate_elements
+
+    original = lie3_mod.bracket
+
+    def flipped(s1, s2, ring):
+        out = original(s1, s2, ring)
+        if (degree(s1), degree(s2)) == (0, -1):
+            _, y = coordinate_elements(ring, s1.dim)
+            term = (s2.a * s1.v) * y.conjugate()
+            out = Sec1(out.mu, out.a - term - term, out.nu)
+        return out
+
+    monkeypatch.setattr(lie3_mod, "bracket", flipped)
+    failed = {c.name for c in verify_lie3().checks if not c.passed}
+    assert {"jacobi_0_0_m1", "leibniz_0_m1"} <= failed
+
+
 def test_perturbed_transcription_is_detected():
     import ohopf.lie3 as lie3_mod
 

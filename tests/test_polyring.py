@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ohopf import polyring as polyring_mod
 from ohopf.polyring import (
+    Deferred,
     ExponentOverflow,
     Polynomial,
     PolyRing,
@@ -256,3 +258,93 @@ def test_arithmetic_matches_sympy(p, q):
     short, long = sorted((p, q), key=lambda r: len(r.terms))
     assert _to_sympy(short + long, symbols) == sympy.expand(sp + sq)
     assert _to_sympy(p.derive("x0"), symbols) == sympy.expand(sympy.diff(sp, symbols[0]))
+
+
+# -- deferred sums ----------------------------------------------------------
+
+
+def _eager(triples):
+    out = RING.zero
+    for s, a, b in triples:
+        out = out + a * b * s
+    return out
+
+
+def _sympy_sum(triples, symbols):
+    import sympy
+
+    total = sympy.Integer(0)
+    for s, a, b in triples:
+        total += sympy.Rational(s) * _to_sympy(a, symbols) * _to_sympy(b, symbols)
+    return sympy.expand(total)
+
+
+TRIPLES = st.lists(st.tuples(FACTORS, polys(), polys()), max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(TRIPLES, TRIPLES, polys(), FACTORS)
+@example([(1, RING.x(0), RING.y(0))], [(-1, RING.y(0), RING.x(0))], RING.one, 2)
+def test_deferred_arithmetic_matches_eager(t1, t2, p, c):
+    import sympy
+
+    symbols = sympy.symbols(" ".join(NAMES))
+    e1, e2 = _eager(t1), _eager(t2)
+    s1, s2, sp = _sympy_sum(t1, symbols), _sympy_sum(t2, symbols), _to_sympy(p, symbols)
+    calls = []
+
+    def counting(ring, triples):
+        calls.append(1)
+        return sum_of_products(ring, triples)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring_mod, "sum_of_products", counting)
+        d1, d2 = Deferred(RING, t1), Deferred(RING, t2)
+        shared = Deferred(RING, t2)  # summed into two results below
+        cases = [
+            (d1 + d2, e1 + e2, s1 + s2),
+            (d1 - d2, e1 - e2, s1 - s2),
+            (-d1, -e1, -s1),
+            (d1 * c, e1 * c, s1 * c),
+            (c * d2, e2 * c, s2 * c),
+            (d1 + p, e1 + p, s1 + sp),
+            (p - d2, p - e2, sp - s2),
+            (3 - d1, 3 - e1, 3 - s1),
+            (shared + d1, e2 + e1, s2 + s1),
+            (p - shared, p - e2, sp - s2),
+        ]
+        assert calls == []  # nothing is summed before a read
+        for got, want, oracle in cases:
+            assert isinstance(got, Deferred)
+            del calls[:]
+            assert got == want
+            assert str(got) == str(want) and got.is_zero() is want.is_zero()
+            assert calls == [1]  # read three times, summed once
+            assert all(got.terms.values())
+            assert _to_sympy(got, symbols) == sympy.expand(oracle)
+        # a deferred factor is summed when the product is formed, once
+        del calls[:]
+        product = d1 * p
+        assert calls == [1] and product == e1 * p and d1 * p == product
+        assert _to_sympy(product, symbols) == sympy.expand(s1 * sp)
+        # a read value joins a later sum as one materialized addend
+        assert d1 + d2 == e1 + e2 and calls == [1, 1]
+
+
+def test_deferred_keeps_the_guards_eager():
+    ring = PolyRing(2)
+    x, y = ring.x(0), ring.y(1)
+    with pytest.raises(ExponentOverflow):
+        Deferred(ring, [(1, x, y), (1, x**16, y)])
+    with pytest.raises(RingMismatch):
+        Deferred(ring, [(1, x, RING.x(0))])
+    d = Deferred(ring, [(1, x, y)])
+    with pytest.raises(RingMismatch):
+        d + RING.x(0)
+    with pytest.raises(RingMismatch):
+        d * RING.x(0)
+    # an addend the guard would refuse as a factor is added at once, not refused
+    for got in (d + x**16, x**16 + d, d - x**16):
+        assert got.__class__ is Polynomial
+    assert d - x**16 == x * y - x**16
+    assert str(d + x**16) == "x0^16 + x0*y1"
