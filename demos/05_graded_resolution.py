@@ -3,7 +3,8 @@
 Shows the differentials d1, d2 and the graded brackets at work, runs the
 full symbolic verification (complex property, Leibniz, graded Jacobi,
 minimality), compares the generated tangency matrix against its hand
-transcription, and decides the fiberwise ranks exactly at integer points.
+transcription, and proves the fiberwise ranks (7, 9, 1) at every point
+other than the origin from four polynomial identities.
 """
 
 from ohopf.algebra import vector_symbol, vector_names
@@ -52,7 +53,7 @@ print("matrix shapes: J %dx%d, rho %dx%d, d1 %dx%d, d2 %dx%d" % (
     len(mats.J), len(mats.J[0]), len(mats.Rho), len(mats.Rho[0]),
     len(mats.D1), len(mats.D1[0]), len(mats.D2), len(mats.D2[0])))
 
-report = generic_ranks(samples=50, seed=9)
-print("\nfiberwise ranks (exact, at integer points):")
+report = generic_ranks()
+print("\nfiberwise ranks (exact, at every real point p != 0):")
 for check in report.checks:
     print("   %-26s %s %s" % (check.name, "ok" if check.passed else "FAIL", check.info.get("observed", "")))

@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         type=_one_of(BACKENDS),
         default=_env("backend", "float"),
-        help="exact leaves out G2 equivariance (groupoid at dim 8) and generic_ranks (lie3)",
+        help="exact leaves out G2 equivariance (groupoid at dim 8)",
     )
     verify.add_argument("--out", default=_env("out", None), help="write the report here")
     verify.add_argument(
@@ -172,8 +172,7 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
     """The reports a suite runs, in order: the one table of what each suite checks.
 
     ``all`` runs, in table order and under the same flags, every suite whose
-    SUITE_DIMS contain ``dim``.  ``--backend exact`` leaves out G2 equivariance
-    and generic_ranks.
+    SUITE_DIMS contain ``dim``.  ``--backend exact`` leaves out G2 equivariance.
     """
     _check_dim(suite, dim)
     if suite == "all":
@@ -183,7 +182,6 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
             if name != "all" and dim in SUITE_DIMS[name]
             for report in run_suite(name, dim, seed, samples, tol, backend)
         ]
-    exact = backend == "exact"
     if suite == "algebra":
         return [algebra.verify_algebra_identities(dim, seed), leaves.right_mult_counterexample(seed)]
     if suite == "leaves":
@@ -193,16 +191,13 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
             groupoid.verify_structure(dim, samples, seed, tol),
             groupoid.verify_phi_morphism(dim, max(samples // 2, 50), seed, tol),
         ]
-        if dim == 8 and not exact:
+        if dim == 8 and backend != "exact":
             reports.append(groupoid.verify_g2_equivariance(max(samples // 20, 10), seed, tol))
         return reports
     if suite == "algebroid":
         return [algebroid.verify_algebroid_symbolic(dim), algebroid.verify_groupoid_consistency(dim)]
     if suite == "lie3":
-        reports = [lie3.verify_lie3(), lie3.verify_matrix_vs_transcription()]
-        if not exact:
-            reports.append(lie3.generic_ranks(max(samples // 2, 20), seed))
-        return reports
+        return [lie3.verify_lie3(), lie3.verify_matrix_vs_transcription(), lie3.generic_ranks()]
     reports = [foliation.verify_foliation(dim, seed)]  # suite == "foliation"
     if dim == 8:
         reports.append(foliation.linear_obstruction_report())

@@ -35,23 +35,20 @@ exercised too: every term in them hits a bracket that is zero by degree.
 
 d1 and d2, like the anchor and J they extend, are each written once as a
 function of a section and a base point (x, y) on any scalar backend.  One
-matrix builder applies J, rho, d1 and d2 to the basis sections at a point:
-at the symbolic point it gives the polynomial matrices of the resolution, at
-integer points the integer matrices whose exact fiberwise ranks
-generic_ranks decides.
+matrix builder applies J, rho, d1 and d2 to the basis sections at a point.
+At the symbolic point it gives the polynomial matrices of the resolution.
+generic_ranks proves four identities on them (rho / |p|^2 is a projection,
+J = d1^T, a Schur complement of d1^T d1, and |d2|^2 > 0), which decide the
+fiberwise ranks (7, 9, 1) at every real point p != 0.  At numeric points the
+builder gives numeric matrices, so the ranks can also be eliminated exactly
+at integer points, as an independent check of those identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    AlgebraElement,
-    coordinate_elements,
-    random_integer_element,
-    vector_names,
-    vector_symbol,
-)
+from .algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
 from .algebroid import (
     E0Section,
     Section,
@@ -63,11 +60,10 @@ from .algebroid import (
     bracket_e0,
     vf_apply,
 )
-from .exactsolve import dense_rank
 from .foliation import _columns_to_rows, _J_matrix
 from .leaves import PointD2, classify
-from .polyring import PolyRing, Polynomial
-from .report import VerificationReport, derived_random, timed_report
+from .polyring import PolyRing, Polynomial, sum_of_products
+from .report import VerificationReport, timed_report
 
 
 @dataclass(frozen=True)
@@ -406,62 +402,126 @@ def verify_matrix_vs_transcription() -> VerificationReport:
 
 
 # -- fiberwise ranks ---------------------------------------------------------------
+# Each certificate takes the symbolic matrices and |x|^2, |y|^2.  It returns
+# whether its identities hold and the info its check reports; generic_ranks
+# reads the ranks off that info.
 
 
-def _ranks_at(x: AlgebraElement, y: AlgebraElement) -> tuple:
-    """Exact fiberwise ranks of (rho, d1, d2) at an integer point."""
-    return tuple(dense_rank(M) for M in _resolution_at(x, y))
+def _rho_certificate(mats: ResolutionMatrices, x2: Polynomial, y2: Polynomial):
+    """rho^T = rho, rho^2 = |p|^2 rho and tr rho = k |p|^2, k the trace coefficient."""
+    R, p2 = mats.Rho, x2 + y2
+    cols = tuple(zip(*R))
+    trace = sum(R[i][i] for i in range(len(R)))
+    k = trace.terms.get(next(iter(p2.terms)), 0)
+    # once R is symmetric, so is R^2 - |p|^2 R: its upper triangle decides it
+    holds = (
+        R == cols
+        and trace == k * p2
+        and not any(
+            sum_of_products(p2.ring, [(1, a, b) for a, b in zip(R[i], cols[j])] + [(-1, p2, R[i][j])])
+            for i in range(len(R))
+            for j in range(i, len(R))
+        )
+    )
+    return holds, {"trace_coefficient": k}
 
 
-def generic_ranks(samples: int, seed: int) -> VerificationReport:
-    """Fiberwise ranks of (rho, d1, d2): (7, 9, 1) away from the origin.
+def _tangency_certificate(mats: ResolutionMatrices, x2: Polynomial, y2: Polynomial):
+    """J = d1^T entry by entry."""
+    return mats.J == tuple(zip(*mats.D1)), {}
 
-    The ranks are exact: at an integer point the maps are integer matrices,
-    eliminated over Q.  One point with ranks (7, 9, 1) pins the generic ranks
-    at exactly (7, 9, 1).  Rank is lower semicontinuous, so the ranks are at
-    least (7, 9, 1) on a dense open set around such a point.  The proved
-    identities rho . d1 = 0 and d1 . d2 = 0 give rank rho + rank d1 <= 16 and
-    rank d1 + rank d2 <= 10 at every point, and d2 has one column, so on that
-    set the ranks are also at most (7, 9, 1).  At the origin all three maps
-    vanish.  Coordinates are nonzero integers in +-[1, 4]: stream 0 draws the
-    generic points, stream 1 the points of the infinity line x = 0.
+
+def _d1_certificate(mats: ResolutionMatrices, x2: Polynomial, y2: Polynomial):
+    """Q = d1^T d1, columns (mu, a, nu), has a-block |p|^2 I_8 and |p|^2 C - B^T B = v v^T."""
+    ring, p2 = x2.ring, x2 + y2
+    cols = tuple(zip(*mats.D1))
+    Q = [[sum_of_products(ring, [(1, a, b) for a, b in zip(ci, cj)]) for cj in cols] for ci in cols]
+    block, ends, v = range(1, 9), (0, 9), (x2, -y2)
+    holds = all(Q[i][j] == (p2 if i == j else 0) for i in block for j in block) and all(
+        sum_of_products(ring, [(1, p2, Q[i][j])] + [(-1, Q[a][i], Q[a][j]) for a in block])
+        == v[s] * v[t]
+        for s, i in enumerate(ends)
+        for t, j in enumerate(ends)
+    )
+    return holds, {"a_block": len(block), "schur_rank": 1 if v[0] - v[1] == p2 else 0}
+
+
+def _d2_certificate(mats: ResolutionMatrices, x2: Polynomial, y2: Polynomial):
+    """|d2|^2 = |x|^4 + |x|^2 |y|^2 + |y|^4 for the one column of d2."""
+    norm = sum_of_products(x2.ring, [(1, c, c) for (c,) in mats.D2])
+    return norm == x2 * x2 + x2 * y2 + y2 * y2, {"columns": len(mats.D2[0])}
+
+
+def generic_ranks() -> VerificationReport:
+    """Fiberwise ranks of (rho, d1, d2): (7, 9, 1) at every real point p != 0.
+
+    Four polynomial identities on the symbolic matrices of the resolution
+    decide the ranks at every real point p = (x, y) != 0, the infinity line
+    x = 0 included.  Write |p|^2 = |x|^2 + |y|^2, which is positive there.
+
+    - rho^T = rho, rho^2 = |p|^2 rho and tr rho = k |p|^2 for a constant k:
+      rho / |p|^2 is an orthogonal projection, so its rank is its trace k.
+    - J = d1^T entry by entry, so rank J = rank d1.
+    - Q = d1^T d1, with columns ordered (mu, a, nu), has the a-block
+      |p|^2 I_8.  With B the (a, (mu, nu)) block and C the ((mu, nu),
+      (mu, nu)) block, |p|^2 C - B^T B = v v^T for v = (|x|^2, -|y|^2), so
+      the Schur complement of the a-block is v v^T / |p|^2.  Over the reals
+      rank d1 = rank Q = 8 + rank v v^T, and v v^T has rank 1 because
+      v_0 - v_1 = |p|^2 != 0.
+    - |d2|^2 = |x|^4 + |x|^2 |y|^2 + |y|^4 > 0, so the one column of d2 has
+      rank 1.
+
+    The reported ranks are read off the certificates: the trace coefficient
+    k, the a-block size plus the rank of v v^T, and the columns of d2.  The
+    rank checks pass only if every certificate holds.  At the origin every
+    entry of the three matrices is zero.
     """
-    with timed_report("generic_ranks", {"samples": samples, "seed": seed}) as report:
-        rng = derived_random(seed, 0)
-        ok_generic = samples > 0  # no sampled point fails: all() of nothing is no proof
-        seen = set()
-        for _ in range(samples):
-            ranks = _ranks_at(random_integer_element(rng, 8), random_integer_element(rng, 8))
-            seen.add(ranks)
-            if ranks != (7, 9, 1):
-                ok_generic = False
+    with timed_report("generic_ranks", {}) as report:
+        mats = resolution_matrices(8)
+        x, y = coordinate_elements(mats.Rho[0][0].ring, 8)
+        args = (mats, x.norm_sq(), y.norm_sq())
+        certified, info = True, {}
+        for name, law, certificate in (
+            (
+                "rho_is_scaled_projection",
+                "rho^T = rho, rho^2 = |p|^2 rho and tr rho = k |p|^2 for a constant k",
+                _rho_certificate,
+            ),
+            ("tangency_is_d1_transpose", "J = d1^T, all 160 entries", _tangency_certificate),
+            (
+                "d1_gram_schur_complement",
+                "d1^T d1 has a-block |p|^2 I_8 and |p|^2 C - B^T B = v v^T, v = (|x|^2, -|y|^2)",
+                _d1_certificate,
+            ),
+            ("d2_norm_positive", "|d2|^2 = |x|^4 + |x|^2 |y|^2 + |y|^4", _d2_certificate),
+        ):
+            holds, found = certificate(*args)
+            report.add(name, law, holds, **found)
+            certified = certified and holds
+            info.update(found)
+        ranks = (info["trace_coefficient"], info["a_block"] + info["schur_rank"], info["columns"])
         report.add(
             "generic_point_ranks",
             "fiberwise ranks (rho, d1, d2) = (7, 9, 1) at generic points",
-            ok_generic,
-            observed=sorted(seen),
+            certified and ranks == (7, 9, 1),
+            observed=[ranks],
         )
         report.add(
             "rank_exactness",
             "rank d2 + rank d1 = 10 and rank d1 + rank rho = 16",
-            bool(seen) and all(r[2] + r[1] == 10 and r[1] + r[0] == 16 for r in seen),
+            certified and ranks[2] + ranks[1] == 10 and ranks[1] + ranks[0] == 16,
         )
         z = AlgebraElement.zero(8)
         report.add(
             "origin_ranks",
             "all three maps vanish at the origin: ranks (0, 0, 0)",
-            _ranks_at(z, z) == (0, 0, 0),
+            all(c == 0 for M in _resolution_at(z, z) for row in M for c in row),
         )
-        # the infinity stratum x = 0, y != 0 keeps the generic ranks
-        rng = derived_random(seed, 1)
-        inf_ranks = {
-            _ranks_at(z, random_integer_element(rng, 8)) for _ in range(max(samples // 10, 4))
-        }
         report.add(
             "infinity_line_ranks",
             "points with x = 0, y != 0 also show ranks (7, 9, 1)",
-            inf_ranks == {(7, 9, 1)},
-            observed=sorted(inf_ranks),
+            certified and ranks == (7, 9, 1),
+            observed=[ranks],
         )
         # E_0 has one basis section per generator of the tangency module,
         # and J has one column per basis section

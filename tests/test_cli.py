@@ -264,19 +264,33 @@ def test_g2_suite_gets_the_tol_as_given(monkeypatch, capsys):
     assert seen == [1e-10]
 
 
+def _suite_checks(tmp_path, *argv):
+    out = tmp_path / "report.json"
+    assert main(["verify", *argv, "--format", "json", "--out", str(out)]) == 0
+    return json.loads(out.read_text())["checks"]
+
+
 def test_foliation_suite_uses_no_floats(tmp_path):
     # every foliation check is exact, so only the config may see these flags
-    def checks(*flags):
-        out = tmp_path / "foliation.json"
-        argv = ["verify", "--suite", "foliation", "--dim", "8", "--format", "json", "--out", str(out)]
-        assert main([*argv, *flags]) == 0
-        return json.loads(out.read_text())["checks"]
-
-    reference = checks("--backend", "float", "--seed", "101")
+    suite = ("--suite", "foliation", "--dim", "8")
+    reference = _suite_checks(tmp_path, *suite, "--backend", "float", "--seed", "101")
     for flags in (
         ("--backend", "exact", "--seed", "101"),
         ("--samples", "3", "--seed", "101"),
         ("--tol", "0.5", "--seed", "101"),
         ("--seed", "7"),
     ):
-        assert checks(*flags) == reference, flags
+        assert _suite_checks(tmp_path, *suite, *flags) == reference, flags
+
+
+def test_lie3_suite_is_the_same_on_both_backends(tmp_path):
+    # every lie3 check is exact, generic_ranks included, so the backend,
+    # the sample count and the seed may not change a check
+    reference = _suite_checks(tmp_path, "--suite", "lie3", "--backend", "float", "--seed", "101")
+    assert any(c["name"] == "generic_ranks.generic_point_ranks" for c in reference)
+    for flags in (
+        ("--backend", "exact", "--seed", "101"),
+        ("--samples", "3", "--seed", "101"),
+        ("--seed", "7"),
+    ):
+        assert _suite_checks(tmp_path, "--suite", "lie3", *flags) == reference, flags

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from ohopf import lie3
 from ohopf.groupoid import verify_g2_equivariance, verify_phi_morphism, verify_structure
 from ohopf.leaves import verify_leaves
-from ohopf.lie3 import generic_ranks
 from ohopf.report import VerificationReport
 
 TOL = 1e-9
@@ -97,9 +97,15 @@ def test_zero_samples_fail_every_sampled_law(run, laws):
         assert not {c.name: c for c in report.checks}["orbit_inside_leaf"].passed
 
 
-def test_zero_samples_fail_the_generic_rank_checks():
-    # all() over no sampled point is vacuously true; the checks must not pass on it
-    checks = {c.name: c for c in generic_ranks(0, 0).checks}
+@pytest.mark.parametrize(
+    "certificate", ["_rho_certificate", "_tangency_certificate", "_d1_certificate", "_d2_certificate"]
+)
+def test_a_failed_certificate_fails_the_generic_rank_checks(monkeypatch, certificate):
+    # the ranks read off the certificates prove nothing unless every identity holds
+    original = getattr(lie3, certificate)
+    monkeypatch.setattr(lie3, certificate, lambda *args: (False, original(*args)[1]))
+    checks = {c.name: c for c in lie3.generic_ranks().checks}
+    assert checks["generic_point_ranks"].info["observed"] == [(7, 9, 1)]
     assert not checks["generic_point_ranks"].passed
     assert not checks["rank_exactness"].passed
     assert checks["minimal_rank_consequence"].passed
