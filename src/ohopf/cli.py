@@ -14,9 +14,12 @@ only in the text format).  The exit status is 0 iff every check passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
+import pickle
 import sys
+import time
 
 import numpy as np
 
@@ -168,20 +171,98 @@ def _check_dim(suite: str, dim: int):
         )
 
 
+class WorkerLost(RuntimeError):
+    """The forked process of ``all`` ended without sending its reports."""
+
+
+def _take(units, queue: int) -> dict:
+    """Run the units whose indices this process reads, one byte each, from the
+    ``queue`` pipe until it is empty: {index: reports}."""
+    done = {}
+    while index := os.read(queue, 1):
+        done[index[0]] = units[index[0]]()
+    return done
+
+
+def _child(units, queue: int, sink: int):
+    """The forked process: pickle {index: reports} of the units it takes, or
+    the exception one of them raised, into the ``sink`` pipe."""
+    try:
+        payload = _take(units, queue)
+    except Exception as exc:
+        payload = exc
+    with os.fdopen(sink, "wb") as fh:
+        pickle.dump(payload, fh)
+
+
+def _run_in_two_processes(units) -> list:
+    """The reports of every unit (a call that returns a list of reports), in
+    unit order, computed by this process and one forked child.
+
+    Both read the next unit index from one shared pipe until it is empty, so
+    the split balances itself.  The parent reads the child's payload to EOF
+    before it reaps the child (a payload larger than the pipe buffer would
+    otherwise block both), then re-raises the child's exception, or raises
+    WorkerLost if the child sent nothing or exited nonzero.  If a unit of the
+    parent raises, the child is killed and reaped before the error goes on.
+    Fewer than two units, or a platform without os.fork, run here in order.
+    """
+    if len(units) < 2 or not hasattr(os, "fork"):
+        return [report for unit in units for report in unit()]
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(units))))
+    os.close(feed)
+    results, sink = os.pipe()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:  # the child leaves only through os._exit
+        status = 1
+        try:
+            _child(units, queue, sink)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(sink)
+    with os.fdopen(results, "rb") as fh:
+        try:
+            done = _take(units, queue)
+            payload = fh.read()
+        except BaseException:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.close(queue)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code or not payload:
+        raise WorkerLost("the forked process ended with exit code %d and no reports" % code)
+    theirs = pickle.loads(payload)
+    if isinstance(theirs, BaseException):
+        raise theirs
+    done.update(theirs)
+    return [report for index in range(len(units)) for report in done[index]]
+
+
 def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend: str):
     """The reports a suite runs, in order: the one table of what each suite checks.
 
-    ``all`` runs, in table order and under the same flags, every suite whose
-    SUITE_DIMS contain ``dim``.  ``--backend exact`` leaves out G2 equivariance.
+    ``all`` runs, under the same flags, every suite whose SUITE_DIMS contain
+    ``dim``, one unit per suite, and returns their reports in table order.  On
+    POSIX, two or more units run in this process and one forked child
+    (_run_in_two_processes); the reports are the same as in one process.
+    ``--backend exact`` leaves out G2 equivariance.
     """
     _check_dim(suite, dim)
     if suite == "all":
-        return [
-            report
-            for name in SUITES
-            if name != "all" and dim in SUITE_DIMS[name]
-            for report in run_suite(name, dim, seed, samples, tol, backend)
-        ]
+        return _run_in_two_processes(
+            [
+                functools.partial(run_suite, name, dim, seed, samples, tol, backend)
+                for name in SUITES
+                if name != "all" and dim in SUITE_DIMS[name]
+            ]
+        )
     if suite == "algebra":
         return [algebra.verify_algebra_identities(dim, seed), leaves.right_mult_counterexample(seed)]
     if suite == "leaves":
@@ -210,7 +291,6 @@ def _merge(reports, suite, config) -> VerificationReport:
         for c in r.checks:
             c = type(c)(r.suite + "." + c.name, c.law, c.passed, c.info)
             merged.checks.append(c)
-        merged.elapsed_s += r.elapsed_s
     return merged
 
 
@@ -223,13 +303,16 @@ def cmd_verify(args) -> int:
         "tol": args.tol,
         "backend": args.backend,
     }
+    start = time.perf_counter()
     try:
         reports = run_suite(args.suite, args.dim, args.seed, args.samples, args.tol, args.backend)
-    except ValueError as exc:
+    except (ValueError, WorkerLost) as exc:
         # flags were validated by the parser: a suite that raises is a fault, not bad input
         print("error: suite aborted: %s" % exc, file=sys.stderr)
         return 1
     merged = _merge(reports, args.suite, config)
+    # wall time of the run: the suites of ``all`` overlap, so their times do not add
+    merged.elapsed_s = time.perf_counter() - start
     rendered = merged.to_json() if args.format == "json" else merged.to_text()
     if args.out:
         try:

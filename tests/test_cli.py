@@ -3,15 +3,18 @@
 import csv
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ohopf import groupoid
-from ohopf.cli import BACKENDS, _merge, main, run_suite
+from ohopf import algebra, cli, foliation, groupoid
+from ohopf.cli import BACKENDS, SUITE_DIMS, SUITES, _merge, main, run_suite
 from ohopf.report import VerificationReport
 
 
@@ -223,17 +226,84 @@ def test_rejection_bound_aborts_the_suite(monkeypatch, capsys):
     assert "--help" not in err
 
 
-def _checks(reports, suite):
-    return [c.as_dict() for c in _merge(reports, suite, {}).checks]
+@pytest.mark.parametrize(
+    "dim, backend", [(2, "float"), (2, "exact"), (8, "float")], ids=["float", "exact", "dim8-float"]
+)
+def test_all_is_the_union_of_the_suites(dim, backend):
+    # the two-process run merges to the bytes of the suites run here in table order
+    args = (dim, 5, 20, 1e-9, backend)
+    per_suite = [
+        report
+        for name in SUITES
+        if name != "all" and dim in SUITE_DIMS[name]
+        for report in run_suite(name, *args)
+    ]
+    config = {"dim": dim, "backend": backend}
+    merged = _merge(run_suite("all", *args), "all", config).to_json()
+    assert merged == _merge(per_suite, "all", config).to_json()
 
 
-@pytest.mark.parametrize("backend", ["float", "exact"])
-def test_all_is_the_union_of_the_suites(backend):
-    args = (2, 5, 20, 1e-9, backend)
-    per_suite = []
-    for suite in ("algebra", "leaves", "groupoid", "foliation"):
-        per_suite += run_suite(suite, *args)
-    assert _checks(run_suite("all", *args), "all") == _checks(per_suite, "all")
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_runner_uses_two_processes_and_keeps_unit_order():
+    def unit(index):
+        time.sleep(0.1)
+        # a payload well above the 64 KiB pipe buffer
+        return [(index, os.getpid(), "x" * 100_000)]
+
+    def expire(signum, frame):
+        raise TimeoutError("the runner did not return within 30 s")
+
+    units = [lambda i=i: unit(i) for i in range(6)]
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        out = cli._run_in_two_processes(units)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [index for index, _, _ in out] == list(range(6))
+    assert len({pid for _, pid, _ in out}) == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(algebra, "verify_algebra_identities"), (foliation, "verify_foliation")],
+    ids=["first_unit", "last_unit"],
+)
+def test_a_unit_that_raises_aborts_all(monkeypatch, capsys, module, name):
+    # the first and the last unit of all --dim 2, run by whichever process takes it
+    def fault(*args):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(module, name, fault)
+    assert main(["verify", "--suite", "all", "--dim", "2", "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "error: suite aborted: injected fault" in err
+    assert "--help" not in err
+    _no_child_left()
+
+
+def test_a_child_that_dies_aborts_all(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_child", lambda *args: os._exit(3))
+    assert main(["verify", "--suite", "all", "--dim", "2", "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "error: suite aborted: " in err
+    assert "Traceback" not in err and "--help" not in err
+    _no_child_left()
+
+
+def test_text_footer_is_wall_time(capsys):
+    start = time.perf_counter()
+    assert main(["verify", "--suite", "all", "--dim", "2", "--samples", "5", "--format", "text"]) == 0
+    wall = time.perf_counter() - start
+    footer = capsys.readouterr().out.splitlines()[-1]
+    seconds = float(re.fullmatch(r"\d+/\d+ checks passed in (\S+)s", footer).group(1))
+    assert seconds <= wall + 0.005  # the footer rounds to 0.01 s
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
