@@ -175,43 +175,31 @@ class WorkerLost(RuntimeError):
     """The forked process of ``all`` ended without sending its reports."""
 
 
-def _take(units, queue: int) -> dict:
-    """Run the units whose indices this process reads, one byte each, from the
-    ``queue`` pipe until it is empty: {index: reports}."""
-    done = {}
-    while index := os.read(queue, 1):
-        done[index[0]] = units[index[0]]()
-    return done
-
-
-def _child(units, queue: int, sink: int):
-    """The forked process: pickle {index: reports} of the units it takes, or
-    the exception one of them raised, into the ``sink`` pipe."""
+def _child(unit, sink: int):
+    """The forked process: pickle the reports of ``unit``, or the exception it
+    raised, into the ``sink`` pipe."""
     try:
-        payload = _take(units, queue)
+        payload = unit()
     except Exception as exc:
         payload = exc
     with os.fdopen(sink, "wb") as fh:
         pickle.dump(payload, fh)
 
 
-def _run_in_two_processes(units) -> list:
+def _run_in_two_processes(units, forked: int) -> list:
     """The reports of every unit (a call that returns a list of reports), in
-    unit order, computed by this process and one forked child.
+    unit order: one forked child runs ``units[forked]`` and this process the
+    rest, so each call splits the same way.
 
-    Both read the next unit index from one shared pipe until it is empty, so
-    the split balances itself.  The parent reads the child's payload to EOF
-    before it reaps the child (a payload larger than the pipe buffer would
-    otherwise block both), then re-raises the child's exception, or raises
-    WorkerLost if the child sent nothing or exited nonzero.  If a unit of the
-    parent raises, the child is killed and reaped before the error goes on.
-    Fewer than two units, or a platform without os.fork, run here in order.
+    The parent reads the child's payload to EOF before it reaps the child (a
+    payload larger than the pipe buffer would otherwise block both), then
+    re-raises the child's exception, or raises WorkerLost if the child sent
+    nothing or exited nonzero.  If a unit of the parent raises, the child is
+    killed and reaped before the error goes on.  Fewer than two units, or a
+    platform without os.fork, run here in order.
     """
     if len(units) < 2 or not hasattr(os, "fork"):
         return [report for unit in units for report in unit()]
-    queue, feed = os.pipe()
-    os.write(feed, bytes(range(len(units))))
-    os.close(feed)
     results, sink = os.pipe()
     sys.stdout.flush()
     sys.stderr.flush()
@@ -219,14 +207,14 @@ def _run_in_two_processes(units) -> list:
     if pid == 0:  # the child leaves only through os._exit
         status = 1
         try:
-            _child(units, queue, sink)
+            _child(units[forked], sink)
             status = 0
         finally:
             os._exit(status)
     os.close(sink)
     with os.fdopen(results, "rb") as fh:
         try:
-            done = _take(units, queue)
+            done = [None if index == forked else unit() for index, unit in enumerate(units)]
             payload = fh.read()
         except BaseException:
             import signal
@@ -234,15 +222,20 @@ def _run_in_two_processes(units) -> list:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            os.close(queue)
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code or not payload:
         raise WorkerLost("the forked process ended with exit code %d and no reports" % code)
-    theirs = pickle.loads(payload)
-    if isinstance(theirs, BaseException):
-        raise theirs
-    done.update(theirs)
-    return [report for index in range(len(units)) for report in done[index]]
+    done[forked] = pickle.loads(payload)
+    if isinstance(done[forked], BaseException):
+        raise done[forked]
+    return [report for reports in done for report in reports]
+
+
+# The suites by cost at the dims that run them, the costliest first (dim 8,
+# --samples 200, 2 vCPU: lie3 0.52 s, foliation 0.24, algebroid 0.22, groupoid
+# 0.08, algebra 0.04, leaves 0.01).  ``all`` forks the costliest suite it runs,
+# so at dim 8 lie3 (0.52 s) runs beside the other five (0.59 s).
+_BY_COST = ("lie3", "foliation", "algebroid", "groupoid", "algebra", "leaves")
 
 
 def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend: str):
@@ -250,18 +243,17 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
 
     ``all`` runs, under the same flags, every suite whose SUITE_DIMS contain
     ``dim``, one unit per suite, and returns their reports in table order.  On
-    POSIX, two or more units run in this process and one forked child
-    (_run_in_two_processes); the reports are the same as in one process.
+    POSIX, with two or more suites, a forked child runs the costliest of them
+    (_BY_COST) and this process the rest (_run_in_two_processes); the reports
+    are the same as in one process.
     ``--backend exact`` leaves out G2 equivariance.
     """
     _check_dim(suite, dim)
     if suite == "all":
+        names = [name for name in SUITES if name != "all" and dim in SUITE_DIMS[name]]
         return _run_in_two_processes(
-            [
-                functools.partial(run_suite, name, dim, seed, samples, tol, backend)
-                for name in SUITES
-                if name != "all" and dim in SUITE_DIMS[name]
-            ]
+            [functools.partial(run_suite, name, dim, seed, samples, tol, backend) for name in names],
+            names.index(min(names, key=_BY_COST.index)),
         )
     if suite == "algebra":
         return [algebra.verify_algebra_identities(dim, seed), leaves.right_mult_counterexample(seed)]

@@ -248,7 +248,7 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_the_runner_uses_two_processes_and_keeps_unit_order():
+def test_the_runner_forks_one_unit_and_keeps_unit_order():
     def unit(index):
         time.sleep(0.1)
         # a payload well above the 64 KiB pipe buffer
@@ -261,12 +261,28 @@ def test_the_runner_uses_two_processes_and_keeps_unit_order():
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(30)
     try:
-        out = cli._run_in_two_processes(units)
+        out = cli._run_in_two_processes(units, 2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert [index for index, _, _ in out] == list(range(6))
-    assert len({pid for _, pid, _ in out}) == 2
+    assert [index for index, pid, _ in out if pid != os.getpid()] == [2]
+    _no_child_left()
+
+
+def test_all_forks_its_costliest_suite(monkeypatch):
+    # the same suite runs in the child on every call, whatever the timing
+    run_all = cli.run_suite
+
+    def probe(suite, *args):
+        return run_all(suite, *args) if suite == "all" else [(suite, os.getpid())]
+
+    monkeypatch.setattr(cli, "run_suite", probe)
+    for dim, forked in [(1, "groupoid"), (2, "foliation"), (4, "foliation"), (8, "lie3")]:
+        out = probe("all", dim, 5, 20, 1e-9, "float")
+        assert [name for name, _ in out] == [n for n in SUITES if n != "all" and dim in SUITE_DIMS[n]]
+        assert [name for name, pid in out if pid != os.getpid()] == [forked]
+    assert probe("all", 16, 5, 20, 1e-9, "float") == [("algebra", os.getpid())]
     _no_child_left()
 
 
@@ -276,7 +292,7 @@ def test_the_runner_uses_two_processes_and_keeps_unit_order():
     ids=["first_unit", "last_unit"],
 )
 def test_a_unit_that_raises_aborts_all(monkeypatch, capsys, module, name):
-    # the first and the last unit of all --dim 2, run by whichever process takes it
+    # the first and the last unit of all --dim 2: the parent runs algebra, the child foliation
     def fault(*args):
         raise ValueError("injected fault")
 
