@@ -137,10 +137,6 @@ class AlgebraElement:
     def one(dim):
         return AlgebraElement.basis(dim, 0)
 
-    @staticmethod
-    def from_scalar(dim, value):
-        return AlgebraElement.basis(dim, 0, value)
-
     # -- structure ------------------------------------------------------
 
     def _check_dim(self, other):

@@ -127,9 +127,7 @@ def constant_section(dim: int, i: int, slot: int) -> E0Section:
 
 def _e0_basis(dim: int):
     """The basis sections (e_0, 0)..(e_{n-1}, 0), (0, e_0)..(0, e_{n-1}) in order."""
-    z = AlgebraElement.zero(dim)
-    es = [AlgebraElement.basis(dim, i) for i in range(dim)]
-    return [E0Section(e, z) for e in es] + [E0Section(z, e) for e in es]
+    return [constant_section(dim, i, slot) for slot in (0, 1) for i in range(dim)]
 
 
 def _weight(sec: E0Section, x: AlgebraElement, y: AlgebraElement):

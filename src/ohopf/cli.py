@@ -146,7 +146,8 @@ def _parse_leaf(text: str, dim: int, radius: float) -> leaves.LeafId:
 
 
 def _parse_slope(text: str, dim: int):
-    if text.startswith("e") and text[1:].isdigit():
+    # ASCII digits only: isdigit is also true for superscripts and other scripts' digits
+    if text.startswith("e") and text[1:].isascii() and text[1:].isdigit():
         k = int(text[1:])
         if k >= dim:
             _usage_error("slope e%d needs an index below the dimension %d" % (k, dim))

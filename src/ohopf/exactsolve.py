@@ -110,13 +110,6 @@ def nullspace(rows, ncols: int, want_basis: bool = True):
     return rank, basis
 
 
-def dot(row: dict, vec: dict) -> int:
-    """Integer pairing of a sparse row with a sparse vector."""
-    if len(row) > len(vec):
-        row, vec = vec, row
-    return sum(v * vec.get(c, 0) for c, v in row.items())
-
-
 def rank_mod_p(rows, ncols: int, p: int) -> int:
     """Rank over GF(p), p < 2**31 prime, of dense integer rows.
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import exactsolve
 from .algebra import AlgebraElement, coordinate_elements, vector_symbol
-from .algebroid import E0Section, _e0_basis, anchor, constant_section, vf_apply
+from .algebroid import E0Section, _e0_basis, anchor, vf_apply
 from .leaves import PointD2, classify
 from .polyring import PolyRing
 from .report import VerificationReport, derived_rng, timed_report
@@ -280,14 +280,11 @@ def linear_obstruction_report() -> VerificationReport:
         )
         ring = PolyRing(8)
         min_deg = None
-        for p in range(8):
-            for slot in (0, 1):
-                sec = constant_section(8, p, slot)
-                X = anchor(sec, ring)
-                for comp in (*X.u.coeffs, *X.v.coeffs):
-                    d = comp.min_total_degree()
-                    if d is not None:
-                        min_deg = d if min_deg is None else min(min_deg, d)
+        for sec in _e0_basis(8):
+            for comp in anchor(sec, ring).components():
+                d = comp.min_total_degree()
+                if d is not None:
+                    min_deg = d if min_deg is None else min(min_deg, d)
         report.add(
             "generators_vanish_quadratically",
             "every component of every basis generator has total degree >= 2",

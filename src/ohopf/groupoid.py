@@ -51,6 +51,8 @@ from .polyring import PolyRing
 from .report import VerificationReport, chunks, derived_rng, timed_report
 
 MEMBERSHIP_EPS = 1e-12
+# the suites draw arrows with lambda^2 above this margin, at the source and after rebasing
+SUITE_MARGIN = 1e-2
 # a masked redraw raises ValueError after this many rounds with a row still rejected
 MAX_DRAWS = 1000
 
@@ -112,7 +114,7 @@ def unit(p: PointD2) -> Arrow:
 def compose(g2: Arrow, g1: Arrow, tol: float = 1e-9) -> Arrow:
     """g2 * g1, defined when source(g2) matches target(g1) up to tol in every row."""
     t1 = target(g1)
-    gap = np.sqrt((g2.x - t1.x).norm_sq() + (g2.y - t1.y).norm_sq())
+    gap = _gap(source(g2), t1)
     scale = np.sqrt(t1.x.norm_sq() + t1.y.norm_sq())
     if not np.all(gap <= tol * (1.0 + scale)):
         raise ValueError("arrows are not composable: source/target gap %.3e" % np.max(gap))
@@ -171,17 +173,6 @@ def phi_group_element(g: Arrow) -> AlgebraElement:
     return w / n
 
 
-def phi_to_action_groupoid(g: Arrow):
-    """Morphism to the action groupoid of the diagonal right unit action.
-
-    Only the associative members of the tower carry this morphism; at
-    dimension 8 the defining multiplicativity fails and the map is refused.
-    """
-    if g.dim not in (1, 2, 4):
-        raise ValueError("the action-groupoid morphism exists only at dims 1, 2, 4")
-    return source(g), phi_group_element(g)
-
-
 # -- sampling ----------------------------------------------------------------
 #
 # Every sampler draws one element, or a batch of n when n is given.  Rejection
@@ -217,46 +208,39 @@ def random_point(rng: np.random.Generator, dim: int, n: int = None) -> PointD2:
 
 
 def random_arrow(
-    rng: np.random.Generator, dim: int, min_rescale_sq: float = MEMBERSHIP_EPS, n: int = None
+    rng: np.random.Generator,
+    dim: int,
+    min_rescale_sq: float = MEMBERSHIP_EPS,
+    n: int = None,
+    at: PointD2 = None,
 ) -> Arrow:
-    """Gaussian arrow away from the zero locus (a batch of n when n is given).
+    """Gaussian arrow away from the zero locus (a batch of n when n is given),
+    rebased at the point or batch of n points ``at`` when that is given.
 
-    The suites raise min_rescale_sq to 1e-2: arrows close to the locus are
-    legal, but float law-checking there is unconditioned (lambda of the
-    inverse blows up), so sampling keeps a margin.  Membership itself stays
-    at the tiny epsilon.
+    The suites raise min_rescale_sq to SUITE_MARGIN: arrows close to the
+    locus are legal, but float law-checking there is unconditioned (lambda of
+    the inverse blows up), so sampling keeps a margin.  Rebasing changes the
+    rescaling, so with ``at`` the margin must hold before and after it.
+    Membership itself stays at the tiny epsilon.
     """
 
     def draw(todo):
         raw = rng.normal(0.0, 0.7, (todo.size, 4, dim))
-        return raw, rescale_sq(_arrows(raw)) > min_rescale_sq
+        g = _arrows(raw)
+        ok = rescale_sq(g) > min_rescale_sq
+        if at is not None:
+            ok &= rescale_sq(rebase(g, _rows(at, todo))) > min_rescale_sq
+        return raw, ok
 
-    raw = _masked_redraw(draw, 1 if n is None else n, "arrow with lambda^2 > %g" % min_rescale_sq)
-    return _arrows(raw[0] if n is None else raw)
+    what = "arrow" if at is None else "arrow at the given source"
+    raw = _masked_redraw(draw, 1 if n is None else n, "%s with lambda^2 > %g" % (what, min_rescale_sq))
+    g = _arrows(raw[0] if n is None else raw)
+    return g if at is None else rebase(g, at)
 
 
 def rebase(g: Arrow, p: PointD2) -> Arrow:
     """Same arrow coordinates, new source; used to build exact composable pairs."""
     return Arrow(g.F, g.G, p.x, p.y)
-
-
-def _suite_arrow(rng: np.random.Generator, dim: int, n: int = None, at: PointD2 = None) -> Arrow:
-    """Arrow for law checking (a batch of n when n is given): conditioning
-    margin, optionally rebased at the point or batch of n points ``at``.
-
-    Rebasing changes the rescaling, so the margin must hold before and after it.
-    """
-    if at is None:
-        return random_arrow(rng, dim, min_rescale_sq=1e-2, n=n)
-
-    def draw(todo):
-        raw = rng.normal(0.0, 0.7, (todo.size, 4, dim))
-        g = _arrows(raw)
-        ok = (rescale_sq(g) > 1e-2) & (rescale_sq(rebase(g, _rows(at, todo))) > 1e-2)
-        return raw, ok
-
-    raw = _masked_redraw(draw, 1 if n is None else n, "arrow at the given source with lambda^2 > 0.01")
-    return rebase(_arrows(raw[0] if n is None else raw), at)
 
 
 def _gap(p: PointD2, q: PointD2):
@@ -378,11 +362,11 @@ def rescale_sq_identity(dim: int) -> bool:
 
 def _composition_laws(law, rng, g1: Arrow, n: int, tol: float):
     """Composable pairs and triples, rebased at computed targets."""
-    g2 = _suite_arrow(rng, g1.dim, n, target(g1))
+    g2 = random_arrow(rng, g1.dim, SUITE_MARGIN, n, target(g1))
     g21 = compose(g2, g1, tol)
     law["lambda_mult"].record(abs(rescale(g21) - rescale(g2) * rescale(g1)))
     law["endpoints"].record(_gap(target(g21), target(g2)) + _gap(source(g21), source(g1)))
-    g3 = _suite_arrow(rng, g1.dim, n, target(g2))
+    g3 = random_arrow(rng, g1.dim, SUITE_MARGIN, n, target(g2))
     left = compose(g3, g21, tol)
     right = compose(compose(g3, g2, tol), g1, tol)
     law["assoc"].record(
@@ -465,7 +449,7 @@ def verify_structure(dim: int, samples: int, seed: int, tol: float) -> Verificat
         rng = derived_rng(seed, 0)
         leaf_ok = samples > 0  # every arrow is classified; none classified fails
         for n in chunks(samples):
-            g1 = _suite_arrow(rng, dim, n)
+            g1 = random_arrow(rng, dim, SUITE_MARGIN, n)
             s1, t1 = source(g1), target(g1)
             law["unit_rescale"].record(abs(rescale(unit(s1)) - 1.0))
             law["norm_preserved"].record(
@@ -500,6 +484,14 @@ def verify_structure(dim: int, samples: int, seed: int, tol: float) -> Verificat
     return report
 
 
+def _phi_pairs(rng, dim: int, samples: int, tol: float):
+    """(g1, phi(g1), phi(g2), phi(g2 g1)) for a composable batch per chunk."""
+    for n in chunks(samples):
+        g1 = random_arrow(rng, dim, SUITE_MARGIN, n)
+        g2 = random_arrow(rng, dim, SUITE_MARGIN, n, target(g1))
+        yield g1, phi_group_element(g1), phi_group_element(g2), phi_group_element(compose(g2, g1, tol))
+
+
 def verify_phi_morphism(dim: int, samples: int, seed: int, tol: float) -> VerificationReport:
     """Action-groupoid morphism at the associative dims; failure witness at 8."""
     with timed_report(
@@ -512,12 +504,7 @@ def verify_phi_morphism(dim: int, samples: int, seed: int, tol: float) -> Verifi
             )
             lam = report.law("lambda_is_norm", "lambda(g) = |1 + conj(x) F + conj(y) G|", tol)
             tgt = report.law("phi_matches_target", "t(g) = s(g) . phi(g)", tol)
-            for n in chunks(samples):
-                g1 = _suite_arrow(rng, dim, n)
-                g2 = _suite_arrow(rng, dim, n, target(g1))
-                u1 = phi_group_element(g1)
-                u2 = phi_group_element(g2)
-                u21 = phi_group_element(compose(g2, g1, tol))
+            for g1, u1, u2, u21 in _phi_pairs(rng, dim, samples, tol):
                 mult.record(np.sqrt((u21 - u1 * u2).norm_sq()))
                 lam.record(abs(rescale(g1) - np.sqrt(_phi_numerator(g1).norm_sq())))
                 tgt.record(_gap(target(g1), PointD2(g1.x * u1, g1.y * u1)))
@@ -531,12 +518,7 @@ def verify_phi_morphism(dim: int, samples: int, seed: int, tol: float) -> Verifi
             )
         elif dim == 8:
             witness = None
-            for n in chunks(samples):
-                g1 = _suite_arrow(rng, dim, n)
-                g2 = _suite_arrow(rng, dim, n, target(g1))
-                u1 = phi_group_element(g1)
-                u2 = phi_group_element(g2)
-                u21 = phi_group_element(compose(g2, g1, tol))
+            for _, u1, u2, u21 in _phi_pairs(rng, dim, samples, tol):
                 res = np.sqrt((u21 - u1 * u2).norm_sq())
                 # the witness is the first sampled pair whose residual exceeds 1e-3
                 hits = np.flatnonzero(res > 1e-3)
@@ -579,11 +561,11 @@ def verify_g2_equivariance(samples: int, seed: int, tol: float) -> VerificationR
             A = g2_from_basic_triple(*random_basic_triple(rng, n), tol=tol)
             auto.record(A.automorphism_residual())
             orth.record(A.orthogonality_residual())
-            g1 = _suite_arrow(rng, 8, n)
+            g1 = random_arrow(rng, 8, SUITE_MARGIN, n)
             Ag1 = A.apply_arrow(g1)
             lam.record(abs(rescale(Ag1) - rescale(g1)))
             tgt.record(_gap(target(Ag1), A.apply_point(target(g1))))
-            g2 = _suite_arrow(rng, 8, n, target(g1))
+            g2 = random_arrow(rng, 8, SUITE_MARGIN, n, target(g1))
             lhs = compose(A.apply_arrow(g2), Ag1, tol)
             rhs = A.apply_arrow(compose(g2, g1, tol))
             comp.record(np.sqrt((lhs.F - rhs.F).norm_sq() + (lhs.G - rhs.G).norm_sq()))

@@ -15,14 +15,15 @@ which are formal parameters and may not be derived.  The canonical term
 order is graded lexicographic in the (kind, index) variable order.
 
 Five exponent bits per variable hold exponents up to 31.  Only a product
-raises an exponent, so the products, Polynomial * Polynomial, sum_of_products
-and Deferred, refuse (ExponentOverflow) any factor with an exponent of 16 or
-more: factors whose exponents are all at most 15 give products whose
-exponents are at most 30, so no field ever carries into its neighbour.
-Whether a polynomial has such an exponent is found once and kept on it.
-Addition, derive and substitute never raise an exponent.  Nothing in this
-package exceeds ten.  Coefficients stay plain ints as long as the inputs are
-integral, which keeps the identity suites fast.
+raises an exponent, and every product of polynomials, Polynomial * Polynomial
+and Deferred included, is a sum_of_products call, which refuses
+(ExponentOverflow) any factor with an exponent of 16 or more: factors whose
+exponents are all at most 15 give products whose exponents are at most 30, so
+no field ever carries into its neighbour.  Whether a polynomial has such an
+exponent is found once and kept on it.  Addition, derive and substitute never
+raise an exponent.  Nothing in this package exceeds ten.  Coefficients stay
+plain ints as long as the inputs are integral, which keeps the identity
+suites fast.
 
 A sum of many products, such as a coefficient of an octonion product or a
 derivation applied to a function, is a Deferred polynomial: it keeps its
@@ -179,29 +180,11 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def total_degree(self):
-        """Largest total degree among terms, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(_total_degree(k) for k in self.terms)
-
     def min_total_degree(self):
         """Smallest total degree among terms, or None for the zero polynomial."""
         if not self.terms:
             return None
         return min(_total_degree(k) for k in self.terms)
-
-    def variables(self) -> set:
-        """Names of the variables that actually occur."""
-        seen = set()
-        for key in self.terms:
-            o = 0
-            while key:
-                if key & _MASK:
-                    seen.add(self.ring.variables[o].name)
-                key >>= _SHIFT
-                o += 1
-        return seen
 
     def depends_on_base(self) -> bool:
         base_mask = (1 << self.ring._base_bits()) - 1
@@ -291,22 +274,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            self._check(other)
-            if _is_wide(self) or _is_wide(other):
-                raise ExponentOverflow("a factor has an exponent of 16 or more")
-            a, b = self.terms, other.terms
-            if len(a) > len(b):
-                a, b = b, a
-            out: dict = {}
-            for k1, c1 in a.items():
-                for k2, c2 in b.items():
-                    k = k1 + k2
-                    s = out.get(k, 0) + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-            return Polynomial(self.ring, out)
+            return sum_of_products(self.ring, [(1, self, other)])
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self.ring.zero
@@ -336,12 +304,8 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return not self.terms
-            return self.terms == {0: other} or self.terms == {0: Fraction(other)}
+            return self.terms == {0: other}
         return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # mutable dict inside; not hashable
 

@@ -242,6 +242,15 @@ def _doubled_rho_v_part(original):
     return rho
 
 
+def _merged_rho_columns(original):
+    # (e_1, 0) is sent to the field of (e_0, 0): two basis fields coincide
+    def rho(sec, x, y):
+        c = sec.u.coeffs
+        return original(E0Section(AlgebraElement((c[0] + c[1], 0) + c[2:]), sec.v), x, y)
+
+    return rho
+
+
 def _doubled_d2(original):
     return lambda s, x, y: original(s, x, y).scale(2)
 
@@ -261,8 +270,9 @@ def _d1_with_constant_term(original):
         (lie3, "_rho", _doubled_rho_v_part, lie3.generic_ranks, "rho_is_scaled_projection infinity_line_ranks"),
         (lie3, "_d2", _doubled_d2, lie3.generic_ranks, "d2_norm_positive"),
         (lie3, "_d1", _d1_with_constant_term, lie3.generic_ranks, "origin_ranks"),
+        (lie3, "_rho", _merged_rho_columns, lie3.generic_ranks, "minimal_rank_consequence"),
     ],
-    ids=["rho", "weight", "d1", "rho_flow", "rho_v_part", "d2_doubled", "d1_constant"],
+    ids=["rho", "weight", "d1", "rho_flow", "rho_v_part", "d2_doubled", "d1_constant", "rho_merged"],
 )
 def test_mutated_map_fails_its_exact_check(monkeypatch, module, name, mutate, run, checks):
     # checks names every check, separated by spaces, that the mutation must FAIL

@@ -178,6 +178,10 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
         (["export-leaf", "--slope", "e1", "--radius", "1e-170", "-n", "2", "--out", "leaf.csv"], {}),
         (["export-leaf", "--slope", "1e150,0,0,0,0,0,0,0", "--radius", "1e-150", "--out", "leaf.csv"], {}),
         (["export-leaf", "--slope", "inf", "--radius", "1e-160", "--out", "leaf.csv"], {}),
+        # non-ASCII digits name no basis slope
+        (["export-leaf", "--slope", "e\u00b2", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--slope", "e\u0663", "--out", "leaf.csv"], {}),
+        (["export-leaf", "--out", "leaf.csv"], {"OHOPF_SLOPE": "e\u00b2"}),
     ],
 )
 def test_bad_input_exits_2(tmp_path, argv, env):

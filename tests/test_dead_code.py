@@ -1,0 +1,105 @@
+"""Every function and method in src/ohopf has a caller in the package or the demos."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# definitions that need no caller in src/ohopf or demos/, each with its reason
+EXEMPT = {
+    "main": "the console entry point, run through [project.scripts] and python -m ohopf.cli",
+}
+
+
+def _sources(folder):
+    return [path.read_text(encoding="utf-8") for path in sorted((ROOT / folder).glob("*.py"))]
+
+
+def _references(tree) -> Counter:
+    """Uses of each name: ("name", n) for a bare name or an import of n,
+    ("call", n) for obj.n(...) and ("attr", n) for any other obj.n."""
+    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out["name", node.id] += 1
+        elif isinstance(node, ast.alias):
+            out["name", node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Attribute):
+            out["call" if id(node) in calls else "attr", node.attr] += 1
+    return out
+
+
+def _definitions(tree):
+    """(def node, is a method) for every function, method and nested function."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            for child in node.body:
+                if isinstance(child, ast.FunctionDef):
+                    yield child, isinstance(node, ast.ClassDef)
+
+
+def unreferenced(package_sources, other_sources=()) -> set:
+    """Names defined in package_sources that nothing uses outside their own body.
+
+    A function is used through its bare name or any attribute of that name.
+    A method is used only through a call obj.name(...), or through obj.name
+    when it is a property, so an attribute that shares its name (such as
+    PolyRing.variables) does not keep it alive.  Dunders are called by
+    Python itself and are skipped.
+    """
+    trees = [ast.parse(text) for text in package_sources]
+    uses = Counter()
+    for tree in trees + [ast.parse(text) for text in other_sources]:
+        uses += _references(tree)
+    dead = set()
+    for tree in trees:
+        for node, method in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            prop = any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+            kinds = ("call", "attr") if prop else ("call",) if method else ("name", "call", "attr")
+            own = _references(node)
+            if not any(uses[kind, name] > own[kind, name] for kind in kinds):
+                dead.add(name)
+    return dead
+
+
+def test_every_definition_has_a_caller():
+    dead = unreferenced(_sources("src/ohopf"), _sources("demos")) - set(EXEMPT)
+    assert not dead, "no caller in src/ohopf or demos/: %s" % ", ".join(sorted(dead))
+
+
+def test_exemptions_name_definitions():
+    defined = {node.name for text in _sources("src/ohopf") for node, _ in _definitions(ast.parse(text))}
+    assert set(EXEMPT) <= defined
+
+
+def test_the_guard_finds_dead_definitions():
+    source = """
+class Ring:
+    def __init__(self):
+        self.variables = ()
+
+    def variables(self):
+        return self.variables
+
+    def used(self):
+        return 1
+
+    @property
+    def size(self):
+        return 0
+
+
+def recursive(n):
+    return recursive(n - 1)
+
+
+def caller(ring):
+    return ring.used() + ring.size
+"""
+    assert unreferenced([source]) == {"variables", "recursive", "caller"}
+    assert unreferenced([source], ["caller(None)"]) == {"variables", "recursive"}

@@ -180,7 +180,7 @@ def test_exactsolve_known_nullspace():
     assert rank == 2 and len(basis) == 1
     vec = basis[0]
     for row in rows:
-        assert exactsolve.dot(row, vec) == 0
+        assert sum(v * vec.get(c, 0) for c, v in row.items()) == 0
     assert vec[0] == -vec[1] == vec[2]
 
 
@@ -194,7 +194,7 @@ def test_exactsolve_duplicate_rows_and_scaling():
     rows = [{0: 2, 1: 4}, {0: 1, 1: 2}, {0: -3, 1: -6}]
     rank, basis = exactsolve.nullspace(rows, 2)
     assert rank == 1 and len(basis) == 1
-    assert exactsolve.dot(rows[0], basis[0]) == 0
+    assert sum(v * basis[0].get(c, 0) for c, v in rows[0].items()) == 0
 
 
 def _sparse(M):

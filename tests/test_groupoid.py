@@ -16,7 +16,6 @@ from ohopf.groupoid import (
     g2_from_basic_triple,
     inverse,
     phi_group_element,
-    phi_to_action_groupoid,
     random_arrow,
     random_basic_triple,
     rebase,
@@ -173,14 +172,12 @@ def test_connecting_arrow_infinity_line():
         connecting_arrow(PointD2(z, z))
 
 
-def test_phi_on_units_and_dim_guard():
+def test_phi_on_units():
     rng = np.random.default_rng(9)
     p = PointD2(from_array(rng.normal(size=4)), from_array(rng.normal(size=4)))
-    base, u = phi_to_action_groupoid(unit(p))
+    u = phi_group_element(unit(p))
     assert float((u - AlgebraElement.one(4)).norm_sq()) < 1e-24
-    with pytest.raises(ValueError):
-        phi_to_action_groupoid(random_arrow(rng, 8))
-    # the raw formula is still available at dim 8 for the failure witness
+    # the formula is defined at dim 8 too, for the failure witness
     assert abs(float(phi_group_element(random_arrow(rng, 8)).norm_sq()) - 1.0) < 1e-12
 
 
@@ -289,7 +286,7 @@ def test_rejection_loops_are_bounded():
         at = PointD2(AlgebraElement.basis(4, 0), AlgebraElement.zero(4))
         rng = RejectingRng(x0=2.0)
         with pytest.raises(ValueError, match="given source.*%d draws" % MAX_DRAWS):
-            groupoid._suite_arrow(rng, 4, n, at)
+            random_arrow(rng, 4, groupoid.SUITE_MARGIN, n, at)
         assert rng.calls == MAX_DRAWS
         rng = RejectingRng()
         with pytest.raises(ValueError, match="no basic triple in %d draws" % MAX_DRAWS):

@@ -154,7 +154,7 @@ def test_resolution_matrix_shapes_and_degrees():
     assert (len(mats.Rho), len(mats.Rho[0])) == (16, 16)
     assert (len(mats.D1), len(mats.D1[0])) == (16, 10)
     assert (len(mats.D2), len(mats.D2[0])) == (10, 1)
-    degrees = {p.total_degree() for row in mats.Rho for p in row if not p.is_zero()}
+    degrees = {sum(p.ring.exponents(k)) for row in mats.Rho for p in row for k in p.terms}
     assert degrees == {2}
 
 
@@ -268,6 +268,31 @@ def test_flipped_bracket_term_is_detected(monkeypatch):
     monkeypatch.setattr(lie3_mod, "bracket", flipped)
     failed = {c.name for c in verify_lie3().checks if not c.passed}
     assert {"jacobi_0_0_m1", "leibniz_0_m1"} <= failed
+
+
+def test_brackets_zero_by_degree_can_fail(monkeypatch):
+    # a nonzero bracket for the degree pairs that die by degree must FAIL
+    # exactly the checks whose law rests on them
+    import ohopf.lie3 as lie3_mod
+
+    original = lie3_mod.bracket
+
+    def nonzero(s1, s2, ring):
+        if (degree(s1), degree(s2)) in ((-1, -2), (-2, -1), (-2, -2)):
+            return Sec2(ring.one)
+        return original(s1, s2, ring)
+
+    monkeypatch.setattr(lie3_mod, "bracket", nonzero)
+    failed = {c.name for c in verify_lie3().checks if not c.passed}
+    assert failed == {
+        "jacobi_0_m1_m2",
+        "jacobi_0_m2_m2",
+        "jacobi_m1_m1_m1",
+        "jacobi_m1_m1_m2",
+        "jacobi_m1_m2_m2",
+        "jacobi_m2_m2_m2",
+        "degree_pairs_zero",
+    }
 
 
 def test_perturbed_transcription_is_detected():

@@ -109,4 +109,4 @@ def test_a_failed_certificate_fails_the_generic_rank_checks(monkeypatch, certifi
     assert not checks["generic_point_ranks"].passed
     assert not checks["rank_exactness"].passed
     assert checks["minimal_rank_consequence"].passed
-    assert checks["minimal_rank_consequence"].info == {"rank_e0": 16}
+    assert checks["minimal_rank_consequence"].info == {"rank_e0": 16, "rank_rho0": 16}
