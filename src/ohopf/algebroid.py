@@ -35,6 +35,7 @@ the coefficients, and a constant coefficient derives to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import groupoid
 from .algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
@@ -196,61 +197,87 @@ def bracket_e0(s1: E0Section, s2: E0Section, ring: PolyRing) -> E0Section:
 # -- symbolic suite ----------------------------------------------------------
 
 
-def verify_algebroid_symbolic(dim: int = 8) -> VerificationReport:
-    """Exact bracket/anchor facts, all section components symbolic."""
+class _Symbols(NamedTuple):
+    ring: PolyRing
+    s1: E0Section
+    s2: E0Section
+    s3: E0Section
+
+
+def _jacobi_zero(s: _Symbols) -> bool:
+    ring, s1, s2, s3 = s
+    jac = (
+        bracket_e0(s1, bracket_e0(s2, s3, ring), ring)
+        + bracket_e0(s2, bracket_e0(s3, s1, ring), ring)
+        + bracket_e0(s3, bracket_e0(s1, s2, ring), ring)
+    )
+    return jac.is_zero()
+
+
+def _anchor_morphism_zero(s: _Symbols) -> bool:
+    ring, s1, s2, _ = s
+    morph = vf_commutator(anchor(s1, ring), anchor(s2, ring), ring) - anchor(
+        bracket_e0(s1, s2, ring), ring
+    )
+    return morph.is_zero()
+
+
+def _tangent_zero(s: _Symbols) -> bool:
     from .foliation import is_tangent_symbolic
 
+    X1 = anchor(s.s1, s.ring)
+    return is_tangent_symbolic(X1.u, X1.v, s.ring)
+
+
+def _leibniz_zero(s: _Symbols) -> bool:
+    # [s, f s] = (rho(s) f) s for constant s and a sample function
+    ring, s1, dim = s.ring, s.s1, s.ring.base_dim
+    f = ring.x(0) * ring.y(min(1, dim - 1)) + ring.x(dim - 1)
+    lhs = bracket_e0(s1, s1.scale(f), ring)
+    rhs = s1.scale(vf_apply(anchor(s1, ring), f, ring))
+    return (lhs - rhs).is_zero()
+
+
+def _vanishes_at_origin(s: _Symbols) -> bool:
+    origin = {v.name: 0 for v in s.ring.variables[: 2 * s.ring.base_dim]}
+    return all(c.substitute(origin).is_zero() for c in anchor(s.s1, s.ring).components())
+
+
+# The checks of verify_algebroid_symbolic in report order: (name, law, proof),
+# where proof takes the symbolic sections and returns the pass flag.
+SYMBOLIC_CHECKS = (
+    (
+        "antisymmetry",
+        "[s1, s2] + [s2, s1] = 0",
+        lambda s: (bracket_e0(s.s1, s.s2, s.ring) + bracket_e0(s.s2, s.s1, s.ring)).is_zero(),
+    ),
+    ("jacobi", "[s1,[s2,s3]] + [s2,[s3,s1]] + [s3,[s1,s2]] = 0", _jacobi_zero),
+    ("anchor_morphism", "[rho(s1), rho(s2)] = rho([s1, s2])", _anchor_morphism_zero),
+    ("anchor_image_in_kernel", "J(rho(s)) = 0 for symbolic constant s", _tangent_zero),
+    ("leibniz_rule", "[s, f s] = (rho(s) . f) s", _leibniz_zero),
+    ("anchor_vanishes_at_origin", "rho(s)|_(0,0) = 0", _vanishes_at_origin),
+)
+
+
+def verify_algebroid_symbolic(dim: int = 8, rows: slice = slice(None)) -> VerificationReport:
+    """Exact bracket/anchor facts, all section components symbolic.
+
+    ``rows`` runs only a slice of SYMBOLIC_CHECKS, so that the proofs can be
+    split across processes; the default runs them all.
+    """
     with timed_report("algebroid_symbolic", {"dim": dim}) as report:
         names = []
         for prefix in ("u", "v", "p", "q", "r", "s"):
             names += vector_names(prefix, dim)
         ring = PolyRing(dim, names)
-        s1 = E0Section(vector_symbol(ring, "u", dim), vector_symbol(ring, "v", dim))
-        s2 = E0Section(vector_symbol(ring, "p", dim), vector_symbol(ring, "q", dim))
-        s3 = E0Section(vector_symbol(ring, "r", dim), vector_symbol(ring, "s", dim))
-
-        report.add(
-            "antisymmetry",
-            "[s1, s2] + [s2, s1] = 0",
-            (bracket_e0(s1, s2, ring) + bracket_e0(s2, s1, ring)).is_zero(),
+        symbols = _Symbols(
+            ring,
+            E0Section(vector_symbol(ring, "u", dim), vector_symbol(ring, "v", dim)),
+            E0Section(vector_symbol(ring, "p", dim), vector_symbol(ring, "q", dim)),
+            E0Section(vector_symbol(ring, "r", dim), vector_symbol(ring, "s", dim)),
         )
-        jac = (
-            bracket_e0(s1, bracket_e0(s2, s3, ring), ring)
-            + bracket_e0(s2, bracket_e0(s3, s1, ring), ring)
-            + bracket_e0(s3, bracket_e0(s1, s2, ring), ring)
-        )
-        report.add("jacobi", "[s1,[s2,s3]] + [s2,[s3,s1]] + [s3,[s1,s2]] = 0", jac.is_zero())
-        morph = vf_commutator(anchor(s1, ring), anchor(s2, ring), ring) - anchor(
-            bracket_e0(s1, s2, ring), ring
-        )
-        report.add(
-            "anchor_morphism",
-            "[rho(s1), rho(s2)] = rho([s1, s2])",
-            morph.is_zero(),
-        )
-        X1 = anchor(s1, ring)
-        report.add(
-            "anchor_image_in_kernel",
-            "J(rho(s)) = 0 for symbolic constant s",
-            is_tangent_symbolic(X1.u, X1.v, ring),
-        )
-        # Leibniz: [s, f s] = (rho(s) f) s for constant s and a sample function
-        f = ring.x(0) * ring.y(min(1, dim - 1)) + ring.x(dim - 1)
-        lhs = bracket_e0(s1, s1.scale(f), ring)
-        rhs = s1.scale(vf_apply(anchor(s1, ring), f, ring))
-        report.add(
-            "leibniz_rule",
-            "[s, f s] = (rho(s) . f) s",
-            (lhs - rhs).is_zero(),
-        )
-        # anchor vanishes at the origin
-        origin = {v.name: 0 for v in ring.variables[: 2 * dim]}
-        at0 = [c.substitute(origin) for c in X1.components()]
-        report.add(
-            "anchor_vanishes_at_origin",
-            "rho(s)|_(0,0) = 0",
-            all(c.is_zero() for c in at0),
-        )
+        for name, law, proof in SYMBOLIC_CHECKS[rows]:
+            report.add(name, law, proof(symbols))
     return report
 
 

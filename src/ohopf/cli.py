@@ -9,12 +9,18 @@ OHOPF_ prefix (OHOPF_SEED, OHOPF_SAMPLES, OHOPF_TOL, ...); explicit flags
 win over the environment.  JSON reports are canonical: two runs with the
 same configuration and package version are byte-identical (timing is shown
 only in the text format).  The exit status is 0 iff every check passed.
+
+On POSIX a verify call runs in two processes when it has two or more units
+(_units): a forked child runs the share of the units that the measured cost
+table UNIT_COST assigns it, this process the rest, and the reports merge in
+unit order to the bytes one process gives.  A unit is one suite, except
+that lie3 and algebroid split their symbolic proofs into three units, so
+those two suites fork when run alone too.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import pickle
@@ -173,7 +179,7 @@ def _check_dim(suite: str, dim: int):
 
 
 class WorkerLost(RuntimeError):
-    """The forked process of ``all`` ended without sending its reports."""
+    """The forked child of a verify call ended without sending its reports."""
 
 
 def _child(unit, sink: int):
@@ -187,10 +193,45 @@ def _child(unit, sink: int):
         pickle.dump(payload, fh)
 
 
-def _run_in_two_processes(units, forked: int) -> list:
-    """The reports of every unit (a call that returns a list of reports), in
-    unit order: one forked child runs ``units[forked]`` and this process the
-    rest, so each call splits the same way.
+# CPU milliseconds of each unit at dim 8 (seed 101, --samples 200, the median
+# of five warm passes in one process).  _child_side uses them at every dim:
+# only their order and rough ratios matter.  Integers, so that ties are exact.
+UNIT_COST = {
+    "algebra": 40,
+    "leaves": 10,
+    "groupoid": 80,
+    "algebroid.head": 80,
+    "algebroid.anchor_morphism": 140,
+    "algebroid.tail": 30,
+    "lie3.head": 150,
+    "lie3.jacobi_0_0_m1": 340,
+    "lie3.tail": 70,
+    "foliation": 120,
+}
+
+
+def _child_side(names) -> list:
+    """The indices of the units the forked child runs, in unit order.
+
+    Longest-processing-time assignment (Graham, SIAM J. Appl. Math. 17(2),
+    1969) by UNIT_COST: the units, costliest first and ties in unit order,
+    each go to the side with the lower cost so far, the child's on a tie.
+    The child runs the side that holds the costliest unit, so each call
+    splits the same way.
+    """
+    side, load = [], [0, 0]
+    for index in sorted(range(len(names)), key=lambda i: -UNIT_COST[names[i]]):
+        lighter = int(load[1] < load[0])
+        load[lighter] += UNIT_COST[names[index]]
+        if lighter == 0:
+            side.append(index)
+    return sorted(side)
+
+
+def _run_in_two_processes(units) -> list:
+    """The reports of every unit, a (name, call returning a list of reports)
+    pair, in unit order: one forked child runs the units of _child_side and
+    this process the rest.
 
     The parent reads the child's payload to EOF before it reaps the child (a
     payload larger than the pipe buffer would otherwise block both), then
@@ -200,7 +241,8 @@ def _run_in_two_processes(units, forked: int) -> list:
     platform without os.fork, run here in order.
     """
     if len(units) < 2 or not hasattr(os, "fork"):
-        return [report for unit in units for report in unit()]
+        return [report for _, unit in units for report in unit()]
+    forked = _child_side([name for name, _ in units])
     results, sink = os.pipe()
     sys.stdout.flush()
     sys.stderr.flush()
@@ -208,14 +250,14 @@ def _run_in_two_processes(units, forked: int) -> list:
     if pid == 0:  # the child leaves only through os._exit
         status = 1
         try:
-            _child(units[forked], sink)
+            _child(lambda: [units[index][1]() for index in forked], sink)
             status = 0
         finally:
             os._exit(status)
     os.close(sink)
     with os.fdopen(results, "rb") as fh:
         try:
-            done = [None if index == forked else unit() for index, unit in enumerate(units)]
+            done = [None if index in forked else unit() for index, (_, unit) in enumerate(units)]
             payload = fh.read()
         except BaseException:
             import signal
@@ -226,56 +268,104 @@ def _run_in_two_processes(units, forked: int) -> list:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code or not payload:
         raise WorkerLost("the forked process ended with exit code %d and no reports" % code)
-    done[forked] = pickle.loads(payload)
-    if isinstance(done[forked], BaseException):
-        raise done[forked]
+    sent = pickle.loads(payload)
+    if isinstance(sent, BaseException):
+        raise sent
+    for index, reports in zip(forked, sent):
+        done[index] = reports
     return [report for reports in done for report in reports]
 
 
-# The suites by cost at the dims that run them, the costliest first (dim 8,
-# --samples 200, 2 vCPU: lie3 0.52 s, foliation 0.24, algebroid 0.22, groupoid
-# 0.08, algebra 0.04, leaves 0.01).  ``all`` forks the costliest suite it runs,
-# so at dim 8 lie3 (0.52 s) runs beside the other five (0.59 s).
-_BY_COST = ("lie3", "foliation", "algebroid", "groupoid", "algebra", "leaves")
+def _split_around(suite: str, checks, heaviest: str, proofs, rest) -> list:
+    """Three units of a suite: the proofs before its heaviest check, that
+    check, and the proofs after it followed by the rest of the suite.
+
+    ``proofs(rows)`` returns the reports of a slice of the table ``checks``
+    and ``rest()`` the suite's other reports.
+    """
+    at = [name for name, _, _ in checks].index(heaviest)
+    return [
+        (suite + ".head", lambda: proofs(slice(None, at))),
+        (suite + "." + heaviest, lambda: proofs(slice(at, at + 1))),
+        (suite + ".tail", lambda: proofs(slice(at + 1, None)) + rest()),
+    ]
+
+
+def _units(suite: str, dim: int, seed: int, samples: int, tol: float, backend: str) -> list:
+    """The units of a suite in report order: (name, call returning a list of
+    reports), the one table of what each suite checks.
+
+    ``all`` runs the units of every suite whose SUITE_DIMS contain ``dim``.
+    The symbolic proofs of lie3 and algebroid are each split into three
+    units around their heaviest check; every other suite is one unit.
+    """
+    if suite == "all":
+        return [
+            unit
+            for name in SUITES
+            if name != "all" and dim in SUITE_DIMS[name]
+            for unit in _units(name, dim, seed, samples, tol, backend)
+        ]
+    if suite == "algebra":
+        return [
+            (
+                "algebra",
+                lambda: [algebra.verify_algebra_identities(dim, seed), leaves.right_mult_counterexample(seed)],
+            )
+        ]
+    if suite == "leaves":
+        return [("leaves", lambda: [leaves.verify_leaves(dim, samples, seed, tol)])]
+    if suite == "groupoid":
+
+        def groupoid_reports():
+            reports = [
+                groupoid.verify_structure(dim, samples, seed, tol),
+                groupoid.verify_phi_morphism(dim, max(samples // 2, 50), seed, tol),
+            ]
+            if dim == 8 and backend != "exact":
+                reports.append(groupoid.verify_g2_equivariance(max(samples // 20, 10), seed, tol))
+            return reports
+
+        return [("groupoid", groupoid_reports)]
+    if suite == "algebroid":
+        return _split_around(
+            "algebroid",
+            algebroid.SYMBOLIC_CHECKS,
+            "anchor_morphism",
+            lambda rows: [algebroid.verify_algebroid_symbolic(dim, rows)],
+            lambda: [algebroid.verify_groupoid_consistency(dim)],
+        )
+    if suite == "lie3":
+        return _split_around(
+            "lie3",
+            lie3.CHECKS,
+            "jacobi_0_0_m1",
+            lambda rows: [lie3.verify_lie3(rows)],
+            lambda: [lie3.verify_matrix_vs_transcription(), lie3.generic_ranks()],
+        )
+
+    def foliation_reports():  # suite == "foliation"
+        reports = [foliation.verify_foliation(dim, seed)]
+        if dim == 8:
+            reports.append(foliation.linear_obstruction_report())
+        return reports
+
+    return [("foliation", foliation_reports)]
 
 
 def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend: str):
-    """The reports a suite runs, in order: the one table of what each suite checks.
+    """The reports a suite runs, in order.
 
-    ``all`` runs, under the same flags, every suite whose SUITE_DIMS contain
-    ``dim``, one unit per suite, and returns their reports in table order.  On
-    POSIX, with two or more suites, a forked child runs the costliest of them
-    (_BY_COST) and this process the rest (_run_in_two_processes); the reports
-    are the same as in one process.
-    ``--backend exact`` leaves out G2 equivariance.
+    On POSIX, a call of two or more units (_units) runs in two processes: a
+    forked child runs the units that _child_side picks by their measured
+    cost and this process the rest (_run_in_two_processes).  A single suite
+    may split too: lie3 and algebroid each fork their heaviest proof.  A
+    report split across units comes back as consecutive parts under one
+    suite name, and the parts merge (_merge) to the same canonical JSON as
+    one process gives.  ``--backend exact`` leaves out G2 equivariance.
     """
     _check_dim(suite, dim)
-    if suite == "all":
-        names = [name for name in SUITES if name != "all" and dim in SUITE_DIMS[name]]
-        return _run_in_two_processes(
-            [functools.partial(run_suite, name, dim, seed, samples, tol, backend) for name in names],
-            names.index(min(names, key=_BY_COST.index)),
-        )
-    if suite == "algebra":
-        return [algebra.verify_algebra_identities(dim, seed), leaves.right_mult_counterexample(seed)]
-    if suite == "leaves":
-        return [leaves.verify_leaves(dim, samples, seed, tol)]
-    if suite == "groupoid":
-        reports = [
-            groupoid.verify_structure(dim, samples, seed, tol),
-            groupoid.verify_phi_morphism(dim, max(samples // 2, 50), seed, tol),
-        ]
-        if dim == 8 and backend != "exact":
-            reports.append(groupoid.verify_g2_equivariance(max(samples // 20, 10), seed, tol))
-        return reports
-    if suite == "algebroid":
-        return [algebroid.verify_algebroid_symbolic(dim), algebroid.verify_groupoid_consistency(dim)]
-    if suite == "lie3":
-        return [lie3.verify_lie3(), lie3.verify_matrix_vs_transcription(), lie3.generic_ranks()]
-    reports = [foliation.verify_foliation(dim, seed)]  # suite == "foliation"
-    if dim == 8:
-        reports.append(foliation.linear_obstruction_report())
-    return reports
+    return _run_in_two_processes(_units(suite, dim, seed, samples, tol, backend))
 
 
 def _merge(reports, suite, config) -> VerificationReport:
@@ -304,7 +394,7 @@ def cmd_verify(args) -> int:
         print("error: suite aborted: %s" % exc, file=sys.stderr)
         return 1
     merged = _merge(reports, args.suite, config)
-    # wall time of the run: the suites of ``all`` overlap, so their times do not add
+    # wall time of the run: the units of a forked call overlap, so their times do not add
     merged.elapsed_s = time.perf_counter() - start
     rendered = merged.to_json() if args.format == "json" else merged.to_text()
     if args.out:

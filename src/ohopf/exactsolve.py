@@ -13,8 +13,10 @@ terminates.
 
 Dense rows get their exact rank from the same elimination (``dense_rank``),
 or a rank certificate first (``certified_rank``): the rank modulo a prime
-never exceeds the rank over Q, so full column rank in numpy int64 over GF(p)
-proves full rank; otherwise the sparse elimination decides.
+never exceeds the rank over Q, so full column rank over GF(p) proves full
+rank; otherwise the sparse elimination decides.  The primes are below 2**15,
+so ``rank_mod_p`` can eliminate in numpy int64 with delayed reduction; a
+small prime only makes the exact fallback likelier, never a wrong rank.
 An exact integer determinant, should one be needed, would call for Bareiss's
 fraction-free elimination (Math. Comp. 22, 1968).
 """
@@ -26,7 +28,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-PRIMES = (2**31 - 1, 2**31 - 19)
+# below 2**15, so ncols * p**2 stays below 2**63 for any system that fits in memory
+PRIMES = (32749, 32719)
 
 
 def _normalize(row: dict) -> dict:
@@ -111,22 +114,28 @@ def nullspace(rows, ncols: int, want_basis: bool = True):
 
 
 def rank_mod_p(rows, ncols: int, p: int) -> int:
-    """Rank over GF(p), p < 2**31 prime, of dense integer rows.
+    """Rank over GF(p) of dense integer rows, for a prime p with ncols * p**2 < 2**63.
 
-    Entries are reduced mod p before the int64 cast, so products stay below 2**62;
-    a float or Fraction entry raises TypeError.
+    Entries are reduced mod p before the int64 cast; a float or Fraction
+    entry raises TypeError.  The reduction is delayed (Dumas, Giorgi and
+    Pernet, ACM TOMS 35(3), 2008): the trailing block takes every rank-one
+    update unreduced, and only the next pivot column and the pivot row are
+    reduced before use.  Each update subtracts less than p**2 from an entry
+    and there are at most ncols of them, so no entry leaves int64.
     """
+    assert ncols * p * p < 2**63, "int64 would overflow the delayed reduction"
     M = np.array([[operator.index(v) % p for v in row] for row in rows], dtype=np.int64)
     M = M.reshape(-1, ncols)
     rank = 0
     for col in range(ncols):
-        nz = np.flatnonzero(M[rank:, col])
+        column = M[rank:, col] % p
+        nz = np.flatnonzero(column)
         if nz.size:
-            M[[rank, rank + nz[0]]] = M[[rank + nz[0], rank]]
-            pivot = M[rank, col:]  # views: the updates below write into M
-            pivot[:] = pivot * pow(int(pivot[0]), -1, p) % p
-            below = M[rank + 1 :, col:]
-            below[:] = (below - np.outer(below[:, 0], pivot) % p) % p
+            top = nz[0]
+            M[[rank, rank + top]] = M[[rank + top, rank]]
+            column[[0, top]] = column[[top, 0]]
+            pivot = M[rank, col + 1 :] % p * pow(int(column[0]), -1, p) % p
+            M[rank + 1 :, col + 1 :] -= np.outer(column[1:], pivot)
             rank += 1
     return rank
 

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ohopf import algebra, cli, foliation, groupoid
+from ohopf import algebra, algebroid, cli, foliation, groupoid, lie3
+from ohopf.algebra import coordinate_elements
 from ohopf.cli import BACKENDS, SUITE_DIMS, SUITES, _merge, main, run_suite
 from ohopf.report import VerificationReport
 
@@ -230,21 +231,56 @@ def test_rejection_bound_aborts_the_suite(monkeypatch, capsys):
     assert "--help" not in err
 
 
+def _verify_json(capsys, *argv):
+    """(exit status, canonical JSON) of one verify call."""
+    rc = main(["verify", *argv, "--format", "json"])
+    return rc, capsys.readouterr().out
+
+
+_ALL_CASES = [(dim, backend) for dim in SUITE_DIMS["all"] for backend in ("float", "exact")]
+
+
 @pytest.mark.parametrize(
-    "dim, backend", [(2, "float"), (2, "exact"), (8, "float")], ids=["float", "exact", "dim8-float"]
+    "dim, backend",
+    _ALL_CASES,
+    ids=[
+        {(2, "float"): "float", (2, "exact"): "exact", (8, "float"): "dim8-float"}.get(
+            case, "dim%d-%s" % case
+        )
+        for case in _ALL_CASES
+    ],
 )
-def test_all_is_the_union_of_the_suites(dim, backend):
-    # the two-process run merges to the bytes of the suites run here in table order
-    args = (dim, 5, 20, 1e-9, backend)
+def test_all_is_the_union_of_the_suites(monkeypatch, capsys, dim, backend):
+    # the two-process run gives the bytes of the suites run in one process in table order
+    flags = ["--dim", str(dim), "--seed", "5", "--samples", "20", "--backend", backend]
+    rc, forked = _verify_json(capsys, "--suite", "all", *flags)
+    monkeypatch.delattr(os, "fork")
     per_suite = [
         report
         for name in SUITES
         if name != "all" and dim in SUITE_DIMS[name]
-        for report in run_suite(name, *args)
+        for report in run_suite(name, dim, 5, 20, 1e-9, backend)
     ]
-    config = {"dim": dim, "backend": backend}
-    merged = _merge(run_suite("all", *args), "all", config).to_json()
-    assert merged == _merge(per_suite, "all", config).to_json()
+    config = {"suite": "all", "dim": dim, "seed": 5, "samples": 20, "tol": 1e-9, "backend": backend}
+    merged = _merge(per_suite, "all", config)
+    assert (rc, forked) == (0 if merged.passed else 1, merged.to_json())
+
+
+@pytest.mark.parametrize(
+    "suite, dim, backend",
+    [
+        (suite, dim, backend)
+        for suite in SUITES
+        if suite != "all"
+        for dim in SUITE_DIMS[suite]
+        for backend in ("float", "exact")
+    ],
+)
+def test_every_suite_gives_the_bytes_of_one_process(monkeypatch, capsys, suite, dim, backend):
+    argv = ["--suite", suite, "--dim", str(dim), "--seed", "5", "--samples", "20", "--backend", backend]
+    forked = _verify_json(capsys, *argv)
+    monkeypatch.delattr(os, "fork")
+    assert _verify_json(capsys, *argv) == forked
 
 
 def _no_child_left():
@@ -252,7 +288,7 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_the_runner_forks_one_unit_and_keeps_unit_order():
+def test_the_runner_forks_one_unit_and_keeps_unit_order(monkeypatch):
     def unit(index):
         time.sleep(0.1)
         # a payload well above the 64 KiB pipe buffer
@@ -261,11 +297,13 @@ def test_the_runner_forks_one_unit_and_keeps_unit_order():
     def expire(signum, frame):
         raise TimeoutError("the runner did not return within 30 s")
 
-    units = [lambda i=i: unit(i) for i in range(6)]
+    # unit 2 costs more than the other five together, so the child runs it alone
+    monkeypatch.setattr(cli, "UNIT_COST", {"u%d" % i: 10 if i == 2 else 1 for i in range(6)})
+    units = [("u%d" % i, lambda i=i: unit(i)) for i in range(6)]
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(30)
     try:
-        out = cli._run_in_two_processes(units, 2)
+        out = cli._run_in_two_processes(units)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -274,34 +312,128 @@ def test_the_runner_forks_one_unit_and_keeps_unit_order():
     _no_child_left()
 
 
+def test_longest_units_go_first_to_the_lighter_side(monkeypatch):
+    monkeypatch.setattr(cli, "UNIT_COST", {"a": 3, "b": 5, "c": 4, "d": 3, "e": 2, "f": 2})
+    # b -> child 5, c -> parent 4, a -> parent 7, d -> child 8, e -> parent 9, f -> child 10
+    assert cli._child_side(["a", "b", "c", "d", "e", "f"]) == [1, 3, 5]
+    # equal costs keep unit order, and a tie of the loads goes to the child
+    monkeypatch.setattr(cli, "UNIT_COST", {"a": 4, "b": 4, "c": 2, "d": 2})
+    assert cli._child_side(["a", "b", "c", "d"]) == [0, 2]
+
+
+def _unit_names(suite, dim, backend="float"):
+    return [name for name, _ in cli._units(suite, dim, 5, 20, 1e-9, backend)]
+
+
+def test_every_unit_has_a_cost_and_every_cost_a_unit():
+    names = {
+        name
+        for suite in SUITES
+        for dim in SUITE_DIMS[suite]
+        for backend in BACKENDS
+        for name in _unit_names(suite, dim, backend)
+    }
+    assert names == set(cli.UNIT_COST)
+
+
 def test_all_forks_its_costliest_suite(monkeypatch):
-    # the same suite runs in the child on every call, whatever the timing
-    run_all = cli.run_suite
+    # the same units run in the child on every call, whatever the timing
+    units = cli._units
 
-    def probe(suite, *args):
-        return run_all(suite, *args) if suite == "all" else [(suite, os.getpid())]
+    def probe(*args):
+        return [(name, lambda name=name: [(name, os.getpid())]) for name, _ in units(*args)]
 
-    monkeypatch.setattr(cli, "run_suite", probe)
-    for dim, forked in [(1, "groupoid"), (2, "foliation"), (4, "foliation"), (8, "lie3")]:
-        out = probe("all", dim, 5, 20, 1e-9, "float")
-        assert [name for name, _ in out] == [n for n in SUITES if n != "all" and dim in SUITE_DIMS[n]]
-        assert [name for name, pid in out if pid != os.getpid()] == [forked]
-    assert probe("all", 16, 5, 20, 1e-9, "float") == [("algebra", os.getpid())]
+    monkeypatch.setattr(cli, "_units", probe)
+    for suite, dim, forked in [
+        ("all", 1, ["groupoid"]),
+        ("all", 2, ["leaves", "foliation"]),
+        ("all", 4, ["leaves", "foliation"]),
+        ("all", 8, ["algebra", "groupoid", "lie3.jacobi_0_0_m1", "lie3.tail"]),
+        ("lie3", 8, ["lie3.jacobi_0_0_m1"]),
+        ("algebroid", 8, ["algebroid.anchor_morphism"]),
+    ]:
+        out = run_suite(suite, dim, 5, 20, 1e-9, "float")
+        assert [name for name, _ in out] == _unit_names(suite, dim)
+        assert [name for name, pid in out if pid != os.getpid()] == forked, (suite, dim)
+    # a call of one unit runs in this process
+    for suite in ("algebra", "leaves", "groupoid", "foliation"):
+        assert run_suite(suite, 8, 5, 20, 1e-9, "float") == [(suite, os.getpid())]
+    assert run_suite("all", 16, 5, 20, 1e-9, "float") == [("algebra", os.getpid())]
     _no_child_left()
 
 
+def _flipped_bracket(original):
+    # the term (a v) conj(y) of [x, z] with its sign flipped
+    def bracket(s1, s2, ring):
+        out = original(s1, s2, ring)
+        if (lie3.degree(s1), lie3.degree(s2)) == (0, -1):
+            _, y = coordinate_elements(ring, s1.dim)
+            term = (s2.a * s1.v) * y.conjugate()
+            out = lie3.Sec1(out.mu, out.a - term - term, out.nu)
+        return out
+
+    return bracket
+
+
+def _doubled_rho_v_part(original):
+    def rho(sec, x, y):
+        X = original(sec, x, y)
+        return algebroid.VectorField(X.u + (x * y.conjugate()) * sec.v, X.v)
+
+    return rho
+
+
 @pytest.mark.parametrize(
-    "module, name",
-    [(algebra, "verify_algebra_identities"), (foliation, "verify_foliation")],
-    ids=["first_unit", "last_unit"],
+    "module, name, mutate, suite, check",
+    [
+        (lie3, "bracket", _flipped_bracket, "lie3", "lie3.jacobi_0_0_m1"),
+        (algebroid, "_rho", _doubled_rho_v_part, "algebroid", "algebroid_symbolic.anchor_morphism"),
+    ],
+    ids=["lie3", "algebroid"],
 )
-def test_a_unit_that_raises_aborts_all(monkeypatch, capsys, module, name):
-    # the first and the last unit of all --dim 2: the parent runs algebra, the child foliation
+def test_the_childs_verdict_reaches_the_report(monkeypatch, capsys, module, name, mutate, suite, check):
+    # the heaviest proof of each suite runs in the forked child
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    rc, out = _verify_json(capsys, "--suite", suite, "--backend", "exact")
+    assert rc == 1
+    assert {c["name"]: c["passed"] for c in json.loads(out)["checks"]}[check] is False
+    _no_child_left()
+
+
+def _jacobi_fault(original):
+    # raises on the degrees (0,0,-1) only: in the child's unit lie3.jacobi_0_0_m1
+    def jacobiator(x, y, z, ring):
+        if (lie3.degree(x), lie3.degree(y), lie3.degree(z)) == (0, 0, -1):
+            raise ValueError("injected fault")
+        return original(x, y, z, ring)
+
+    return jacobiator
+
+
+def _fault(original):
     def fault(*args):
         raise ValueError("injected fault")
 
-    monkeypatch.setattr(module, name, fault)
-    assert main(["verify", "--suite", "all", "--dim", "2", "--samples", "5"]) == 1
+    return fault
+
+
+@pytest.mark.parametrize(
+    "module, name, mutate, argv",
+    [
+        (algebra, "verify_algebra_identities", _fault, ["--suite", "all", "--dim", "2"]),
+        (foliation, "verify_foliation", _fault, ["--suite", "all", "--dim", "2"]),
+        (lie3, "jacobiator", _jacobi_fault, ["--suite", "lie3"]),
+        (lie3, "generic_ranks", _fault, ["--suite", "lie3"]),
+        (algebroid, "vf_commutator", _fault, ["--suite", "algebroid"]),
+        (algebroid, "verify_groupoid_consistency", _fault, ["--suite", "algebroid"]),
+    ],
+    ids=["first_unit", "last_unit", "lie3_child", "lie3_parent", "algebroid_child", "algebroid_parent"],
+)
+def test_a_unit_that_raises_aborts_all(monkeypatch, capsys, module, name, mutate, argv):
+    # all --dim 2: the parent runs algebra, the child foliation; lie3 and
+    # algebroid: the child runs the heaviest proof and the parent the rest
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    assert main(["verify", *argv, "--samples", "5"]) == 1
     err = capsys.readouterr().err
     assert "error: suite aborted: injected fault" in err
     assert "--help" not in err
@@ -310,11 +442,12 @@ def test_a_unit_that_raises_aborts_all(monkeypatch, capsys, module, name):
 
 def test_a_child_that_dies_aborts_all(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_child", lambda *args: os._exit(3))
-    assert main(["verify", "--suite", "all", "--dim", "2", "--samples", "5"]) == 1
-    err = capsys.readouterr().err
-    assert "error: suite aborted: " in err
-    assert "Traceback" not in err and "--help" not in err
-    _no_child_left()
+    for argv in (["--suite", "all", "--dim", "2"], ["--suite", "lie3"], ["--suite", "algebroid"]):
+        assert main(["verify", *argv, "--samples", "5"]) == 1, argv
+        err = capsys.readouterr().err
+        assert "error: suite aborted: " in err
+        assert "Traceback" not in err and "--help" not in err
+        _no_child_left()
 
 
 def test_text_footer_is_wall_time(capsys):

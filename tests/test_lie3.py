@@ -9,7 +9,6 @@ import pytest
 from ohopf.algebra import AlgebraElement, random_integer_element, vector_symbol, vector_names
 from ohopf.algebroid import E0Section
 from ohopf.exactsolve import dense_rank
-from ohopf.foliation import _J_matrix
 from ohopf.lie3 import (
     Sec1,
     Sec2,
@@ -20,7 +19,6 @@ from ohopf.lie3 import (
     degree,
     generic_ranks,
     _maps_at,
-    _resolution_at,
     jacobiator,
     leibniz_residual,
     resolution_matrices,
@@ -200,16 +198,28 @@ def test_rank_suite():
     assert report.passed, [(c.name, c.info) for c in report.checks if not c.passed]
 
 
+def _product_is_zero(A, B):
+    """A B = 0 for integer matrices given as rows, in exact int arithmetic."""
+    return all(sum(a * b for a, b in zip(row, col)) == 0 for row in A for col in zip(*B))
+
+
 def test_integer_points_eliminate_to_the_certified_ranks():
-    # an oracle independent of the certificates: exact elimination over Q at
-    # seeded integer points, the last three on the infinity line x = 0
+    # an oracle independent of the certificates and of polyring: exact
+    # elimination over Q and exact integer matrix products at seeded integer
+    # points, the last three on the infinity line x = 0
     rng = random.Random(5)
     z = AlgebraElement.zero(8)
     for i in range(10):
         x = z if i >= 7 else random_integer_element(rng, 8)
         y = random_integer_element(rng, 8)
-        assert tuple(dense_rank(M) for M in _resolution_at(x, y)) == (7, 9, 1), (x, y)
-        assert dense_rank(_J_matrix(x, y)) == 9, (x, y)
+        mats = _maps_at(x, y)
+        assert tuple(dense_rank(M) for M in (mats.Rho, mats.D1, mats.D2)) == (7, 9, 1), (x, y)
+        assert dense_rank(mats.J) == 9, (x, y)
+        maps = (mats.J, mats.Rho, mats.D1, mats.D2)
+        assert all(type(c) is int for M in maps for row in M for c in row)
+        assert _product_is_zero(mats.Rho, mats.D1), (x, y)  # rho . d1 = 0
+        assert _product_is_zero(mats.D1, mats.D2), (x, y)  # d1 . d2 = 0
+        assert _product_is_zero(mats.J, mats.Rho), (x, y)  # J . rho = 0
 
 
 def test_symbolic_suite():
