@@ -26,13 +26,14 @@ table built from the triples is the one used for octonion products.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .polyring import Deferred, PolyRing, Polynomial
-from .report import Check, VerificationReport, derived_random, timed_report
+from .report import Check, LazyNumpy, VerificationReport, derived_random, timed_report
+
+np = LazyNumpy(globals())
 
 DIMS = (1, 2, 4, 8, 16)
 
@@ -91,16 +92,21 @@ def mult_table(dim: int):
     return octonion_table() if dim == 8 else doubling_table(dim)
 
 
-def _nonzero(coeffs):
-    """(index, coefficient) pairs without the zero scalars; an array always stays."""
-    return [(i, c) for i, c in enumerate(coeffs) if c.__class__ is np.ndarray or c]
+def _batch_class():
+    """numpy.ndarray, the class of a batch coefficient; None while numpy is
+    not imported, when no coefficient can be a batch."""
+    numpy = sys.modules.get("numpy")
+    return None if numpy is None else numpy.ndarray
 
 
-def _symbolic(coeffs) -> bool:
+def _nonzero(coeffs, batch):
+    """(index, coefficient) pairs without the zero scalars; a batch always stays."""
+    return [(i, c) for i, c in enumerate(coeffs) if c.__class__ is batch or c]
+
+
+def _symbolic(coeffs, batch) -> bool:
     """Every nonzero coefficient is a Polynomial, deferred or not."""
-    return all(
-        isinstance(c, Polynomial) or (c.__class__ is not np.ndarray and not c) for c in coeffs
-    )
+    return all(isinstance(c, Polynomial) or (c.__class__ is not batch and not c) for c in coeffs)
 
 
 class AlgebraElement:
@@ -162,8 +168,9 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check_dim(other)
             sign, index = mult_table(self.dim)
-            left, right = _nonzero(self.coeffs), _nonzero(other.coeffs)
-            if left and right and _symbolic(self.coeffs) and _symbolic(other.coeffs):
+            batch = _batch_class()
+            left, right = _nonzero(self.coeffs, batch), _nonzero(other.coeffs, batch)
+            if left and right and _symbolic(self.coeffs, batch) and _symbolic(other.coeffs, batch):
                 # one deferred sum of signed products per output coefficient:
                 # the ring check and exponent guard run now, the sum when its
                 # terms are first read
@@ -207,13 +214,14 @@ class AlgebraElement:
     def inner(self, other):
         """Euclidean pairing of coefficient vectors; a symbolic pairing is a Deferred sum."""
         self._check_dim(other)
-        if _symbolic(self.coeffs) and _symbolic(other.coeffs):
+        batch = _batch_class()
+        if _symbolic(self.coeffs, batch) and _symbolic(other.coeffs, batch):
             pairs = [(1, a, b) for a, b in zip(self.coeffs, other.coeffs) if a and b]
             if pairs:
                 return Deferred(pairs[0][1].ring, pairs)
         total = None
         for a, b in zip(self.coeffs, other.coeffs):
-            if not (a.__class__ is np.ndarray or a) or not (b.__class__ is np.ndarray or b):
+            if not (a.__class__ is batch or a) or not (b.__class__ is batch or b):
                 continue
             t = a * b
             total = t if total is None else total + t
@@ -230,7 +238,7 @@ class AlgebraElement:
         n = self.norm_sq()
         if isinstance(n, Polynomial):
             raise TypeError("no inverse in the polynomial backend; clear denominators instead")
-        batch = isinstance(n, np.ndarray)
+        batch = n.__class__ is _batch_class()
         if not (n.all() if batch else n):
             raise ZeroDivisionError("zero element has no inverse")
         if batch or isinstance(n, float):
@@ -238,7 +246,8 @@ class AlgebraElement:
         return self.conjugate().scale(Fraction(1, 1) / n)
 
     def _refuse_batch(self, op: str):
-        if any(c.__class__ is np.ndarray for c in self.coeffs):
+        batch = _batch_class()
+        if any(c.__class__ is batch for c in self.coeffs):
             raise TypeError("%s of a batch has one answer per row; compare as_floats() rows" % op)
 
     def is_zero(self):

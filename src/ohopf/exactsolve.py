@@ -26,7 +26,9 @@ from __future__ import annotations
 import operator
 from math import gcd, lcm
 
-import numpy as np
+from .report import LazyNumpy
+
+np = LazyNumpy(globals())
 
 # below 2**15, so ncols * p**2 stays below 2**63 for any system that fits in memory
 PRIMES = (32749, 32719)

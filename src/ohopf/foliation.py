@@ -32,14 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import exactsolve
 from .algebra import AlgebraElement, coordinate_elements, vector_symbol
 from .algebroid import E0Section, _e0_basis, anchor, vf_apply
 from .leaves import PointD2, classify
 from .polyring import PolyRing
-from .report import VerificationReport, derived_rng, timed_report
+from .report import LazyNumpy, VerificationReport, derived_rng, timed_report
+
+np = LazyNumpy(globals())
 
 EXPECTED_NULLITY = {2: 1, 4: 3, 8: 0}
 
@@ -263,15 +263,16 @@ def planar_rotation_identity() -> bool:
 # -- suites -------------------------------------------------------------------
 
 
-def linear_obstruction_report() -> VerificationReport:
+def linear_obstruction_report(nullspace=None) -> VerificationReport:
     """The two computational pillars of the no-module-metric argument.
 
     (a) no nonzero linear field is tangent at dimension 8, and (b) every
     generator of the tangency module vanishes to second order at the origin,
     so nothing in the module can repair a first-order metric defect.
+    ``nullspace`` is linear_nullspace(8), solved here when not given.
     """
     with timed_report("linear_obstruction", {}) as report:
-        nullity, _ = linear_nullspace(8)
+        nullity, _ = nullspace or linear_nullspace(8)
         report.add(
             "no_linear_tangent_fields",
             "the space of linear fields tangent to the octonionic leaves is 0",
@@ -299,12 +300,13 @@ def linear_obstruction_report() -> VerificationReport:
     return report
 
 
-def verify_foliation(dim: int, seed: int) -> VerificationReport:
+def verify_foliation(dim: int, seed: int, nullspace=None) -> VerificationReport:
     """Tangency suite: symbolic kernel facts, the exact nullspace ladder, and
     the proof that anchor flows stay on their leaves.
 
     Every check is exact; the seed only picks the integer points of the
-    sampled nullspace oracle.
+    sampled nullspace oracle.  ``nullspace`` is linear_nullspace(dim),
+    solved here when not given.
 
     The leaves are the fibres of pi = (|x|^2, x*conj(y), |y|^2), the dim + 2
     polynomial components that leaves.classify computes.  The flow check
@@ -360,7 +362,7 @@ def verify_foliation(dim: int, seed: int) -> VerificationReport:
         )
 
         # exact linear nullspace and its sampled cross-check
-        nullity, basis = linear_nullspace(dim)
+        nullity, basis = nullspace or linear_nullspace(dim)
         expected = EXPECTED_NULLITY[dim]
         report.add(
             "linear_nullspace_dimension",

@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .algebra import (
     AlgebraElement,
     coordinate_elements,
@@ -48,7 +46,9 @@ from .algebra import (
 )
 from .leaves import PointD2, same_leaf
 from .polyring import PolyRing
-from .report import VerificationReport, chunks, derived_rng, timed_report
+from .report import LazyNumpy, VerificationReport, chunks, derived_rng, timed_report
+
+np = LazyNumpy(globals())
 
 MEMBERSHIP_EPS = 1e-12
 # the suites draw arrows with lambda^2 above this margin, at the source and after rebasing

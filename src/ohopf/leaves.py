@@ -20,11 +20,11 @@ import csv
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .algebra import AlgebraElement, from_array, random_integer_element, random_rational_element
 from .exactsolve import dense_rank
-from .report import VerificationReport, chunks, derived_random, derived_rng, timed_report
+from .report import LazyNumpy, VerificationReport, chunks, derived_random, derived_rng, timed_report
+
+np = LazyNumpy(globals())
 
 
 class PointD2(NamedTuple):

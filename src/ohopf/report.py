@@ -24,11 +24,12 @@ its suite.  The float draws come from ``derived_rng(root_seed, k)``, numpy's
 default_rng seeded with the pair (root_seed, k); the foliation suite draws
 its sampled oracle's integer points from stream 0.  The exact suites draw
 integers from ``derived_random(root_seed, k)``, Python's generator seeded
-with the text "root_seed/k": the algebra suite its sedenion witnesses from
-stream 0 and its exact inverse samples from stream 1, the counterexample
-its quaternion control from stream 0.  The leaf suite samples leaf k
-through sample_leaf with default_rng([seed, 10 + k]), a stream of its own
-under each root seed.
+with the text "root_seed/k", so that they run without numpy (which the
+modules load on first float use, see ``LazyNumpy``): the algebra suite its
+sedenion witnesses from stream 0 and its exact inverse samples from stream
+1, the counterexample its quaternion control from stream 0.  The leaf
+suite samples leaf k through sample_leaf with default_rng([seed, 10 + k]),
+a stream of its own under each root seed.
 """
 
 from __future__ import annotations
@@ -36,12 +37,39 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
+
+class LazyNumpy:
+    """Stands in for numpy as ``np`` in the globals of a module that uses it
+    only in float code, so that importing the module, and every exact call,
+    leaves numpy unimported.
+
+    The first attribute read imports numpy and binds the module's ``np`` to
+    numpy itself, so from then on ``np.x`` costs what it costs after
+    ``import numpy as np``.  A dunder read raises AttributeError and imports
+    nothing, so introspecting the module does not load numpy.
+    """
+
+    __slots__ = ("namespace",)
+
+    def __init__(self, namespace: dict):
+        self.namespace = namespace
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        import numpy
+
+        self.namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = LazyNumpy(globals())
 
 SCHEMA_VERSION = "1"
 ARTIFACT_VERSION = "0.1.0"
@@ -59,9 +87,8 @@ def derived_random(root_seed: int, stream: int) -> random.Random:
     exact suites' integer draws.
 
     Seeded with the text "root_seed/stream" (which random hashes with
-    SHA-512), it keys its streams like derived_rng without importing
-    numpy.random: that import alone adds about 6 MB of RSS to a run that
-    draws no floats.
+    SHA-512), it keys its streams like derived_rng without importing numpy,
+    so the exact suites run without it.
     """
     return random.Random("%d/%d" % (int(root_seed), int(stream)))
 
@@ -79,12 +106,14 @@ def _jsonable(value):
         return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    numpy = sys.modules.get("numpy")  # a numpy value implies an imported numpy
+    if numpy is not None:
+        if isinstance(value, numpy.integer):
+            return int(value)
+        if isinstance(value, numpy.floating):
+            return float(value)
+        if isinstance(value, numpy.ndarray):
+            return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

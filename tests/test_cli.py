@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, validation, report determinism."""
 
 import csv
+import itertools
 import json
 import os
 import re
@@ -359,6 +360,28 @@ def test_all_forks_its_costliest_suite(monkeypatch):
     for suite in ("algebra", "leaves", "groupoid", "foliation"):
         assert run_suite(suite, 8, 5, 20, 1e-9, "float") == [(suite, os.getpid())]
     assert run_suite("all", 16, 5, 20, 1e-9, "float") == [("algebra", os.getpid())]
+    _no_child_left()
+
+
+def test_the_child_runs_its_units_costliest_first(monkeypatch, capsys):
+    # all --dim 8: the Jacobi proof runs before the float groupoid batches, whose
+    # heap would otherwise stack under its peak; the reports keep unit order
+    units, ticks = cli._units, itertools.count()
+
+    def probe(*args):
+        return [(name, lambda name=name: [(name, os.getpid(), next(ticks))]) for name, _ in units(*args)]
+
+    monkeypatch.setattr(cli, "_units", probe)
+    out = run_suite("all", 8, 5, 20, 1e-9, "float")
+    assert [name for name, _, _ in out] == _unit_names("all", 8)
+    # the forked child counts on its own copy of ticks, in the order it runs
+    child = sorted((tick, name) for name, pid, tick in out if pid != os.getpid())
+    assert [name for _, name in child] == ["lie3.jacobi_0_0_m1", "groupoid", "lie3.tail", "algebra"]
+    monkeypatch.undo()
+    argv = ["--suite", "all", "--dim", "8", "--seed", "5", "--samples", "20", "--backend", "exact"]
+    forked = _verify_json(capsys, *argv)
+    monkeypatch.delattr(os, "fork")
+    assert _verify_json(capsys, *argv) == forked
     _no_child_left()
 
 
