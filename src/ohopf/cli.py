@@ -197,16 +197,16 @@ def _child(unit, sink: int):
 # of five warm passes in one process).  _child_side uses them at every dim:
 # only their order and rough ratios matter.  Integers, so that ties are exact.
 UNIT_COST = {
-    "algebra": 40,
+    "algebra": 50,
     "leaves": 10,
     "groupoid": 80,
     "algebroid.head": 80,
     "algebroid.anchor_morphism": 140,
     "algebroid.tail": 30,
     "lie3.head": 150,
-    "lie3.jacobi_0_0_m1": 340,
-    "lie3.tail": 70,
-    "foliation": 120,
+    "lie3.jacobi_0_0_m1": 240,
+    "lie3.tail": 60,
+    "foliation": 110,
 }
 
 
@@ -218,8 +218,8 @@ def _child_side(names) -> list:
     1969) by UNIT_COST: the units, in that order, each go to the side with
     the lower cost so far, the child's on a tie.  The child runs the side
     that holds the costliest unit, so each call splits the same way, and
-    runs that unit first: at dim 8 the heap the float groupoid batches leave
-    behind would otherwise stack under the peak of the Jacobi proof.
+    runs that unit first: at dim 8 the heap the float suites leave behind
+    would otherwise stack under the peak of the Jacobi proof.
     """
     side, load = [], [0, 0]
     for index in sorted(range(len(names)), key=lambda i: -UNIT_COST[names[i]]):
@@ -338,12 +338,18 @@ def _units(suite: str, dim: int, seed: int, samples: int, tol: float, backend: s
             lambda: [algebroid.verify_groupoid_consistency(dim)],
         )
     if suite == "lie3":
+
+        def matrix_reports():
+            # one build of the resolution matrices for both reports
+            mats = lie3.resolution_matrices(8)
+            return [lie3.verify_matrix_vs_transcription(mats), lie3.generic_ranks(mats)]
+
         return _split_around(
             "lie3",
             lie3.CHECKS,
             "jacobi_0_0_m1",
             lambda rows: [lie3.verify_lie3(rows)],
-            lambda: [lie3.verify_matrix_vs_transcription(), lie3.generic_ranks()],
+            matrix_reports,
         )
 
     def foliation_reports():  # suite == "foliation"
@@ -421,7 +427,10 @@ def cmd_verify(args) -> int:
 def cmd_export_leaf(args) -> int:
     _check_dim("leaves", args.dim)
     leaf = _parse_leaf(args.slope, args.dim, args.radius)
-    pts = leaves.sample_leaf(leaf, args.count, args.seed)
+    try:
+        pts = leaves.sample_leaf(leaf, args.count, args.seed)
+    except MemoryError:
+        _usage_error("-n %d points do not fit in memory" % args.count)
     try:
         leaves.export_csv(pts, args.out)
     except OSError as exc:

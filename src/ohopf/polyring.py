@@ -20,10 +20,10 @@ and Deferred included, is a sum_of_products call, which refuses
 (ExponentOverflow) any factor with an exponent of 16 or more: factors whose
 exponents are all at most 15 give products whose exponents are at most 30, so
 no field ever carries into its neighbour.  Whether a polynomial has such an
-exponent is found once and kept on it.  Addition, derive and substitute never
-raise an exponent.  Nothing in this package exceeds ten.  Coefficients stay
-plain ints as long as the inputs are integral, which keeps the identity
-suites fast.
+exponent is found once and kept on it.  Addition, derive, substitute and the
+variable swaps of PolyRing.swap never raise an exponent.  Nothing in this
+package exceeds ten.  Coefficients stay plain ints as long as the inputs are
+integral, which keeps the identity suites fast.
 
 A sum of many products, such as a coefficient of an octonion product or a
 derivation applied to a function, is a Deferred polynomial: it keeps its
@@ -137,6 +137,45 @@ class PolyRing:
             exps.append(key & _MASK)
             key >>= _SHIFT
         return tuple(exps)
+
+    def swap(self, first, second):
+        """The ring automorphism sigma that swaps two blocks of section variables.
+
+        first and second each name consecutive section variables, in ring
+        order; the blocks must have the same nonzero length and must not
+        overlap.  sigma maps the i-th variable of either block to the i-th of
+        the other and fixes every other variable, the base variables x and y
+        included, so it commutes with every ring operation and with derive.
+        It returns a function of a polynomial of this ring that moves the two
+        blocks' exponent fields of each key with masks, without decoding it.
+        """
+        starts = []
+        for block in (first, second):
+            ordinals = [self.ordinal(v) for v in block]
+            if not ordinals or ordinals != list(range(ordinals[0], ordinals[0] + len(ordinals))):
+                raise ValueError("a swapped block must be nonempty consecutive variables")
+            # base variables come first, so a block that starts past them has none
+            if self.variables[ordinals[0]].kind is not VarKind.SECTION:
+                raise ValueError("cannot swap base variable %r" % self.variables[ordinals[0]].name)
+            starts.append(ordinals[0])
+        if len(first) != len(second):
+            raise ValueError("swapped blocks differ in length: %d and %d" % (len(first), len(second)))
+        lo, hi = sorted(starts)
+        if hi - lo < len(first):
+            raise ValueError("swapped blocks overlap")
+        gap = _SHIFT * (hi - lo)
+        low = ((1 << (_SHIFT * len(first))) - 1) << (_SHIFT * lo)
+        high = low << gap
+        keep = ~(low | high)
+
+        def sigma(p: Polynomial) -> Polynomial:
+            if p.ring is not self:
+                raise RingMismatch("polynomials belong to different rings")
+            return Polynomial(
+                self, {k & keep | (k & low) << gap | (k & high) >> gap: c for k, c in p.terms.items()}
+            )
+
+        return sigma
 
 
 def _coerce(value) -> Scalar:

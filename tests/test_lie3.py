@@ -280,6 +280,39 @@ def test_flipped_bracket_term_is_detected(monkeypatch):
     assert {"jacobi_0_0_m1", "leibniz_0_m1"} <= failed
 
 
+def test_unsigned_reversed_bracket_is_detected(monkeypatch):
+    # [z, x] = [x, z] instead of -[x, z]: the mirror argument of jacobi_0_0_m1
+    # rests on that sign, so the proof must not hide its loss
+    import ohopf.lie3 as lie3_mod
+
+    original = lie3_mod.bracket
+
+    def unsigned(s1, s2, ring):
+        if (degree(s1), degree(s2)) == (-1, 0):
+            return original(s2, s1, ring)
+        return original(s1, s2, ring)
+
+    monkeypatch.setattr(lie3_mod, "bracket", unsigned)
+    failed = {c.name for c in verify_lie3().checks if not c.passed}
+    assert {"jacobi_0_0_m1", "antisymmetry_0_m1"} <= failed
+
+
+def test_the_mirror_of_a_jacobi_term_is_the_other_term():
+    # sigma swaps X's variables (u, v) with Y's (p, q); the other term is
+    # computed directly through bracket, an oracle independent of the mirror
+    from ohopf.lie3 import _sym_sections
+
+    s = _sym_sections(8)
+    ring = s.ring
+    sigma = ring.swap(
+        vector_names("u", 8) + vector_names("v", 8), vector_names("p", 8) + vector_names("q", 8)
+    )
+    mirrored = bracket(s.X, bracket(s.Y, s.Z1, ring), ring).map(sigma)
+    other = bracket(s.Y, bracket(s.Z1, s.X, ring), ring)
+    pairs = list(zip(mirrored.components(), other.components()))
+    assert len(pairs) == 10 and all(a == -b and a for a, b in pairs)
+
+
 def test_brackets_zero_by_degree_can_fail(monkeypatch):
     # a nonzero bracket for the degree pairs that die by degree must FAIL
     # exactly the checks whose law rests on them

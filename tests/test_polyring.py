@@ -20,13 +20,13 @@ NAMES = ("x0", "y0", "s0", "s1")
 
 
 @st.composite
-def polys(draw):
-    p = RING.zero
+def polys(draw, ring=RING, names=NAMES):
+    p = ring.zero
     for _ in range(draw(st.integers(0, 5))):
         c = draw(st.integers(-4, 4))
-        mono = RING.one
-        for name in NAMES:
-            mono = mono * RING.poly(name) ** draw(st.integers(0, 2))
+        mono = ring.one
+        for name in names:
+            mono = mono * ring.poly(name) ** draw(st.integers(0, 2))
         p = p + mono * c
     return p
 
@@ -222,6 +222,57 @@ def test_sum_of_products_refuses_mixed_rings():
             sum_of_products(RING, [(1, x, x), triple])
     with pytest.raises(RingMismatch):
         sum_of_products(other, [(1, x, x)])
+
+
+# -- variable swaps -----------------------------------------------------------
+
+# two blocks of two section variables with a fixed variable c between them
+SWAP_NAMES = ("x0", "y0", "a0", "a1", "c", "b0", "b1")
+SWAP_RING = PolyRing(1, SWAP_NAMES[2:])
+SIGMA = SWAP_RING.swap(("a0", "a1"), ("b0", "b1"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(SWAP_RING, SWAP_NAMES), polys(SWAP_RING, SWAP_NAMES))
+def test_swap_is_an_involutive_automorphism_that_commutes_with_derive(p, q):
+    assert SIGMA(SIGMA(p)) == p
+    assert SIGMA(p * q) == SIGMA(p) * SIGMA(q)
+    assert SIGMA(p + q) == SIGMA(p) + SIGMA(q)
+    for name in ("x0", "y0"):
+        assert SIGMA(p.derive(name)) == SIGMA(p).derive(name)
+    # the order of the two blocks does not matter
+    assert SWAP_RING.swap(("b0", "b1"), ("a0", "a1"))(p) == SIGMA(p)
+
+
+def test_swap_maps_each_variable_to_its_partner():
+    x, y, a0, a1, c, b0, b1 = (SWAP_RING.poly(name) for name in SWAP_NAMES)
+    p = 3 * a0**15 * b1 * c * x**2 * y - 5 * a1 + b0 * b1 + 7
+    assert SIGMA(p) == 3 * b0**15 * a1 * c * x**2 * y - 5 * b1 + a0 * a1 + 7
+    assert SIGMA(x * y * c) == x * y * c
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("x0",), ("a0",)),
+        (("c",), ("y0",)),
+        (("a0", "a1"), ("a1", "c")),
+        (("a0", "a1", "c"), ("a1", "c", "b0")),
+        (("a0", "a1"), ("b0",)),
+        (("a0",), ("b0", "b1")),
+        (("a0", "c"), ("b0", "b1")),
+        ((), ()),
+    ],
+    ids=["base_x", "base_y", "overlap", "overlap_3", "unequal", "unequal_2", "gap", "empty"],
+)
+def test_swap_refuses_base_overlapping_and_unequal_blocks(first, second):
+    with pytest.raises(ValueError):
+        SWAP_RING.swap(first, second)
+
+
+def test_swap_refuses_another_rings_polynomial():
+    with pytest.raises(RingMismatch):
+        SIGMA(PolyRing(1, SWAP_NAMES[2:]).poly("a0"))
 
 
 # -- independent CAS oracle -----------------------------------------------
