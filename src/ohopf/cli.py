@@ -15,12 +15,15 @@ On POSIX a verify call runs in two processes when it has two or more units
 table UNIT_COST assigns it, this process the rest, and the reports merge in
 unit order to the bytes one process gives.  A unit is one suite, except
 that lie3 and algebroid split their symbolic proofs into three units, so
-those two suites fork when run alone too.
+those two suites fork when run alone too.  A call that runs lie3, algebroid
+and foliation together proves each claim they share once: the other checks
+of that claim cite it, and take its verdict once both processes are done.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import pickle
@@ -194,19 +197,22 @@ def _child(unit, sink: int):
 
 
 # CPU milliseconds of each unit at dim 8 (seed 101, --samples 200, the median
-# of five warm passes in one process).  _child_side uses them at every dim:
+# of five warm passes in one process), as ``all`` runs it: there foliation
+# cites one check, and algebroid.head runs only in --suite algebroid.  CPU
+# speed drifts between runs, so each run is scaled to lie3.jacobi_0_0_m1 =
+# 240 and the median of five runs kept.  _child_side uses them at every dim:
 # only their order and rough ratios matter.  Integers, so that ties are exact.
 UNIT_COST = {
     "algebra": 50,
     "leaves": 10,
-    "groupoid": 80,
+    "groupoid": 70,
     "algebroid.head": 80,
-    "algebroid.anchor_morphism": 140,
+    "algebroid.anchor_morphism": 130,
     "algebroid.tail": 30,
     "lie3.head": 150,
     "lie3.jacobi_0_0_m1": 240,
     "lie3.tail": 60,
-    "foliation": 110,
+    "foliation": 90,
 }
 
 
@@ -293,20 +299,27 @@ def _split_around(suite: str, checks, heaviest: str, proofs, rest) -> list:
     ]
 
 
-def _units(suite: str, dim: int, seed: int, samples: int, tol: float, backend: str) -> list:
+def _units(
+    suite: str, dim: int, seed: int, samples: int, tol: float, backend: str, cite: bool = False
+) -> list:
     """The units of a suite in report order: (name, call returning a list of
     reports), the one table of what each suite checks.
 
     ``all`` runs the units of every suite whose SUITE_DIMS contain ``dim``.
     The symbolic proofs of lie3 and algebroid are each split into three
     units around their heaviest check; every other suite is one unit.
+
+    ``cite`` is set by an ``all`` call that runs lie3 and algebroid (dim 8).
+    The checks of algebroid.LIE3_CITES and foliation.anchor_image_tangent
+    then cite the check of another suite that proves the same claim.  The
+    two cited algebroid rows are all of algebroid.head, so the head rides
+    with the algebroid.anchor_morphism unit: each unit name keeps one cost.
     """
     if suite == "all":
+        names = [name for name in SUITES if name != "all" and dim in SUITE_DIMS[name]]
+        cite = "lie3" in names and "algebroid" in names
         return [
-            unit
-            for name in SUITES
-            if name != "all" and dim in SUITE_DIMS[name]
-            for unit in _units(name, dim, seed, samples, tol, backend)
+            unit for name in names for unit in _units(name, dim, seed, samples, tol, backend, cite)
         ]
     if suite == "algebra":
         return [
@@ -330,13 +343,17 @@ def _units(suite: str, dim: int, seed: int, samples: int, tol: float, backend: s
 
         return [("groupoid", groupoid_reports)]
     if suite == "algebroid":
-        return _split_around(
+        units = _split_around(
             "algebroid",
             algebroid.SYMBOLIC_CHECKS,
             "anchor_morphism",
-            lambda rows: [algebroid.verify_algebroid_symbolic(dim, rows)],
+            lambda rows: [algebroid.verify_algebroid_symbolic(dim, rows, cite)],
             lambda: [algebroid.verify_groupoid_consistency(dim)],
         )
+        if cite:  # the head proves nothing: it rides with the next unit
+            (_, head), (name, heaviest) = units[:2]
+            units[:2] = [(name, lambda: head() + heaviest())]
+        return units
     if suite == "lie3":
 
         def matrix_reports():
@@ -355,7 +372,7 @@ def _units(suite: str, dim: int, seed: int, samples: int, tol: float, backend: s
     def foliation_reports():  # suite == "foliation"
         # one exact elimination for both reports at dim 8
         nullspace = foliation.linear_nullspace(dim)
-        reports = [foliation.verify_foliation(dim, seed, nullspace)]
+        reports = [foliation.verify_foliation(dim, seed, nullspace, cite)]
         if dim == 8:
             reports.append(foliation.linear_obstruction_report(nullspace))
         return reports
@@ -373,17 +390,32 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
     report split across units comes back as consecutive parts under one
     suite name, and the parts merge (_merge) to the same canonical JSON as
     one process gives.  ``--backend exact`` leaves out G2 equivariance.
+
+    Once both processes are done, each cite (report.Check.cites) takes the
+    verdict of its source, so a cite and its source may run on either side
+    of the fork.  A cite whose source is not a check of the call raises
+    ValueError: the suite aborts.
     """
     _check_dim(suite, dim)
-    return _run_in_two_processes(_units(suite, dim, seed, samples, tol, backend))
+    reports = _run_in_two_processes(_units(suite, dim, seed, samples, tol, backend))
+    proved = {r.suite + "." + c.name: c.passed for r in reports for c in r.checks if c.cites is None}
+    for r in reports:
+        for c in r.checks:
+            if c.cites is None:
+                continue
+            if c.cites not in proved:
+                raise ValueError(
+                    "%s.%s cites %s, which this call does not prove" % (r.suite, c.name, c.cites)
+                )
+            c.passed = proved[c.cites]
+    return reports
 
 
 def _merge(reports, suite, config) -> VerificationReport:
     merged = VerificationReport(suite, config)
     for r in reports:
         for c in r.checks:
-            c = type(c)(r.suite + "." + c.name, c.law, c.passed, c.info)
-            merged.checks.append(c)
+            merged.checks.append(dataclasses.replace(c, name=r.suite + "." + c.name))
     return merged
 
 

@@ -118,15 +118,21 @@ def nullspace(rows, ncols: int, want_basis: bool = True):
 def rank_mod_p(rows, ncols: int, p: int) -> int:
     """Rank over GF(p) of dense integer rows, for a prime p with ncols * p**2 < 2**63.
 
-    Entries are reduced mod p before the int64 cast; a float or Fraction
-    entry raises TypeError.  The reduction is delayed (Dumas, Giorgi and
-    Pernet, ACM TOMS 35(3), 2008): the trailing block takes every rank-one
-    update unreduced, and only the next pivot column and the pivot row are
-    reduced before use.  Each update subtracts less than p**2 from an entry
-    and there are at most ncols of them, so no entry leaves int64.
+    ``rows`` is a list of rows or an integer array.  An int64 array is
+    reduced mod p as a whole; other entries are reduced one by one before
+    the int64 cast, and a float or Fraction entry raises TypeError.  The
+    reduction is delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
+    the trailing block takes every rank-one update unreduced, and only the
+    next pivot column and the pivot row are reduced before use.  Each update
+    subtracts less than p**2 from an entry and there are at most ncols of
+    them, so no entry leaves int64.
     """
     assert ncols * p * p < 2**63, "int64 would overflow the delayed reduction"
-    M = np.array([[operator.index(v) % p for v in row] for row in rows], dtype=np.int64)
+    M = np.asarray(rows)
+    if M.dtype == np.int64:
+        M = M % p
+    else:
+        M = np.array([[operator.index(v) % p for v in row] for row in rows], dtype=np.int64)
     M = M.reshape(-1, ncols)
     rank = 0
     for col in range(ncols):
@@ -143,7 +149,10 @@ def rank_mod_p(rows, ncols: int, p: int) -> int:
 
 
 def dense_rank(rows) -> int:
-    """Exact rank over Q of dense integer rows, by the sparse elimination."""
+    """Exact rank over Q of dense integer rows (a list of rows or an integer
+    array), by the sparse elimination."""
+    if hasattr(rows, "tolist"):  # an integer array: eliminate its rows as Python ints
+        rows = rows.tolist()
     sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
     return nullspace(sparse, len(rows[0]) if rows else 0, want_basis=False)[0]
 

@@ -192,22 +192,26 @@ def sampled_nullspace_dimension(dim: int, seed: int, extra_points: int = 3):
     full rank modulo a prime, which proves nullity 0 (the dim 8 case), and
     "exact_elimination" when sparse exact elimination had to decide (dims 2
     and 4, where the nullity is positive).
+
+    The system is one int64 array: the coordinates are in [-3, 3], every
+    entry of J at a point is a coordinate or 0, so every entry of the system
+    is at most 9 in absolute value.
     """
     rng = derived_rng(seed, 0)
     ncols = 4 * dim * dim
     needed = -(-ncols // (dim + 1)) + extra_points
-    rows = []
+    blocks = []
     for _ in range(needed):
-        coords = rng.integers(-3, 4, 2 * dim).tolist()
-        if not any(coords):
+        coords = rng.integers(-3, 4, 2 * dim)
+        if not coords.any():
             coords[0] = 1
         x, y = coords[:dim], coords[dim:]
-        J = _J_matrix(AlgebraElement(tuple(x), dim), AlgebraElement(tuple(y), dim))
-        # object arrays keep the entries Python ints for the exact rank
-        M, x, y = (np.array(a, dtype=object) for a in (J, x, y))
+        J = _J_matrix(AlgebraElement(tuple(x.tolist()), dim), AlgebraElement(tuple(y.tolist()), dim))
+        M = np.array(J, dtype=np.int64)
         Mu, Mv = M[:, :dim], M[:, dim:]
         # row c, unknown (block, p, l): the J entry (c, p) of the block times coordinate l
-        rows += np.hstack([np.kron(Mu, x), np.kron(Mu, y), np.kron(Mv, x), np.kron(Mv, y)]).tolist()
+        blocks.append(np.hstack([np.kron(Mu, x), np.kron(Mu, y), np.kron(Mv, x), np.kron(Mv, y)]))
+    rows = np.vstack(blocks)
     rank, certificate = exactsolve.certified_rank(rows, ncols)
     return ncols - rank, len(rows), certificate
 
@@ -300,13 +304,24 @@ def linear_obstruction_report(nullspace=None) -> VerificationReport:
     return report
 
 
-def verify_foliation(dim: int, seed: int, nullspace=None) -> VerificationReport:
+def verify_foliation(dim: int, seed: int, nullspace=None, cite: bool = False) -> VerificationReport:
     """Tangency suite: symbolic kernel facts, the exact nullspace ladder, and
     the proof that anchor flows stay on their leaves.
 
     Every check is exact; the seed only picks the integer points of the
     sampled nullspace oracle.  ``nullspace`` is linear_nullspace(dim),
     solved here when not given.
+
+    anchor_image_tangent, J(rho(u, v)) = 0, is the claim of
+    algebroid_symbolic.anchor_image_in_kernel, so with ``cite``, for a call
+    that runs the algebroid suite too, it cites that check.  Both apply
+    anchor and is_tangent_symbolic to the section of the symbols (u, v);
+    the algebroid's ring has four more blocks of section variables, and its
+    inclusion of this ring is an injective ring map that fixes x and y, so
+    one residual is zero iff the other is.  The claim also follows from
+    lie3.complex_rho_d1 with generic_ranks' J = d1^T and rho = rho^T: as
+    matrices at a point, J rho = d1^T rho^T = (rho d1)^T = 0.  That is three
+    checks of two reports, not one claim, so it is not cited.
 
     The leaves are the fibres of pi = (|x|^2, x*conj(y), |y|^2), the dim + 2
     polynomial components that leaves.classify computes.  The flow check
@@ -332,11 +347,11 @@ def verify_foliation(dim: int, seed: int, nullspace=None) -> VerificationReport:
         u = vector_symbol(ring, "u", dim)
         v = vector_symbol(ring, "v", dim)
         X = anchor(E0Section(u, v), ring)
-        report.add(
-            "anchor_image_tangent",
-            "J(rho(u, v)) = 0 for symbolic constant (u, v)",
-            is_tangent_symbolic(X.u, X.v, ring),
-        )
+        law = "J(rho(u, v)) = 0 for symbolic constant (u, v)"
+        if cite:
+            report.cite("anchor_image_tangent", law, "algebroid_symbolic.anchor_image_in_kernel")
+        else:
+            report.add("anchor_image_tangent", law, is_tangent_symbolic(X.u, X.v, ring))
 
         # the Euler field is not tangent: J(x, y) = (|x|^2, 2 x conj(y), |y|^2)
         base = PolyRing(dim)

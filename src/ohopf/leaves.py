@@ -114,7 +114,8 @@ def sample_leaf(leaf: LeafId, n: int, seed) -> PointD2:
 def export_csv(points: PointD2, path):
     """One row per point of a batch; float columns x0..x{d-1}, y0..y{d-1}, with header."""
     dim = points.x.dim
-    rows = np.hstack([points.x.as_floats(), points.y.as_floats()])
+    # a block that is 0 at every point, as y on a slope-0 leaf, comes back as one row
+    rows = np.hstack(np.broadcast_arrays(np.atleast_2d(points.x.as_floats()), points.y.as_floats()))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x%d" % i for i in range(dim)] + ["y%d" % i for i in range(dim)])

@@ -15,6 +15,11 @@ and every recorded residual is <= tol.  A NaN residual counts as the worst:
 it fails the law and is what ``max_residual`` reports.  A law that recorded
 nothing fails with ``max_residual`` null, so zero samples never make a PASS.
 
+A cite is a check that another report of the same call proves: it names its
+source check (``VerificationReport.cite``) and has no verdict until the call
+copies the source's (``cli.run_suite``).  A report that still holds a cite
+without a verdict refuses to render.
+
 The float suites draw and check their samples in batches of at most
 CHUNK_ROWS rows (``chunks``), which bounds the memory a batch takes whatever
 the sample count.
@@ -123,18 +128,29 @@ def _jsonable(value):
 
 @dataclass
 class Check:
-    """One verified statement: name, the law checked, outcome, detail."""
+    """One verified statement: name, the law checked, outcome, detail.
+
+    A cite names in ``cites`` the check, "<report>.<check>", that proves the
+    same claim; its ``passed`` stays None until that verdict is copied in.
+    """
 
     name: str
     law: str
-    passed: bool
+    passed: bool | None
     info: dict = field(default_factory=dict)
+    cites: str | None = None
+
+    def verdict(self) -> bool:
+        """The pass flag; a cite without a verdict yet raises ValueError."""
+        if self.passed is None:
+            raise ValueError("check %s cites %s and has no verdict yet" % (self.name, self.cites))
+        return bool(self.passed)
 
     def as_dict(self):
         return {
             "name": self.name,
             "law": self.law,
-            "passed": bool(self.passed),
+            "passed": self.verdict(),
             "info": _jsonable(self.info),
         }
 
@@ -168,10 +184,15 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.verdict() for c in self.checks)
 
     def add(self, name, law, passed, **info):
         self.checks.append(Check(name, law, bool(passed), info))
+
+    def cite(self, name, law, source):
+        """Append a cite of the check ``source``, "<report>.<check>", which
+        proves the same claim elsewhere in the call."""
+        self.checks.append(Check(name, law, None, {}, source))
 
     def law(self, name, law, tol) -> SampledLaw:
         """Append a sampled law's Check now (failing until a residual is recorded)."""
@@ -204,7 +225,7 @@ class VerificationReport:
         lines.append("-" * len(header))
         width = max((len(c.name) for c in self.checks), default=4)
         for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
+            status = "PASS" if c.verdict() else "FAIL"
             lines.append("%-*s  %s  %s" % (width, c.name, status, c.law))
         lines.append(
             "%d/%d checks passed in %.2fs"

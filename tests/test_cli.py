@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, validation, report determinism."""
 
 import csv
+import functools
 import itertools
 import json
 import os
@@ -125,6 +126,21 @@ def test_export_leaf_tiny_or_zero_radius(tmp_path, slope, radius):
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == 2
     assert any(float(v) for row in rows for v in row) is (slope == "inf")
+
+
+@pytest.mark.parametrize("dim", [1, 8])
+def test_export_leaf_zero_slope(tmp_path, dim):
+    # y = 0 x is 0 at every point of the leaf y = 0, |x| = r
+    out = tmp_path / "flat.csv"
+    slope = ",".join(["0"] * dim)
+    argv = ["--dim", str(dim), "--slope", slope, "--radius", "2", "-n", "5", "--out", str(out)]
+    assert main(["export-leaf", *argv]) == 0
+    with open(out) as fh:
+        rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    assert len(rows) == 5
+    for row in rows:
+        assert row[dim:] == [0.0] * dim
+        assert abs(sum(v * v for v in row[:dim]) - 4.0) < 1e-12
 
 
 def test_export_leaf_bad_slope():
@@ -339,51 +355,159 @@ def test_every_unit_has_a_cost_and_every_cost_a_unit():
     assert names == set(cli.UNIT_COST)
 
 
-def test_all_forks_its_costliest_suite(monkeypatch):
-    # the same units run in the child on every call, whatever the timing
+def _probe_units(monkeypatch, *stamp):
+    """Make each unit of a call return one empty report named after the unit,
+    whose config records the pid of the process that ran it and ``stamp``,
+    each called there."""
     units = cli._units
 
     def probe(*args):
-        return [(name, lambda name=name: [(name, os.getpid())]) for name, _ in units(*args)]
+        return [
+            (name, lambda name=name: [VerificationReport(name, [os.getpid(), *(f() for f in stamp)])])
+            for name, _ in units(*args)
+        ]
 
     monkeypatch.setattr(cli, "_units", probe)
+
+
+def _probed(suite, dim):
+    return [(r.suite, *r.config) for r in run_suite(suite, dim, 5, 20, 1e-9, "float")]
+
+
+def test_all_forks_its_costliest_suite(monkeypatch):
+    # the same units run in the child on every call, whatever the timing
+    _probe_units(monkeypatch)
     for suite, dim, forked in [
         ("all", 1, ["groupoid"]),
         ("all", 2, ["leaves", "foliation"]),
         ("all", 4, ["leaves", "foliation"]),
-        ("all", 8, ["algebra", "algebroid.head", "lie3.jacobi_0_0_m1", "foliation"]),
+        ("all", 8, ["algebroid.tail", "lie3.jacobi_0_0_m1", "lie3.tail", "foliation"]),
         ("lie3", 8, ["lie3.jacobi_0_0_m1"]),
         ("algebroid", 8, ["algebroid.anchor_morphism"]),
     ]:
-        out = run_suite(suite, dim, 5, 20, 1e-9, "float")
+        out = _probed(suite, dim)
         assert [name for name, _ in out] == _unit_names(suite, dim)
         assert [name for name, pid in out if pid != os.getpid()] == forked, (suite, dim)
     # a call of one unit runs in this process
     for suite in ("algebra", "leaves", "groupoid", "foliation"):
-        assert run_suite(suite, 8, 5, 20, 1e-9, "float") == [(suite, os.getpid())]
-    assert run_suite("all", 16, 5, 20, 1e-9, "float") == [("algebra", os.getpid())]
+        assert _probed(suite, 8) == [(suite, os.getpid())]
+    assert _probed("all", 16) == [("algebra", os.getpid())]
     _no_child_left()
 
 
 def test_the_child_runs_its_units_costliest_first(monkeypatch, capsys):
     # all --dim 8: the Jacobi proof runs before the float suites, whose heap
     # would otherwise stack under its peak; the reports keep unit order
-    units, ticks = cli._units, itertools.count()
-
-    def probe(*args):
-        return [(name, lambda name=name: [(name, os.getpid(), next(ticks))]) for name, _ in units(*args)]
-
-    monkeypatch.setattr(cli, "_units", probe)
-    out = run_suite("all", 8, 5, 20, 1e-9, "float")
+    _probe_units(monkeypatch, functools.partial(next, itertools.count()))
+    out = _probed("all", 8)
     assert [name for name, _, _ in out] == _unit_names("all", 8)
-    # the forked child counts on its own copy of ticks, in the order it runs
+    # the forked child counts on its own copy of the ticks, in the order it runs
     child = sorted((tick, name) for name, pid, tick in out if pid != os.getpid())
-    assert [name for _, name in child] == ["lie3.jacobi_0_0_m1", "foliation", "algebroid.head", "algebra"]
+    assert [name for _, name in child] == ["lie3.jacobi_0_0_m1", "foliation", "lie3.tail", "algebroid.tail"]
     monkeypatch.undo()
     argv = ["--suite", "all", "--dim", "8", "--seed", "5", "--samples", "20", "--backend", "exact"]
     forked = _verify_json(capsys, *argv)
     monkeypatch.delattr(os, "fork")
     assert _verify_json(capsys, *argv) == forked
+    _no_child_left()
+
+
+def _cites(reports):
+    return [(r.suite + "." + c.name, c.cites) for r in reports for c in r.checks if c.cites]
+
+
+def test_only_all_at_dim_8_cites(capsys):
+    # single-suite calls, and all without lie3 and algebroid, prove every check themselves
+    for suite in ("algebroid", "lie3", "foliation", "all"):
+        for dim in SUITE_DIMS[suite]:
+            if (suite, dim) != ("all", 8):
+                assert _cites(run_suite(suite, dim, 5, 5, 1e-9, "exact")) == [], (suite, dim)
+    reports = run_suite("all", 8, 5, 5, 1e-9, "exact")
+    assert _cites(reports) == [
+        ("algebroid_symbolic.antisymmetry", "lie3.antisymmetry_0_0"),
+        ("algebroid_symbolic.jacobi", "lie3.jacobi_0_0_0"),
+        ("foliation.anchor_image_tangent", "algebroid_symbolic.anchor_image_in_kernel"),
+    ]
+    verdicts = {r.suite + "." + c.name: c.passed for r in reports for c in r.checks}
+    assert all(verdicts[name] is verdicts[source] is True for name, source in _cites(reports))
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (foliation, "verify_foliation", ["--suite", "foliation", "--dim", "2"]),
+        (algebroid, "verify_algebroid_symbolic", ["--suite", "algebroid"]),
+    ],
+    ids=["foliation", "algebroid"],
+)
+def test_a_cite_without_its_source_aborts(monkeypatch, capsys, module, name, argv):
+    # a single-suite call whose checks cite anyway (cite, the last argument,
+    # set): the source is not in the call
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: original(*args[:-1], True))
+    assert main(["verify", *argv, "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.search(r"error: suite aborted: \S+ cites \S+, which this call does not prove", err)
+    _no_child_left()
+
+
+def _verdicts(capsys, *argv):
+    rc, out = _verify_json(capsys, *argv, "--backend", "exact")
+    return {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+
+
+def _bracket_with_extra_weight(original):
+    # [s1, s2] + <x, v1> s2 - <x, v2> s1: antisymmetric, but no longer matched to the anchor
+    def bracket_e0(s1, s2, ring):
+        x, _ = coordinate_elements(ring, s1.dim)
+        return original(s1, s2, ring) + s2.scale(x.inner(s1.v)) - s1.scale(x.inner(s2.v))
+
+    return bracket_e0
+
+
+def _tangency_with_flipped_term(original):
+    # u conj(y) - x conj(v) in the middle component of J
+    def tangency(u, v, x, y):
+        first, middle, last = original(u, v, x, y)
+        return first, middle - (x * v.conjugate()).scale(2), last
+
+    return tangency
+
+
+@pytest.mark.parametrize(
+    "modules, name, mutate, fails, holds",
+    [
+        (
+            (algebroid, lie3),
+            "bracket_e0",
+            _bracket_with_extra_weight,
+            ["algebroid_symbolic.jacobi", "lie3.jacobi_0_0_0"],
+            ["algebroid_symbolic.antisymmetry", "lie3.antisymmetry_0_0"],
+        ),
+        (
+            (foliation,),
+            "_tangency",
+            _tangency_with_flipped_term,
+            ["algebroid_symbolic.anchor_image_in_kernel", "foliation.anchor_image_tangent"],
+            [],
+        ),
+    ],
+    ids=["bracket_e0", "tangency"],
+)
+def test_a_cite_fails_with_its_source(monkeypatch, capsys, modules, name, mutate, fails, holds):
+    # all --dim 8 proves each shared claim once: a mutation gives both names
+    # the verdicts that the single-suite runs, which prove both, give them
+    mutated = mutate(getattr(modules[0], name))
+    for module in modules:  # lie3 binds bracket_e0 under its own name
+        monkeypatch.setattr(module, name, mutated)
+    single = {}
+    for suite in ("algebroid", "lie3", "foliation"):
+        single.update(_verdicts(capsys, "--suite", suite, "--dim", "8"))
+    together = _verdicts(capsys, "--suite", "all", "--dim", "8")
+    assert [single[n] for n in fails + holds] == [False] * len(fails) + [True] * len(holds)
+    assert [together[n] for n in fails + holds] == [single[n] for n in fails + holds]
     _no_child_left()
 
 

@@ -29,6 +29,7 @@ from ohopf.leaves import (
     slope_leaf,
 )
 from ohopf.polyring import PolyRing
+from ohopf.report import derived_rng
 
 
 def test_J_of_zero_field():
@@ -260,8 +261,8 @@ def test_rank_that_drops_modulo_both_primes_is_decided_exactly():
 
 @pytest.mark.parametrize(
     "rows",
-    [[[1.5, 1], [1.25, 1]], [[Fraction(1, 2), 1], [Fraction(1, 3), 1]]],
-    ids=["float", "fraction"],
+    [[[1.5, 1], [1.25, 1]], [[Fraction(1, 2), 1], [Fraction(1, 3), 1]], np.array([[1.5, 1], [1.25, 1]])],
+    ids=["float", "fraction", "float_array"],
 )
 def test_exact_ranks_refuse_non_integer_entries(rows):
     # truncating the entries would report rank 1 where the rank is 2
@@ -269,6 +270,34 @@ def test_exact_ranks_refuse_non_integer_entries(rows):
         exactsolve.dense_rank(rows)
     with pytest.raises(TypeError):
         exactsolve.certified_rank(rows, 2)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_oracle_rows_give_one_rank_as_array_and_as_lists(monkeypatch, dim):
+    # the sampled oracle hands certified_rank one int64 array; at dims 2 and
+    # 4 certified_rank falls back to dense_rank
+    seen = []
+    certified_rank = exactsolve.certified_rank
+    monkeypatch.setattr(
+        exactsolve, "certified_rank", lambda rows, ncols: seen.append(rows) or certified_rank(rows, ncols)
+    )
+    sampled_nullspace_dimension(dim, 101)
+    (rows,) = seen
+    assert rows.dtype == np.int64 and np.abs(rows).max() <= 9
+    # the reference: J at one point at a time, in Python ints
+    rng, lists = derived_rng(101, 0), []
+    for _ in range(len(rows) // (dim + 2)):
+        coords = rng.integers(-3, 4, 2 * dim).tolist()
+        coords[0] = coords[0] if any(coords) else 1
+        x, y = coords[:dim], coords[dim:]
+        J = _J_matrix(AlgebraElement(tuple(x), dim), AlgebraElement(tuple(y), dim))
+        for row in J:
+            lists.append([a * b for u in (row[:dim], row[dim:]) for c in (x, y) for a in u for b in c])
+    assert rows.tolist() == lists
+    assert certified_rank(rows, 4 * dim * dim) == certified_rank(lists, 4 * dim * dim)
+    for p in exactsolve.PRIMES:
+        assert exactsolve.rank_mod_p(rows, 4 * dim * dim, p) == exactsolve.rank_mod_p(lists, 4 * dim * dim, p)
+    assert rows.tolist() == lists  # the ranks left the caller's array as it was
 
 
 @pytest.mark.parametrize(

@@ -110,3 +110,20 @@ def test_a_failed_certificate_fails_the_generic_rank_checks(monkeypatch, certifi
     assert not checks["rank_exactness"].passed
     assert checks["minimal_rank_consequence"].passed
     assert checks["minimal_rank_consequence"].info == {"rank_e0": 16, "rank_rho0": 16}
+
+
+def test_an_unresolved_cite_refuses_to_render():
+    report = VerificationReport("t", {})
+    report.add("proved", "a law", True)
+    report.cite("cited", "the same law", "other.proved")
+    for render in (report.to_json, report.to_text):
+        with pytest.raises(ValueError, match="cited cites other.proved"):
+            render()
+    # with its source's verdict, a cite renders as a proved check does
+    report.checks[1].passed = True
+    twin = VerificationReport("t", {})
+    twin.add("proved", "a law", True)
+    twin.add("cited", "the same law", True)
+    assert report.to_json() == twin.to_json()
+    assert report.to_text() == twin.to_text()
+
