@@ -34,8 +34,10 @@ for dim in (2, 4, 8):
         % (dim, nullity, sampled, neq, certificate)
     )
     if basis:
-        a = basis[0].a
-        print("        a sample solution has A[0] =", [str(v) for v in a[0]])
+        # a solution is an integer vector over the unknowns, A row by row
+        # first, so row 0 of A is its first dim columns
+        row = [basis[0].get(l, 0) for l in range(dim)]
+        print("        a sample solution has A[0] =", [str(v) for v in row])
 
 # u = x c, v = y c with imaginary c survives in the associative cases; at
 # dim 8 the elimination wipes everything out, including those.

@@ -134,9 +134,9 @@ class AlgebraElement:
         return AlgebraElement((0,) * dim, dim)
 
     @staticmethod
-    def basis(dim, i, scale=1):
+    def basis(dim, i):
         coeffs = [0] * dim
-        coeffs[i] = scale
+        coeffs[i] = 1
         return AlgebraElement(coeffs, dim)
 
     @staticmethod

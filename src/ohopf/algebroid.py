@@ -266,8 +266,7 @@ def _leibniz_zero(s: _Symbols) -> bool:
 
 
 def _vanishes_at_origin(s: _Symbols) -> bool:
-    origin = {v.name: 0 for v in s.ring.variables[: 2 * s.ring.base_dim]}
-    return all(c.substitute(origin).is_zero() for c in anchor(s.s1, s.ring).components())
+    return all(c.vanishes_at_base_origin() for c in anchor(s.s1, s.ring).components())
 
 
 # The checks of verify_algebroid_symbolic in report order: (name, law, proof),
@@ -356,10 +355,9 @@ def verify_groupoid_consistency(dim: int = 8) -> VerificationReport:
             "lambda(0) = 1 and d/dtau lambda|_0 = c(u, v): x^i along F_i, y^i along G_i",
             sq.section_degree_part(0) == 1 and lam1 == _weight(s, x, y),
         )
-        origin = {v.name: 0 for v in ring.variables[: 2 * dim]}
         report.add(
             "origin_is_fixed",
             "at (0,0) the target derivative vanishes",
-            all(c.substitute(origin).is_zero() for c in derivative.components()),
+            all(c.vanishes_at_base_origin() for c in derivative.components()),
         )
     return report

@@ -24,13 +24,12 @@ functions.  J is written once, as a function of the field and a base point
 
 The linear ansatz deliberately keeps the cross blocks: u = A x + B y and
 v = C x + D y with 4 n^2 unknowns, so the solver has to rediscover that the
-cross terms vanish rather than assume it.
+cross terms vanish rather than assume it.  The unknowns are the columns of
+the system, block by block (A, B, C, D) and row-major within a block, and
+the basis of linear_nullspace is the solver's integer vectors over them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import exactsolve
 from .algebra import AlgebraElement, coordinate_elements, vector_symbol
@@ -88,32 +87,18 @@ def _J_matrix(x: AlgebraElement, y: AlgebraElement):
 # -- linear tangent fields ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearFieldAnsatz:
-    """u = A x + B y, v = C x + D y with rational matrix entries."""
-
-    a: tuple
-    b: tuple
-    c: tuple
-    d: tuple
-
-    @property
-    def dim(self):
-        return len(self.a)
-
-    def field(self, ring: PolyRing):
-        """The ansatz as a polynomial field over the given base ring."""
-        blocks = (self.a, self.b, self.c, self.d)
-        return _linear_field(lambda k, p, l: blocks[k][p][l], ring, self.dim)
-
-
 def _linear_field(entry, ring: PolyRing, dim: int):
-    """u = A x + B y, v = C x + D y; entry(k, p, l) is row p, column l of block k = 0..3 (A..D)."""
+    """u = A x + B y, v = C x + D y, the 4 n^2 unknowns in column order.
+
+    entry(c) is the unknown of column c = (k n + p) n + l: row p, column l
+    of block k = 0..3 (A..D), the order of _unknown_names.
+    """
 
     def component(first, p):
         out = ring.zero
         for l in range(dim):
-            out = out + entry(first, p, l) * ring.x(l) + entry(first + 1, p, l) * ring.y(l)
+            c = (first * dim + p) * dim + l
+            out = out + entry(c) * ring.x(l) + entry(c + dim * dim) * ring.y(l)
         return out
 
     u = AlgebraElement(tuple(component(0, p) for p in range(dim)), dim)
@@ -122,6 +107,7 @@ def _linear_field(entry, ring: PolyRing, dim: int):
 
 
 def _unknown_names(dim: int):
+    """The names of the unknowns of _linear_field, in column order."""
     return [
         "%s%d_%d" % (blk, p, l)
         for blk in ("A", "B", "C", "D")
@@ -134,11 +120,8 @@ def _ansatz_rows(dim: int):
     """Homogeneous system on the 4 n^2 unknowns, one row per (component,
     base monomial) pair of the symbolic expansion of J(ansatz)."""
     ring = PolyRing(dim, _unknown_names(dim))
-
-    def unknown(k, p, l):
-        return ring.poly("%s%d_%d" % ("ABCD"[k], p, l))
-
-    comps = J_components(*_linear_field(unknown, ring, dim), ring)
+    unknowns = [ring.poly(v) for v in ring.variables[2 * dim :]]
+    comps = J_components(*_linear_field(unknowns.__getitem__, ring, dim), ring)
 
     grouped: dict = {}
     for ci, pol in enumerate(comps):
@@ -152,33 +135,19 @@ def _ansatz_rows(dim: int):
 def linear_nullspace(dim: int):
     """Exact dimension and basis of the linear tangent fields.
 
-    Returns (dimension, basis) with basis a list of LinearFieldAnsatz.  The
+    Returns (dimension, basis), basis the integer vectors {column: value}
+    of exactsolve.nullspace in the column order of _linear_field, which
+    turns vec into its field with entry = lambda c: vec.get(c, 0).  The
     answer is 0 at dimension 8: non-associativity kills every linear field.
     """
     if dim not in (2, 4, 8):
         raise ValueError("linear nullspace is computed for dims 2, 4, 8")
     rows, ncols = _ansatz_rows(dim)
     rank, basis = exactsolve.nullspace(rows, ncols)
-    n2 = dim * dim
-    out = []
-    for vec in basis:
-        mats = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(4)]
-        for idx, val in vec.items():
-            block, rest = divmod(idx, n2)
-            p, l = divmod(rest, dim)
-            mats[block][p][l] = Fraction(val)
-        out.append(
-            LinearFieldAnsatz(
-                tuple(tuple(r) for r in mats[0]),
-                tuple(tuple(r) for r in mats[1]),
-                tuple(tuple(r) for r in mats[2]),
-                tuple(tuple(r) for r in mats[3]),
-            )
-        )
-    return ncols - rank, out
+    return ncols - rank, basis
 
 
-def sampled_nullspace_dimension(dim: int, seed: int, extra_points: int = 3):
+def sampled_nullspace_dimension(dim: int, seed: int):
     """Independent oracle: the same unknowns constrained at random points.
 
     Evaluates J on the ansatz at random integer points, giving at least
@@ -199,7 +168,8 @@ def sampled_nullspace_dimension(dim: int, seed: int, extra_points: int = 3):
     """
     rng = derived_rng(seed, 0)
     ncols = 4 * dim * dim
-    needed = -(-ncols // (dim + 1)) + extra_points
+    # ceil(4 n^2 / (n + 1)) points, and three more for a margin
+    needed = -(-ncols // (dim + 1)) + 3
     blocks = []
     for _ in range(needed):
         coords = rng.integers(-3, 4, 2 * dim)
@@ -397,7 +367,10 @@ def verify_foliation(dim: int, seed: int, nullspace=None, cite: bool = False) ->
         report.add(
             "nullspace_basis_tangent",
             "every basis ansatz satisfies J = 0 symbolically",
-            all(is_tangent_symbolic(*ans.field(base), base) for ans in basis),
+            all(
+                is_tangent_symbolic(*_linear_field(lambda c: vec.get(c, 0), base, dim), base)
+                for vec in basis
+            ),
             basis_size=len(basis),
         )
         if dim in (2, 4):

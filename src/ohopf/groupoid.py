@@ -128,22 +128,23 @@ def inverse(g: Arrow) -> Arrow:
     return Arrow(g.F.scale(-1.0 / lam), g.G.scale(-1.0 / lam), t.x, t.y)
 
 
-def connecting_arrow(p: PointD2, eps: float = MEMBERSHIP_EPS) -> Arrow:
+def connecting_arrow(p: PointD2) -> Arrow:
     """Arrow from the leaf base point (|x|, m|x|) or (0, |y|) to p.
 
     The branch is picked row by row: the finite-slope one where |x|^2 >
-    eps |p|^2, the infinity-line one elsewhere.  Each branch is evaluated on
-    every row, with the unit standing in for the coordinate it divides by on
-    the rows of the other branch, and where() keeps the rows it owns.
+    MEMBERSHIP_EPS |p|^2, the infinity-line one elsewhere.  Each branch is
+    evaluated on every row, with the unit standing in for the coordinate it
+    divides by on the rows of the other branch, and where() keeps the rows it
+    owns.
     """
     dim = p.x.dim
     nx2 = p.x.norm_sq()
     ny2 = p.y.norm_sq()
-    if np.any(nx2 + ny2 <= eps):
+    if np.any(nx2 + ny2 <= MEMBERSHIP_EPS):
         raise ValueError("the origin is its own leaf; no connecting arrow")
     one = AlgebraElement.one(dim)
     zero = AlgebraElement.zero(dim)
-    finite = nx2 > eps * (nx2 + ny2)
+    finite = nx2 > MEMBERSHIP_EPS * (nx2 + ny2)
     x = where(finite, p.x, one)
     nx = np.sqrt(x.norm_sq())
     m = p.y * x.inverse()
@@ -256,7 +257,6 @@ class G2Automorphism:
     batch of N automorphisms has an (N, 8, 8) stack of matrices."""
 
     matrix: np.ndarray
-    triple: tuple
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         return from_array(np.einsum("...ij,...j->...i", self.matrix, a.as_floats()))
@@ -311,7 +311,7 @@ def g2_from_basic_triple(t1, t2, t3, tol: float = 1e-8) -> G2Automorphism:
         t12 * t3,
     ]
     matrix = np.stack(np.broadcast_arrays(*(c.as_floats() for c in cols)), axis=-1)
-    return G2Automorphism(matrix, triple)
+    return G2Automorphism(matrix)
 
 
 def _basic_triples(raw: np.ndarray):

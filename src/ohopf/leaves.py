@@ -230,8 +230,8 @@ def verify_leaves(dim: int, samples: int, seed: int, tol: float) -> Verification
                 leaf = slope_leaf(from_array(rng.normal(size=dim)), r2)
             else:
                 leaf = infinity_leaf(dim, r2)
-            # stream (seed, 10 + k): apart from streams 0-3 and from other seeds
-            stream = np.random.default_rng([seed, 10 + k])
+            # stream 10 + k: apart from streams 0-3 and from other seeds
+            stream = derived_rng(seed, 10 + k)
             for n in chunks(max(samples // 4, 8)):
                 pts = sample_leaf(leaf, n, stream)
                 sphere.append(np.abs((pts.x.norm_sq() + pts.y.norm_sq()) - r2))

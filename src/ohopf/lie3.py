@@ -284,13 +284,12 @@ def _leibniz(picks: str):
 
 
 def _minimal_at_origin(s: _Symbols) -> bool:
-    origin = {v.name: 0 for v in s.ring.variables[: 2 * s.ring.base_dim]}
     components = [
         *anchor(s.X, s.ring).components(),
         *d1(s.Z1, s.ring).components(),
         *d2(s.T1, s.ring).components(),
     ]
-    return all(c.substitute(origin).is_zero() for c in components)
+    return all(c.vanishes_at_base_origin() for c in components)
 
 
 # The checks of verify_lie3 in report order: (name, law, proof), where proof

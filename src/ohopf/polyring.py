@@ -20,18 +20,18 @@ and Deferred included, is a sum_of_products call, which refuses
 (ExponentOverflow) any factor with an exponent of 16 or more: factors whose
 exponents are all at most 15 give products whose exponents are at most 30, so
 no field ever carries into its neighbour.  Whether a polynomial has such an
-exponent is found once and kept on it.  Addition, derive, substitute and the
-variable swaps of PolyRing.swap never raise an exponent.  Nothing in this
-package exceeds ten.  Coefficients stay plain ints as long as the inputs are
-integral, which keeps the identity suites fast.
+exponent is found once and kept on it.  Addition, derive and the variable
+swaps of PolyRing.swap never raise an exponent.  Nothing in this package
+exceeds ten.  Coefficients stay plain ints as long as the inputs are integral,
+which keeps the identity suites fast.
 
 A sum of many products, such as a coefficient of an octonion product or a
 derivation applied to a function, is a Deferred polynomial: it keeps its
 (s, a, b) triples, and sums, differences, negation and scalar multiples of
 deferred values only join or re-sign triple lists.  The terms are filled by
 one sum_of_products call, in one dict for the whole sum, the first time
-anything reads them (is_zero, ==, derive, substitute, str, use as a factor of
-a product), and are kept from then on.  The guards stay eager: building a
+anything reads them (is_zero, ==, derive, str, use as a factor of a
+product), and are kept from then on.  The guards stay eager: building a
 Deferred checks the ring of every pair and applies the exponent guard to it,
 so RingMismatch and ExponentOverflow come from the call that forms the
 product, never from a later read.
@@ -229,6 +229,11 @@ class Polynomial:
         base_mask = (1 << self.ring._base_bits()) - 1
         return any(key & base_mask for key in self.terms)
 
+    def vanishes_at_base_origin(self) -> bool:
+        """p(x = 0, y = 0) = 0 for all section values: every term has a base variable."""
+        base_mask = (1 << self.ring._base_bits()) - 1
+        return all(key & base_mask for key in self.terms)
+
     def section_linear_terms(self):
         """Split the terms of a polynomial linear in the section variables.
 
@@ -387,36 +392,6 @@ class Polynomial:
                 o += 1
             total += acc
         return total
-
-    def substitute(self, assignment: Mapping) -> "Polynomial":
-        """Substitute rational values for a subset of the variables."""
-        vals = self._assignment_vector(assignment)
-        out: dict = {}
-        for key, c in self.terms.items():
-            acc = c
-            rest = 0
-            o = 0
-            k = key
-            while k:
-                e = k & _MASK
-                if e:
-                    val = vals[o]
-                    if val is None:
-                        rest += e << (_SHIFT * o)
-                    elif not val:
-                        acc = 0
-                        break
-                    else:
-                        acc = acc * val ** e
-                k >>= _SHIFT
-                o += 1
-            if acc:
-                s = out.get(rest, 0) + acc
-                if s:
-                    out[rest] = s
-                else:
-                    out.pop(rest, None)
-        return Polynomial(self.ring, out)
 
     def _assignment_vector(self, assignment: Mapping):
         vals = [None] * len(self.ring.variables)

@@ -33,8 +33,8 @@ with the text "root_seed/k", so that they run without numpy (which the
 modules load on first float use, see ``LazyNumpy``): the algebra suite its
 sedenion witnesses from stream 0 and its exact inverse samples from stream
 1, the counterexample its quaternion control from stream 0.  The leaf
-suite samples leaf k through sample_leaf with default_rng([seed, 10 + k]),
-a stream of its own under each root seed.
+suite samples leaf k through sample_leaf from
+``derived_rng(root_seed, 10 + k)``, a stream of its own under each root seed.
 """
 
 from __future__ import annotations

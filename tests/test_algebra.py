@@ -105,8 +105,8 @@ def test_inverse_exact():
         assert (a * (a.inverse() * b) - b).is_zero()
         assert ((b * a.inverse()) * a - b).is_zero()
     assert E(1).inverse() == -E(1)
-    two = AlgebraElement.basis(8, 0, 2)
-    assert two.inverse() == AlgebraElement.basis(8, 0, Fraction(1, 2))
+    two = AlgebraElement.one(8).scale(2)
+    assert two.inverse() == AlgebraElement.one(8).scale(Fraction(1, 2))
 
 
 def test_inverse_rejections():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ohopf import algebroid, foliation, lie3
+from ohopf import algebroid, foliation, groupoid, lie3
 from ohopf.algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
 from ohopf.algebroid import (
     E0Section,
@@ -39,8 +39,7 @@ def test_anchor_basis_formula():
 def test_anchor_vanishes_at_origin():
     ring = PolyRing(8)
     X = anchor(constant_section(8, 2, 1), ring)
-    origin = {v.name: 0 for v in ring.variables}
-    assert all(c.substitute(origin).is_zero() for c in X.components())
+    assert all(c.vanishes_at_base_origin() for c in X.components())
 
 
 def test_anchor_at_matches_symbolic_evaluation():
@@ -127,7 +126,7 @@ def test_integer_sections_match_constant_polynomials():
     # numbers mix with polynomials, so integer sections need no lift
     ring = PolyRing(8)
     s1 = E0Section(AlgebraElement(tuple(range(1, 9))), AlgebraElement(tuple(range(-4, 4))))
-    s2 = E0Section(AlgebraElement((0, 2, 0, -1, 0, 0, 5, 0)), AlgebraElement.basis(8, 3, 7))
+    s2 = E0Section(AlgebraElement((0, 2, 0, -1, 0, 0, 5, 0)), AlgebraElement.basis(8, 3).scale(7))
     p1, p2 = s1.map(ring.const), s2.map(ring.const)
     assert anchor(s1, ring) == anchor(p1, ring)
     assert bracket_e0(s1, s2, ring) == bracket_e0(p1, p2, ring)
@@ -260,6 +259,39 @@ def _d1_with_constant_term(original):
     return lambda s, x, y: original(s, x, y) + E0Section(s.a, AlgebraElement.zero(s.a.dim))
 
 
+def _rho_with_constant_u(original):
+    # rho + (u, 0): the section itself survives at the origin
+    def rho(sec, x, y):
+        X = original(sec, x, y)
+        return VectorField(X.u + sec.u, X.v)
+
+    return rho
+
+
+def _d2_with_constant_mu(original):
+    # d2 + (t, 0, 0)
+    def d2(s, x, y):
+        out = original(s, x, y)
+        return Sec1(out.mu + s.t, out.a, out.nu)
+
+    return d2
+
+
+def _shift_with_constant_F(original):
+    # the target's x block moves by F even where x = y = 0
+    return lambda F, G, x, y: original(F, G, x, y) + F
+
+
+def _one_row(verify, checks, name):
+    """The suite verify run on the one row of its checks table named name."""
+    row = [n for n, _, _ in checks].index(name)
+    return lambda: verify(rows=slice(row, row + 1))
+
+
+ANCHOR_AT_ORIGIN = _one_row(verify_algebroid_symbolic, algebroid.SYMBOLIC_CHECKS, "anchor_vanishes_at_origin")
+MINIMAL_AT_ORIGIN = _one_row(lie3.verify_lie3, lie3.CHECKS, "minimal_at_origin")
+
+
 @pytest.mark.parametrize(
     "module, name, mutate, run, checks",
     [
@@ -271,8 +303,16 @@ def _d1_with_constant_term(original):
         (lie3, "_d2", _doubled_d2, lie3.generic_ranks, "d2_norm_positive"),
         (lie3, "_d1", _d1_with_constant_term, lie3.generic_ranks, "origin_ranks"),
         (lie3, "_rho", _merged_rho_columns, lie3.generic_ranks, "minimal_rank_consequence"),
+        (algebroid, "_rho", _rho_with_constant_u, ANCHOR_AT_ORIGIN, "anchor_vanishes_at_origin"),
+        (algebroid, "_rho", _rho_with_constant_u, MINIMAL_AT_ORIGIN, "minimal_at_origin"),
+        (lie3, "_d1", _d1_with_constant_term, MINIMAL_AT_ORIGIN, "minimal_at_origin"),
+        (lie3, "_d2", _d2_with_constant_mu, MINIMAL_AT_ORIGIN, "minimal_at_origin"),
+        (groupoid, "_shift", _shift_with_constant_F, verify_groupoid_consistency, "origin_is_fixed"),
     ],
-    ids=["rho", "weight", "d1", "rho_flow", "rho_v_part", "d2_doubled", "d1_constant", "rho_merged"],
+    ids=[
+        "rho", "weight", "d1", "rho_flow", "rho_v_part", "d2_doubled", "d1_constant", "rho_merged",
+        "rho_at_origin", "rho_minimal", "d1_minimal", "d2_minimal", "shift_at_origin",
+    ],
 )
 def test_mutated_map_fails_its_exact_check(monkeypatch, module, name, mutate, run, checks):
     # checks names every check, separated by spaces, that the mutation must FAIL

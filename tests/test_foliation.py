@@ -11,6 +11,8 @@ from ohopf.algebra import AlgebraElement, coordinate_elements, random_integer_el
 from ohopf.foliation import (
     J_map,
     _J_matrix,
+    _linear_field,
+    _unknown_names,
     lie_derivative_flat,
     linear_nullspace,
     linear_obstruction_report,
@@ -82,18 +84,32 @@ def test_linear_nullspace_dimensions():
 
 def test_linear_nullspace_basis_is_tangent():
     base = PolyRing(4)
-    for ansatz in linear_nullspace(4)[1]:
-        u, v = ansatz.field(base)
+    for vec in linear_nullspace(4)[1]:
+        assert all(type(value) is int for value in vec.values())
+        u, v = _linear_field(lambda c: vec.get(c, 0), base, 4)
         assert is_tangent_symbolic(u, v, base)
+
+
+def test_linear_field_columns_follow_the_unknown_names():
+    # column c of the system is the unknown named _unknown_names(dim)[c]
+    names = _unknown_names(2)
+    ring = PolyRing(2, names)
+    u, v = _linear_field(lambda c: ring.poly(names[c]), ring, 2)
+    assert [str(p) for p in (*u.coeffs, *v.coeffs)] == [
+        "x0*A0_0 + x1*A0_1 + y0*B0_0 + y1*B0_1",
+        "x0*A1_0 + x1*A1_1 + y0*B1_0 + y1*B1_1",
+        "x0*C0_0 + x1*C0_1 + y0*D0_0 + y1*D0_1",
+        "x0*C1_0 + x1*C1_1 + y0*D1_0 + y1*D1_1",
+    ]
 
 
 def test_solver_rediscovers_vanishing_cross_blocks():
     # the ansatz allows u to depend on y and v on x; the elimination must
-    # force those blocks to zero on its own
+    # force those blocks, columns n^2 .. 3 n^2 - 1, to zero on its own
     for dim in (2, 4):
-        for ansatz in linear_nullspace(dim)[1]:
-            assert all(v == 0 for row in ansatz.b for v in row)
-            assert all(v == 0 for row in ansatz.c for v in row)
+        cross = range(dim * dim, 3 * dim * dim)
+        for vec in linear_nullspace(dim)[1]:
+            assert vec and not any(vec.get(c, 0) for c in cross)
 
 
 def test_degree_mismatch_rejected():

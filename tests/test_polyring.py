@@ -56,14 +56,6 @@ def test_evaluate_is_ring_morphism(p, q):
     assert (p + q).evaluate(at) == p.evaluate(at) + q.evaluate(at)
 
 
-@settings(max_examples=40, deadline=None)
-@given(polys())
-def test_substitute_all_matches_evaluate(p):
-    at = {"x0": Fraction(3), "y0": Fraction(-2), "s0": Fraction(1, 2), "s1": Fraction(5)}
-    full = p.substitute(at)
-    assert full == p.ring.const(p.evaluate(at))
-
-
 def test_product_difference_of_squares():
     ring = PolyRing(1)
     x, y = ring.x(0), ring.y(0)
@@ -111,10 +103,19 @@ def test_zero_polynomial_evaluates_to_zero():
     assert RING.zero.evaluate({}) == 0
 
 
-def test_substitute_partial():
-    p = RING.poly("x0") * RING.poly("s0") + RING.poly("y0")
-    q = p.substitute({"x0": 2, "y0": 0})
-    assert q == 2 * RING.poly("s0")
+def test_vanishes_at_base_origin_examples():
+    ring = PolyRing(2, ("s0",))
+    s0 = ring.poly("s0")
+    assert ring.zero.vanishes_at_base_origin()
+    assert (ring.y(1) * s0 + ring.x(0) * ring.x(1)).vanishes_at_base_origin()
+    assert not (ring.y(1) * s0 + s0 * s0).vanishes_at_base_origin()
+    assert not ring.one.vanishes_at_base_origin()
+    # a deferred sum is read first: x0 s0 + s0 - s0 has no term free of x and y
+    assert Deferred(ring, [(1, ring.x(0), s0), (1, s0, ring.one), (-1, ring.one, s0)]).vanishes_at_base_origin()
+    # a ring without base variables: only zero vanishes
+    bare = PolyRing(0, ("s0",))
+    assert bare.zero.vanishes_at_base_origin()
+    assert not bare.poly("s0").vanishes_at_base_origin()
 
 
 def test_ring_mismatch_raises():
@@ -308,6 +309,18 @@ def test_arithmetic_matches_sympy(p, q):
     short, long = sorted((p, q), key=lambda r: len(r.terms))
     assert _to_sympy(short + long, symbols) == sympy.expand(sp + sq)
     assert _to_sympy(p.derive("x0"), symbols) == sympy.expand(sympy.diff(sp, symbols[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys())
+@example(RING.x(0) * RING.poly("s0") + RING.y(0) ** 2)
+@example(RING.x(0) * RING.poly("s0") - RING.poly("s1"))
+def test_vanishes_at_base_origin_matches_sympy(p):
+    import sympy
+
+    symbols = sympy.symbols(" ".join(NAMES))
+    at_origin = _to_sympy(p, symbols).subs({symbols[0]: 0, symbols[1]: 0})
+    assert p.vanishes_at_base_origin() == (sympy.expand(at_origin) == 0)
 
 
 # -- deferred sums ----------------------------------------------------------
