@@ -48,7 +48,7 @@ for check in report.checks:
 report = verify_matrix_vs_transcription()
 print("\ntangency matrix vs transcription:", "all 160 entries equal" if report.passed else "MISMATCH")
 
-mats = resolution_matrices(8)
+mats = resolution_matrices()
 print("matrix shapes: J %dx%d, rho %dx%d, d1 %dx%d, d2 %dx%d" % (
     len(mats.J), len(mats.J[0]), len(mats.Rho), len(mats.Rho[0]),
     len(mats.D1), len(mats.D1[0]), len(mats.D2), len(mats.D2[0])))

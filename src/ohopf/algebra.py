@@ -21,6 +21,10 @@ Two table constructions are kept side by side and cross-checked:
 They agree on all 64 octonion basis pairs (asserted in the identity suite
 and the unit tests), so no basis relabeling is needed.  The dimension-8
 table built from the triples is the one used for octonion products.
+
+The identity suite (verify_algebra_identities) proves the rows of one
+table, IDENTITIES: each names a composition-algebra law, the largest
+dimension where it holds, and its residual on symbolic elements.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polyring import Deferred, PolyRing, Polynomial
-from .report import Check, LazyNumpy, VerificationReport, derived_random, timed_report
+from .report import LazyNumpy, VerificationReport, derived_random, timed_report
 
 np = LazyNumpy(globals())
 
@@ -350,238 +354,153 @@ def random_rational_element(rng: random.Random, dim: int, num=3, den=2) -> Algeb
 
 # -- identity suite -------------------------------------------------------
 
+# The identities of verify_algebra_identities in report order: (name, law,
+# top dim, residual), where residual(a, b, c, one) takes the symbolic a, b, c
+# and the unit and returns an element or a polynomial that is zero iff the
+# law holds.  A row runs at every dim up to its top dim: alternativity and
+# everything downstream of it stop at the octonions.
+IDENTITIES = (
+    ("unit_law", "1*a = a*1 = a", 16, lambda a, b, c, one: (one * a - a) + (a * one - a)),
+    ("conj_involution_product", "conj(a)*a = a*conj(a) = |a|^2 * 1", 16,
+     lambda a, b, c, one: (a.conjugate() * a - one.scale(a.norm_sq()))
+     + (a * a.conjugate() - one.scale(a.norm_sq()))),
+    ("inner_from_conjugation", "a*conj(b) + b*conj(a) = 2<a,b> * 1", 16,
+     lambda a, b, c, one: a * b.conjugate() + b * a.conjugate() - one.scale(2 * a.inner(b))),
+    ("real_part_pairing", "Re(a*conj(b)) = <a,b>", 16,
+     lambda a, b, c, one: (a * b.conjugate()).re() - a.inner(b)),
+    ("conj_antiautomorphism", "conj(a*b) = conj(b)*conj(a)", 16,
+     lambda a, b, c, one: (a * b).conjugate() - b.conjugate() * a.conjugate()),
+    ("switch_left", "<a*b, c> = <b, conj(a)*c>", 16,
+     lambda a, b, c, one: (a * b).inner(c) - b.inner(a.conjugate() * c)),
+    ("switch_right", "<b*a, c> = <b, c*conj(a)>", 16,
+     lambda a, b, c, one: (b * a).inner(c) - b.inner(c * a.conjugate())),
+    ("flexible", "(a*b)*a = a*(b*a)", 16, lambda a, b, c, one: (a * b) * a - a * (b * a)),
+    ("inverse_left_cleared", "a*(conj(a)*b) = |a|^2 b", 8,
+     lambda a, b, c, one: a * (a.conjugate() * b) - b.scale(a.norm_sq())),
+    ("inverse_right_cleared", "(b*conj(a))*a = |a|^2 b", 8,
+     lambda a, b, c, one: (b * a.conjugate()) * a - b.scale(a.norm_sq())),
+    ("semi_associativity", "a*(b*c) + conj(b)*(conj(a)*c) = (a*b)*c + (conj(b)*conj(a))*c", 8,
+     lambda a, b, c, one: a * (b * c) + b.conjugate() * (a.conjugate() * c)
+     - (a * b) * c - (b.conjugate() * a.conjugate()) * c),
+    ("semi_associativity_inner", "a*(b*c) + conj(b)*(conj(a)*c) = 2<a, conj(b)> c", 8,
+     lambda a, b, c, one: a * (b * c) + b.conjugate() * (a.conjugate() * c)
+     - c.scale(2 * a.inner(b.conjugate()))),
+    ("conjugation_formula", "a*b*a = 2<a, conj(b)> a - |a|^2 conj(b)", 8,
+     lambda a, b, c, one: (a * b) * a - a.scale(2 * a.inner(b.conjugate()))
+     + b.conjugate().scale(a.norm_sq())),
+    ("moufang_middle", "(a*b)*(c*a) = a*((b*c)*a)", 8,
+     lambda a, b, c, one: (a * b) * (c * a) - a * ((b * c) * a)),
+    ("moufang_left", "a*(b*(a*c)) = ((a*b)*a)*c", 8,
+     lambda a, b, c, one: a * (b * (a * c)) - ((a * b) * a) * c),
+    ("moufang_right", "((a*b)*c)*b = a*(b*(c*b))", 8,
+     lambda a, b, c, one: ((a * b) * c) * b - a * (b * (c * b))),
+    ("associator_alternating", "[a,a,b] = [a,b,b] = 0", 8,
+     lambda a, b, c, one: associator(a, a, b) + associator(a, b, b)),
+    ("norm_multiplicative", "|a*b|^2 = |a|^2 |b|^2", 8,
+     lambda a, b, c, one: (a * b).norm_sq() - a.norm_sq() * b.norm_sq()),
+    ("associativity", "[a,b,c] = 0", 4, lambda a, b, c, one: associator(a, b, c)),
+    ("commutativity", "a*b = b*a", 2, lambda a, b, c, one: commutator(a, b)),
+)
 
-def _sym_zero(name, law, element) -> Check:
-    residuals = [c for c in element.coeffs if c]
-    return Check(name, law, not residuals, {"nonzero_components": len(residuals)})
+
+def _verdict(residual):
+    """(passed, info) of a residual: an element with its count of nonzero
+    coefficients, or a polynomial with its text."""
+    if isinstance(residual, AlgebraElement):
+        nonzero = [c for c in residual.coeffs if c]
+        return not nonzero, {"nonzero_components": len(nonzero)}
+    return residual.is_zero(), {"residual": str(residual)}
 
 
-def _sym_zero_scalar(name, law, poly: Polynomial) -> Check:
-    return Check(name, law, poly.is_zero(), {"residual": str(poly)})
+def _strs(element: AlgebraElement):
+    return [str(v) for v in element.coeffs]
+
+
+def _sedenion_controls(report: VerificationReport, seed: int, a, b):
+    """The dim-16 negative controls: a rational witness against norm
+    multiplicativity, drawn from stream 0 of the seed, and alternativity
+    failing for the symbolic a, b."""
+    rng = derived_random(seed, 0)
+    found = dict.fromkeys(("witness_a", "witness_b", "norm_sq_of_product", "product_of_norm_sq"))
+    for _ in range(100):
+        wa = random_rational_element(rng, 16, num=2, den=1)
+        wb = random_rational_element(rng, 16, num=2, den=1)
+        lhs = (wa * wb).norm_sq()
+        rhs = wa.norm_sq() * wb.norm_sq()
+        if lhs != rhs:
+            found = {
+                "witness_a": _strs(wa),
+                "witness_b": _strs(wb),
+                "norm_sq_of_product": str(lhs),
+                "product_of_norm_sq": str(rhs),
+            }
+            break
+    report.add(
+        "norm_multiplicativity_fails",
+        "some a, b have |a*b|^2 != |a|^2 |b|^2  (expected failure beyond dim 8)",
+        found["witness_a"] is not None,
+        **found,
+    )
+    report.add(
+        "alternativity_fails",
+        "[a,a,b] != 0 for symbolic a, b  (expected failure beyond dim 8)",
+        not all(not co or co.is_zero() for co in associator(a, a, b).coeffs),
+    )
 
 
 def verify_algebra_identities(dim: int, seed: int = 0) -> VerificationReport:
     """Prove the composition-algebra identities with fully symbolic entries.
 
-    At dimensions up to 8 every identity is established coefficient-wise in
-    the polynomial backend, so a pass is a proof, not a sample.  Dimension 16
-    is the negative control: the doubling still gives an algebra with an
-    anti-automorphic conjugation, but norm multiplicativity fails, and the
-    suite records an explicit rational witness.
+    At dimensions up to 8 every identity of IDENTITIES is established
+    coefficient-wise in the polynomial backend, so a pass is a proof, not a
+    sample.  Dimension 16 is the negative control: the doubling still gives
+    an algebra with an anti-automorphic conjugation, but norm
+    multiplicativity fails, and the suite records an explicit rational
+    witness.
     """
     with timed_report("algebra", {"dim": dim, "seed": seed}) as report:
-        checks = report.checks
         if dim == 8:
-            dbl, tab = doubling_table(8), octonion_table()
-            checks.append(
-                Check(
-                    "table_cross_check",
-                    "doubling construction reproduces the oriented-triple table on all 64 basis pairs",
-                    dbl == tab,
-                    {"pairs": 64},
-                )
+            report.add(
+                "table_cross_check",
+                "doubling construction reproduces the oriented-triple table on all 64 basis pairs",
+                doubling_table(8) == octonion_table(),
+                pairs=64,
             )
         ring = PolyRing(0, vector_names("a", dim) + vector_names("b", dim) + vector_names("c", dim))
         a = vector_symbol(ring, "a", dim)
         b = vector_symbol(ring, "b", dim)
         c = vector_symbol(ring, "c", dim)
         one = AlgebraElement.one(dim)
-
-        checks.append(_sym_zero("unit_law", "1*a = a*1 = a", (one * a - a) + (a * one - a)))
-        checks.append(
-            _sym_zero(
-                "conj_involution_product",
-                "conj(a)*a = a*conj(a) = |a|^2 * 1",
-                (a.conjugate() * a - one.scale(a.norm_sq())) + (a * a.conjugate() - one.scale(a.norm_sq())),
-            )
-        )
-        checks.append(
-            _sym_zero(
-                "inner_from_conjugation",
-                "a*conj(b) + b*conj(a) = 2<a,b> * 1",
-                a * b.conjugate() + b * a.conjugate() - one.scale(2 * a.inner(b)),
-            )
-        )
-        checks.append(
-            _sym_zero_scalar(
-                "real_part_pairing",
-                "Re(a*conj(b)) = <a,b>",
-                (a * b.conjugate()).re() - a.inner(b),
-            )
-        )
-        checks.append(
-            _sym_zero(
-                "conj_antiautomorphism",
-                "conj(a*b) = conj(b)*conj(a)",
-                (a * b).conjugate() - b.conjugate() * a.conjugate(),
-            )
-        )
-        checks.append(
-            _sym_zero_scalar(
-                "switch_left",
-                "<a*b, c> = <b, conj(a)*c>",
-                (a * b).inner(c) - b.inner(a.conjugate() * c),
-            )
-        )
-        checks.append(
-            _sym_zero_scalar(
-                "switch_right",
-                "<b*a, c> = <b, c*conj(a)>",
-                (b * a).inner(c) - b.inner(c * a.conjugate()),
-            )
-        )
-        checks.append(_sym_zero("flexible", "(a*b)*a = a*(b*a)", (a * b) * a - a * (b * a)))
-        if dim <= 8:
-            # alternativity and everything downstream of it stops at the octonions
-            checks.append(
-                _sym_zero(
-                    "inverse_left_cleared",
-                    "a*(conj(a)*b) = |a|^2 b",
-                    a * (a.conjugate() * b) - b.scale(a.norm_sq()),
-                )
-            )
-            checks.append(
-                _sym_zero(
-                    "inverse_right_cleared",
-                    "(b*conj(a))*a = |a|^2 b",
-                    (b * a.conjugate()) * a - b.scale(a.norm_sq()),
-                )
-            )
-            checks.append(
-                _sym_zero(
-                    "semi_associativity",
-                    "a*(b*c) + conj(b)*(conj(a)*c) = (a*b)*c + (conj(b)*conj(a))*c",
-                    a * (b * c) + b.conjugate() * (a.conjugate() * c)
-                    - (a * b) * c
-                    - (b.conjugate() * a.conjugate()) * c,
-                )
-            )
-            checks.append(
-                _sym_zero(
-                    "semi_associativity_inner",
-                    "a*(b*c) + conj(b)*(conj(a)*c) = 2<a, conj(b)> c",
-                    a * (b * c) + b.conjugate() * (a.conjugate() * c)
-                    - c.scale(2 * a.inner(b.conjugate())),
-                )
-            )
-            checks.append(
-                _sym_zero(
-                    "conjugation_formula",
-                    "a*b*a = 2<a, conj(b)> a - |a|^2 conj(b)",
-                    (a * b) * a - a.scale(2 * a.inner(b.conjugate())) + b.conjugate().scale(a.norm_sq()),
-                )
-            )
-            checks.append(
-                _sym_zero(
-                    "moufang_middle",
-                    "(a*b)*(c*a) = a*((b*c)*a)",
-                    (a * b) * (c * a) - a * ((b * c) * a),
-                )
-            )
-            checks.append(
-                _sym_zero(
-                    "moufang_left",
-                    "a*(b*(a*c)) = ((a*b)*a)*c",
-                    a * (b * (a * c)) - ((a * b) * a) * c,
-                )
-            )
-            checks.append(
-                _sym_zero(
-                    "moufang_right",
-                    "((a*b)*c)*b = a*(b*(c*b))",
-                    ((a * b) * c) * b - a * (b * (c * b)),
-                )
-            )
-            checks.append(
-                _sym_zero(
-                    "associator_alternating",
-                    "[a,a,b] = [a,b,b] = 0",
-                    associator(a, a, b) + associator(a, b, b),
-                )
-            )
-            checks.append(
-                _sym_zero_scalar(
-                    "norm_multiplicative",
-                    "|a*b|^2 = |a|^2 |b|^2",
-                    (a * b).norm_sq() - a.norm_sq() * b.norm_sq(),
-                )
-            )
-        else:
-            rng = derived_random(seed, 0)
-            witness = None
-            for _ in range(100):
-                wa = random_rational_element(rng, dim, num=2, den=1)
-                wb = random_rational_element(rng, dim, num=2, den=1)
-                lhs = (wa * wb).norm_sq()
-                rhs = wa.norm_sq() * wb.norm_sq()
-                if lhs != rhs:
-                    witness = (wa, wb, lhs, rhs)
-                    break
-            checks.append(
-                Check(
-                    "norm_multiplicativity_fails",
-                    "some a, b have |a*b|^2 != |a|^2 |b|^2  (expected failure beyond dim 8)",
-                    witness is not None,
-                    {
-                        "witness_a": [str(v) for v in witness[0].coeffs] if witness else None,
-                        "witness_b": [str(v) for v in witness[1].coeffs] if witness else None,
-                        "norm_sq_of_product": str(witness[2]) if witness else None,
-                        "product_of_norm_sq": str(witness[3]) if witness else None,
-                    },
-                )
-            )
-            alt = associator(a, a, b)
-            checks.append(
-                Check(
-                    "alternativity_fails",
-                    "[a,a,b] != 0 for symbolic a, b  (expected failure beyond dim 8)",
-                    not all(not co or co.is_zero() for co in alt.coeffs),
-                    {},
-                )
-            )
-        if dim <= 4:
-            checks.append(
-                _sym_zero("associativity", "[a,b,c] = 0", associator(a, b, c))
-            )
-        if dim <= 2:
-            checks.append(_sym_zero("commutativity", "a*b = b*a", commutator(a, b)))
+        for name, law, top, residual in IDENTITIES:
+            if dim <= top:
+                passed, info = _verdict(residual(a, b, c, one))
+                report.add(name, law, passed, **info)
+        if dim == 16:
+            _sedenion_controls(report, seed, a, b)
+        e = [AlgebraElement.basis(dim, i) for i in range(dim)]
         if dim == 8:
-            e = [AlgebraElement.basis(8, i) for i in range(8)]
-            checks.append(
-                Check(
-                    "basis_products",
-                    "e1*e2 = e3, e5*e4 = -e1, e1*e4 = e5",
-                    e[1] * e[2] == e[3] and e[5] * e[4] == -e[1] and e[1] * e[4] == e[5],
-                    {},
-                )
+            report.add(
+                "basis_products",
+                "e1*e2 = e3, e5*e4 = -e1, e1*e4 = e5",
+                e[1] * e[2] == e[3] and e[5] * e[4] == -e[1] and e[1] * e[4] == e[5],
             )
             nonassoc = associator(e[1], e[2], e[4])
-            checks.append(
-                Check(
-                    "non_associativity_witness",
-                    "[e1, e2, e4] != 0",
-                    not nonassoc.is_zero(),
-                    {"associator": [str(v) for v in nonassoc.coeffs]},
-                )
+            report.add(
+                "non_associativity_witness",
+                "[e1, e2, e4] != 0",
+                not nonassoc.is_zero(),
+                associator=_strs(nonassoc),
             )
-        if dim in (4, 8, 16):
-            e1, e2 = AlgebraElement.basis(dim, 1), AlgebraElement.basis(dim, 2)
-            checks.append(
-                Check(
-                    "non_commutativity_witness",
-                    "e1*e2 != e2*e1",
-                    not commutator(e1, e2).is_zero(),
-                    {},
-                )
-            )
-        # orthonormality of the basis under the pairing
-        eb = [AlgebraElement.basis(dim, i) for i in range(dim)]
-        ortho = all(
-            eb[i].inner(eb[j]) == (1 if i == j else 0) for i in range(dim) for j in range(dim)
+        if dim >= 4:
+            non_commuting = not commutator(e[1], e[2]).is_zero()
+            report.add("non_commutativity_witness", "e1*e2 != e2*e1", non_commuting)
+        report.add(
+            "orthonormal_basis",
+            "<e_i, e_j> = delta_ij",
+            all(e[i].inner(e[j]) == (i == j) for i in range(dim) for j in range(dim)),
         )
-        checks.append(Check("orthonormal_basis", "<e_i, e_j> = delta_ij", ortho, {}))
-        # exact inverse check on random rational elements
         if dim <= 8:
+            # exact inverses on random rational elements
             rng = derived_random(seed, 1)
             ok = True
             for _ in range(10):
@@ -593,12 +512,10 @@ def verify_algebra_identities(dim: int, seed: int = 0) -> VerificationReport:
                     ok = False
                 if not ((rb * ra.inverse()) * ra - rb).is_zero():
                     ok = False
-            checks.append(
-                Check(
-                    "exact_inverses",
-                    "a*(a^-1*b) = b and (b*a^-1)*a = b for random rational a, b",
-                    ok,
-                    {"samples": 10},
-                )
+            report.add(
+                "exact_inverses",
+                "a*(a^-1*b) = b and (b*a^-1)*a = b for random rational a, b",
+                ok,
+                samples=10,
             )
     return report

@@ -286,16 +286,15 @@ SYMBOLIC_CHECKS = (
 LIE3_CITES = {"antisymmetry": "lie3.antisymmetry_0_0", "jacobi": "lie3.jacobi_0_0_0"}
 
 
-def verify_algebroid_symbolic(
-    dim: int = 8, rows: slice = slice(None), cite: bool = False
-) -> VerificationReport:
-    """Exact bracket/anchor facts, all section components symbolic.
+def verify_algebroid_symbolic(rows: slice = slice(None), cite: bool = False) -> VerificationReport:
+    """Exact bracket/anchor facts at dimension 8, all section components symbolic.
 
     ``rows`` runs only a slice of SYMBOLIC_CHECKS, so that the proofs can be
     split across processes; the default runs them all.  With ``cite``, for a
     call that runs lie3 too, the rows of LIE3_CITES cite their lie3 check
     instead of proving it again.
     """
+    dim = 8
     with timed_report("algebroid_symbolic", {"dim": dim}) as report:
         names = []
         for prefix in ("u", "v", "p", "q", "r", "s"):

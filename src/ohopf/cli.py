@@ -347,7 +347,7 @@ def _units(
             "algebroid",
             algebroid.SYMBOLIC_CHECKS,
             "anchor_morphism",
-            lambda rows: [algebroid.verify_algebroid_symbolic(dim, rows, cite)],
+            lambda rows: [algebroid.verify_algebroid_symbolic(rows, cite)],
             lambda: [algebroid.verify_groupoid_consistency(dim)],
         )
         if cite:  # the head proves nothing: it rides with the next unit
@@ -358,7 +358,7 @@ def _units(
 
         def matrix_reports():
             # one build of the resolution matrices for both reports
-            mats = lie3.resolution_matrices(8)
+            mats = lie3.resolution_matrices()
             return [lie3.verify_matrix_vs_transcription(mats), lie3.generic_ranks(mats)]
 
         return _split_around(
@@ -468,8 +468,15 @@ def cmd_export_leaf(args) -> int:
     except OSError as exc:
         print("cannot write CSV: %s" % exc, file=sys.stderr)
         return 2
+    # pi is quadratic, so |pi(p) - leaf| = s^2 |pi(p / s) - leaf / s^2|: with s^2
+    # a power of two within a factor 4 below |leaf| = a + c (of size r^2), no
+    # square overflows, and the scaling is exact
+    s = math.ldexp(1.0, (math.frexp(float(leaf.a + leaf.c))[1] - 1) // 2)
+    s2 = s * s
+    scaled = leaves.classify(leaves.PointD2(pts.x / s, pts.y / s))
+    unit = leaves.LeafId(leaf.a / s2, leaf.b / s2, leaf.c / s2)
     # np.max keeps a NaN residual where max() would drop it
-    residual = np.sqrt(np.max(leaves.leaf_distance_sq(leaves.classify(pts), leaf)))
+    residual = s2 * np.sqrt(np.max(leaves.leaf_distance_sq(scaled, unit)))
     print("wrote %d points to %s  (max leaf residual %.3g)" % (args.count, args.out, residual))
     return 0
 

@@ -397,10 +397,10 @@ def _resolution_at(x: AlgebraElement, y: AlgebraElement) -> tuple:
     )
 
 
-def resolution_matrices(dim: int = 8) -> ResolutionMatrices:
-    """Assemble J (n+2 x 2n), Rho (2n x 2n), D1 (2n x n+2), D2 (n+2 x 1)."""
-    ring = PolyRing(dim)
-    mats = _maps_at(*coordinate_elements(ring, dim))
+def resolution_matrices() -> ResolutionMatrices:
+    """Assemble J (10 x 16), Rho (16 x 16), D1 (16 x 10), D2 (10 x 1) at dimension 8."""
+    ring = PolyRing(8)
+    mats = _maps_at(*coordinate_elements(ring, 8))
     return ResolutionMatrices(
         *(
             tuple(tuple(c if isinstance(c, Polynomial) else ring.const(c) for c in row) for row in M)
@@ -430,11 +430,11 @@ def verify_matrix_vs_transcription(mats=None) -> VerificationReport:
     """Entrywise comparison of the generated tangency matrix with the record.
 
     Entries are single signed variables or zero, so comparing canonical
-    string forms is an exact test.  ``mats`` is resolution_matrices(8),
+    string forms is an exact test.  ``mats`` is resolution_matrices(),
     built here when not given.
     """
     with timed_report("tangency_matrix", {}) as report:
-        generated = (mats or resolution_matrices(8)).J
+        generated = (mats or resolution_matrices()).J
         mismatches = []
         for i in range(10):
             for j in range(16):
@@ -560,10 +560,10 @@ def generic_ranks(mats=None) -> VerificationReport:
     that many generators, and E_0 is of minimal rank iff rank rho_0 =
     rank E_0 = 16.
 
-    ``mats`` is resolution_matrices(8), built here when not given.
+    ``mats`` is resolution_matrices(), built here when not given.
     """
     with timed_report("generic_ranks", {}) as report:
-        mats = mats or resolution_matrices(8)
+        mats = mats or resolution_matrices()
         x, y = coordinate_elements(mats.Rho[0][0].ring, 8)
         args = (mats, x.norm_sq(), y.norm_sq())
         certified, info = True, {}

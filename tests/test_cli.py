@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,20 @@ def test_export_leaf_zero_slope(tmp_path, dim):
     for row in rows:
         assert row[dim:] == [0.0] * dim
         assert abs(sum(v * v for v in row[:dim]) - 4.0) < 1e-12
+
+
+@pytest.mark.parametrize("slope, radius", [("e1", "1e150"), ("inf", "1e150"), ("inf", "1e100")])
+def test_export_leaf_large_radius_residual_is_finite(tmp_path, capsys, slope, radius):
+    # pi(p) is of size r^2, so its squared distance to the leaf would
+    # overflow: the residual must come out finite, at rounding level
+    # relative to r^2, and without a numpy warning
+    out = tmp_path / "large.csv"
+    argv = ["--slope", slope, "--radius", radius, "-n", "5", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["export-leaf", *argv]) == 0
+    residual = float(capsys.readouterr().out.split("max leaf residual ")[1].rstrip(")\n"))
+    assert 0 <= residual < 1e-14 * float(radius) ** 2
 
 
 def test_export_leaf_bad_slope():

@@ -1,4 +1,5 @@
-"""Every function and method in src/ohopf has a caller in the package or the demos."""
+"""Static guards over src/ohopf: every function and method has a caller in
+the package or the demos, and only report.py constructs a Check."""
 
 import ast
 from collections import Counter
@@ -103,3 +104,35 @@ def caller(ring):
 """
     assert unreferenced([source]) == {"variables", "recursive", "caller"}
     assert unreferenced([source], ["caller(None)"]) == {"variables", "recursive"}
+
+
+def check_constructions(source) -> list:
+    """Line numbers of the calls Check(...) and obj.Check(...) in source."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "Check" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_only_report_constructs_checks():
+    # the suites record every check through VerificationReport.add, cite and law
+    found = {
+        path.name: check_constructions(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src/ohopf").glob("*.py"))
+        if path.name != "report.py"
+    }
+    assert not {name: lines for name, lines in found.items() if lines}
+
+
+def test_the_guard_finds_check_constructions():
+    source = """
+from .report import Check
+from . import report
+
+a = Check("a", "law", True)
+b = report.Check("b", "law", True)
+report.add("c", "law", True)
+"""
+    assert check_constructions(source) == [5, 6]

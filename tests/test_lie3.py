@@ -122,7 +122,7 @@ def test_matrix_report():
 def test_chain_complex_matrix_products_vanish():
     # composition of consecutive maps is the zero matrix over the
     # polynomial ring: J Rho = 0, Rho D1 = 0, D1 D2 = 0
-    mats = resolution_matrices(8)
+    mats = resolution_matrices()
 
     def product_is_zero(A, B):
         rows, inner, cols = len(A), len(B), len(B[0])
@@ -143,7 +143,7 @@ def test_chain_complex_matrix_products_vanish():
 
 
 def test_resolution_matrix_shapes_and_degrees():
-    mats = resolution_matrices(8)
+    mats = resolution_matrices()
     assert (len(mats.J), len(mats.J[0])) == (10, 16)
     assert (len(mats.Rho), len(mats.Rho[0])) == (16, 16)
     assert (len(mats.D1), len(mats.D1[0])) == (16, 10)
@@ -182,7 +182,7 @@ def test_matrices_at_point_match_symbolic_evaluation():
     at = {"x%d" % i: coords[i] for i in range(8)}
     at.update({"y%d" % i: coords[8 + i] for i in range(8)})
     numeric = _maps_at(x, y)
-    symbolic = resolution_matrices(8)
+    symbolic = resolution_matrices()
     for name in ("J", "Rho", "D1", "D2"):
         got = getattr(numeric, name)
         expected = [[p.evaluate(at) for p in row] for row in getattr(symbolic, name)]
