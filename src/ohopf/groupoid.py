@@ -15,10 +15,12 @@ The squared rescaling is polynomial, so its defining identity
 
     |x|^2 * lambda^2 = |x + |x|^2 F + (x*conj(y))*G|^2
 
-is proved symbolically; the square root itself lives on the float backend.
-The numeric maps require lambda^2 > eps (a NaN lambda^2 fails the test too);
-the excluded set is the measure-zero vanishing locus that random sampling
-never hits.
+is proved on an arrow with polynomial coefficients (_symbolic_arrow), and
+so is every law that reads only lambda^2 or 1 + conj(x) F + conj(y) G.
+Laws through a square root (lambda, |x|, |1 + conj(x) F + conj(y) G|, the
+G2 frames) sample float arrows, and the numeric maps require lambda^2 > eps
+(a NaN lambda^2 fails the test too); the excluded set is the measure-zero
+vanishing locus that random sampling never hits.
 
 Every map takes a single arrow or a batch of N arrows whose float
 coefficients are (N,) arrays, with no second definition for batches: the
@@ -202,12 +204,6 @@ def _arrows(raw: np.ndarray) -> Arrow:
     return Arrow(*(from_array(raw[..., slot, :]) for slot in range(4)))
 
 
-def random_point(rng: np.random.Generator, dim: int, n: int = None) -> PointD2:
-    """Gaussian point of D^2 (a batch of n when n is given)."""
-    size = dim if n is None else (n, dim)
-    return PointD2(from_array(rng.normal(0.0, 0.7, size)), from_array(rng.normal(0.0, 0.7, size)))
-
-
 def random_arrow(
     rng: np.random.Generator,
     dim: int,
@@ -349,15 +345,17 @@ def random_basic_triple(rng: np.random.Generator, n: int = None):
 # -- verification suites ------------------------------------------------------
 
 
+def _symbolic_arrow(dim: int) -> Arrow:
+    """The arrow (F, G, x, y) whose coefficients are 4 dim polynomial variables."""
+    ring = PolyRing(dim, vector_names("F", dim) + vector_names("G", dim))
+    x, y = coordinate_elements(ring, dim)
+    return Arrow(vector_symbol(ring, "F", dim), vector_symbol(ring, "G", dim), x, y)
+
+
 def rescale_sq_identity(dim: int) -> bool:
     """|x|^2 * lambda^2 = |x + |x|^2 F + (x conj(y)) G|^2, proved symbolically."""
-    ring = PolyRing(dim, vector_names("F", dim) + vector_names("G", dim))
-    F = vector_symbol(ring, "F", dim)
-    G = vector_symbol(ring, "G", dim)
-    x, y = coordinate_elements(ring, dim)
-    g = Arrow(F, G, x, y)
-    lhs = x.norm_sq() * rescale_sq(g)
-    return (lhs - _shift(F, G, x, y).norm_sq()).is_zero()
+    g = _symbolic_arrow(dim)
+    return (g.x.norm_sq() * rescale_sq(g) - _shift(*g).norm_sq()).is_zero()
 
 
 def _composition_laws(law, rng, g1: Arrow, n: int, tol: float):
@@ -398,24 +396,30 @@ def _unit_and_inverse_laws(law, g1: Arrow, tol: float):
 def _connecting_laws(law, rng, dim: int, n: int):
     """Leaf containment in the orbit: the base point connects to p.
 
-    The arrow divides by |x|, so points in the thin sliver near (but not on)
-    the infinity line are skipped: the round trip there is exact in exact
-    arithmetic but unconditioned in floats.  The line itself is exercised
-    through its own branch.
+    The arrow divides by |x|, so points near the origin or in the thin
+    sliver near (but not on) the infinity line are redrawn, n points kept:
+    the round trip there is exact but unconditioned in floats.  The line
+    itself is exercised through its own branch.
     """
-    p = random_point(rng, dim, n=n)
-    nx2 = p.x.norm_sq()
-    total = nx2 + p.y.norm_sq()
-    kept = _rows(p, (total > 1e-2) & (nx2 > 1e-3 * total))
-    arrow_p = connecting_arrow(kept)
-    law["connect"].record(_gap(target(arrow_p), kept))
-    law["connect_lambda"].record(abs(rescale(arrow_p) - np.sqrt(kept.x.norm_sq())))
+
+    def draw(todo):
+        raw = rng.normal(0.0, 0.7, (todo.size, 2, dim))
+        nx2, total = np.sum(raw[:, 0] ** 2, axis=1), np.sum(raw**2, axis=(1, 2))
+        return raw, (total > 1e-2) & (nx2 > 1e-3 * total)
+
+    raw = _masked_redraw(draw, n, "point away from the origin and the infinity line")
+    p = PointD2(from_array(raw[:, 0]), from_array(raw[:, 1]))
+    arrow_p = connecting_arrow(p)
+    law["connect"].record(_gap(target(arrow_p), p))
+    law["connect_lambda"].record(abs(rescale(arrow_p) - np.sqrt(p.x.norm_sq())))
     p_inf = PointD2(AlgebraElement.zero(dim), p.y)
     law["connect"].record(_gap(target(connecting_arrow(p_inf)), p_inf))
 
 
 def verify_structure(dim: int, samples: int, seed: int, tol: float) -> VerificationReport:
-    """Randomized groupoid-law suite plus the exact rescaling identity."""
+    """Randomized groupoid-law suite plus three polynomial identities in
+    lambda^2; two of them, lambda^2 = 1 on units and on arrows with source 0,
+    give lambda = 1 there, since lambda = sqrt(lambda^2) >= 0."""
     if dim not in (1, 2, 4, 8):
         raise ValueError("the groupoid is defined over the division algebras (dims 1, 2, 4, 8)")
     with timed_report(
@@ -426,11 +430,13 @@ def verify_structure(dim: int, samples: int, seed: int, tol: float) -> Verificat
             "|x|^2 lambda^2 = |x + |x|^2 F + (x conj(y)) G|^2 as polynomials in 4n variables",
             rescale_sq_identity(dim),
         )
+        g = _symbolic_arrow(dim)
+        at_units = rescale_sq(unit(source(g))) == 1
+        report.add("unit_rescale", "lambda(0, 0, x, y) = 1", at_units)
 
         law = {
             key: report.law(key, text, tol)
             for key, text in (
-                ("unit_rescale", "lambda(0, 0, x, y) = 1"),
                 ("norm_preserved", "|t(g)| = |s(g)|"),
                 ("slope_invariant", "y conj(x) agrees at source and target"),
                 ("lambda_mult", "lambda(g2 g1) = lambda(g2) lambda(g1)"),
@@ -451,7 +457,6 @@ def verify_structure(dim: int, samples: int, seed: int, tol: float) -> Verificat
         for n in chunks(samples):
             g1 = random_arrow(rng, dim, SUITE_MARGIN, n)
             s1, t1 = source(g1), target(g1)
-            law["unit_rescale"].record(abs(rescale(unit(s1)) - 1.0))
             law["norm_preserved"].record(
                 abs((t1.x.norm_sq() + t1.y.norm_sq()) - (s1.x.norm_sq() + s1.y.norm_sq()))
             )
@@ -469,17 +474,11 @@ def verify_structure(dim: int, samples: int, seed: int, tol: float) -> Verificat
             leaf_ok,
         )
 
-        # spot values of the rescaling on degenerate arrows
-        rng = derived_rng(seed, 1)
-        p = random_point(rng, dim)
-        F = from_array(rng.normal(0.0, 0.7, dim))
-        G = from_array(rng.normal(0.0, 0.7, dim))
         z = AlgebraElement.zero(dim)
         report.add(
             "rescale_degenerate_slots",
             "lambda(0,0,x,y) = 1 and lambda(F,G,0,0) = 1",
-            abs(rescale(Arrow(z, z, p.x, p.y)) - 1.0) <= tol
-            and abs(rescale(Arrow(F, G, z, z)) - 1.0) <= tol,
+            at_units and rescale_sq(Arrow(g.F, g.G, z, z)) == 1,
         )
     return report
 
@@ -493,29 +492,33 @@ def _phi_pairs(rng, dim: int, samples: int, tol: float):
 
 
 def verify_phi_morphism(dim: int, samples: int, seed: int, tol: float) -> VerificationReport:
-    """Action-groupoid morphism at the associative dims; failure witness at 8."""
+    """Action-groupoid morphism at the associative dims; failure witness at 8.
+
+    lambda_is_norm proves lambda^2 = |1 + conj(x) F + conj(y) G|^2 as
+    polynomials (false at dim 8), so their nonnegative square roots agree;
+    phi_of_unit computes phi at a polynomial unit: exactly 1.
+    """
     with timed_report(
         "phi_morphism", {"dim": dim, "samples": samples, "seed": seed, "tol": tol}
     ) as report:
         rng = derived_rng(seed, 0)
         if dim in (1, 2, 4):
+            g = _symbolic_arrow(dim)
             mult = report.law(
                 "phi_multiplicative", "phi(g2 g1) = phi(g2) . phi(g1) in the action groupoid", tol
             )
-            lam = report.law("lambda_is_norm", "lambda(g) = |1 + conj(x) F + conj(y) G|", tol)
+            report.add(
+                "lambda_is_norm",
+                "lambda(g) = |1 + conj(x) F + conj(y) G|",
+                (rescale_sq(g) - _phi_numerator(g).norm_sq()).is_zero(),
+            )
             tgt = report.law("phi_matches_target", "t(g) = s(g) . phi(g)", tol)
             for g1, u1, u2, u21 in _phi_pairs(rng, dim, samples, tol):
                 mult.record(np.sqrt((u21 - u1 * u2).norm_sq()))
-                lam.record(abs(rescale(g1) - np.sqrt(_phi_numerator(g1).norm_sq())))
                 tgt.record(_gap(target(g1), PointD2(g1.x * u1, g1.y * u1)))
-            report.add(
-                "phi_of_unit",
-                "phi(1_p) = (p, 1)",
-                np.sqrt(
-                    (phi_group_element(unit(random_point(rng, dim))) - AlgebraElement.one(dim)).norm_sq()
-                )
-                <= tol,
-            )
+            one, u = AlgebraElement.one(dim), unit(source(g))
+            # phi divides by a square root, so it runs once the numerator is exactly 1
+            report.add("phi_of_unit", "phi(1_p) = (p, 1)", _phi_numerator(u) == one and phi_group_element(u) == one)
         elif dim == 8:
             witness = None
             for _, u1, u2, u21 in _phi_pairs(rng, dim, samples, tol):

@@ -26,15 +26,15 @@ the sample count.
 
 Every random draw is fixed by the root seed and a stream number k within
 its suite.  The float draws come from ``derived_rng(root_seed, k)``, numpy's
-default_rng seeded with the pair (root_seed, k); the foliation suite draws
-its sampled oracle's integer points from stream 0.  The exact suites draw
-integers from ``derived_random(root_seed, k)``, Python's generator seeded
-with the text "root_seed/k", so that they run without numpy (which the
-modules load on first float use, see ``LazyNumpy``): the algebra suite its
-sedenion witnesses from stream 0 and its exact inverse samples from stream
-1, the counterexample its quaternion control from stream 0.  The leaf
-suite samples leaf k through sample_leaf from
-``derived_rng(root_seed, 10 + k)``, a stream of its own under each root seed.
+default_rng seeded with the pair (root_seed, k): the groupoid, phi and G2
+reports from stream 0, the foliation oracle's integer points from stream 0,
+the leaf suite its leaves from stream 1 and the points of leaf k from 10 + k.
+The exact draws come from ``derived_random(root_seed, k)``, Python's
+generator seeded with the text "root_seed/k", so they need no numpy (see
+``LazyNumpy``): the algebra suite's sedenion witnesses from stream 0 and
+its exact inverse samples from stream 1, the counterexample's quaternion
+control from stream 0, and the leaf dimensions' integer points from stream
+3.  The slope laws of the leaf suite draw nothing.
 """
 
 from __future__ import annotations

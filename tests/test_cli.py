@@ -265,6 +265,40 @@ def test_rejection_bound_aborts_the_suite(monkeypatch, capsys):
     assert "--help" not in err
 
 
+def test_sliver_points_abort_the_suite(monkeypatch, capsys):
+    class Sliver:
+        """Draws zero arrows (lambda^2 = 1), and points (1e-3 e0, e0) with |x|^2 < 1e-3 |p|^2."""
+
+        def normal(self, loc=0.0, scale=1.0, size=None):
+            v = np.zeros(size)
+            if size[-2] == 2:  # (rows, x y, dim) point draws
+                v[:, 0, 0], v[:, 1, 0] = 1e-3, 1.0
+            return v
+
+    monkeypatch.setattr(groupoid, "derived_rng", lambda seed, stream: Sliver())
+    assert main(["verify", "--suite", "groupoid", "--dim", "2", "--samples", "2"]) == 1
+    err = capsys.readouterr().err
+    what = "point away from the origin and the infinity line"
+    assert "suite aborted: no %s in %d draws" % (what, groupoid.MAX_DRAWS) in err
+    assert "--help" not in err
+
+
+def test_one_sample_connects_a_point(capsys):
+    # seed 56 draws its one dim-1 point in the sliver near the infinity line:
+    # it is redrawn, so connect_lambda records a residual
+    rc, text = _verify_json(capsys, "--suite", "groupoid", "--dim", "1", "--samples", "1", "--seed", "56")
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    assert rc == 0
+    assert checks["groupoid.connect_lambda"]["info"]["max_residual"] is not None
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+def test_one_sample_passes_every_seed(dim):
+    for seed in range(150):
+        report = groupoid.verify_structure(dim, 1, seed, 1e-9)
+        assert report.passed, (seed, [c.name for c in report.checks if not c.passed])
+
+
 def _verify_json(capsys, *argv):
     """(exit status, canonical JSON) of one verify call."""
     rc = main(["verify", *argv, "--format", "json"])
@@ -658,6 +692,77 @@ def test_foliation_suite_uses_no_floats(tmp_path):
         ("--seed", "7"),
     ):
         assert _suite_checks(tmp_path, *suite, *flags) == reference, flags
+
+
+# the laws that sample, by the square root each one goes through; a law
+# that reads only lambda^2, pi or the phi numerator is proved instead
+SQUARE_ROOT_LAWS = {
+    "lambda in the target, composition and inverses": {
+        "groupoid.norm_preserved",
+        "groupoid.slope_invariant",
+        "groupoid.lambda_mult",
+        "groupoid.endpoints",
+        "groupoid.assoc",
+        "groupoid.left_unit",
+        "groupoid.right_unit",
+        "groupoid.inv_left",
+        "groupoid.inv_right",
+        "groupoid.lambda_inv",
+        "groupoid.t_of_i_is_s",
+    },
+    "|x| in the connecting arrow": {"groupoid.connect", "groupoid.connect_lambda"},
+    "|1 + conj(x) F + conj(y) G| in phi": {
+        "phi_morphism.phi_multiplicative",
+        "phi_morphism.phi_matches_target",
+    },
+    "the norms of the G2 frames": {
+        "g2.automorphism_on_basis_pairs",
+        "g2.orthogonal_matrix",
+        "g2.lambda_invariant",
+        "g2.target_equivariant",
+        "g2.composition_equivariant",
+    },
+}
+
+
+def test_only_laws_through_a_square_root_sample(capsys):
+    sampled = set()
+    for dim in (1, 2, 4, 8):
+        argv = ("--suite", "all", "--dim", str(dim), "--backend", "float", "--samples", "20")
+        rc, text = _verify_json(capsys, *argv)
+        assert rc == 0, dim
+        sampled |= {c["name"] for c in json.loads(text)["checks"] if "max_residual" in c["info"]}
+    expected = set().union(*SQUARE_ROOT_LAWS.values())
+    assert len(expected) == 20
+    assert sampled == expected
+
+
+PROVED_SLOPE_AND_LAMBDA_LAWS = [
+    "leaves.slope_scale_invariance",
+    "leaves.same_leaf_separates_slopes",
+    "groupoid.unit_rescale",
+    "groupoid.rescale_degenerate_slots",
+    "phi_morphism.lambda_is_norm",
+    "phi_morphism.phi_of_unit",
+]
+
+
+def test_proved_slope_and_lambda_laws_ignore_the_sampling_flags(capsys):
+    # the six are polynomial identities: no flag but the dim reaches them
+    def proved(*flags):
+        checks = []
+        for suite, dim in (("leaves", "8"), ("groupoid", "4")):
+            _, text = _verify_json(capsys, "--suite", suite, "--dim", dim, *flags)
+            checks += [c for c in json.loads(text)["checks"] if c["name"] in PROVED_SLOPE_AND_LAMBDA_LAWS]
+        return checks
+
+    base = {"--backend": "float", "--seed": "101", "--samples": "1", "--tol": "1e-3"}
+    reference = proved(*itertools.chain(*base.items()))
+    assert [c["name"] for c in reference] == PROVED_SLOPE_AND_LAMBDA_LAWS
+    assert all(c["passed"] and c["info"] == {} for c in reference)
+    for flag, value in (("--samples", "2000"), ("--tol", "1e-12"), ("--seed", "7"), ("--backend", "exact")):
+        flags = dict(base, **{flag: value})
+        assert proved(*itertools.chain(*flags.items())) == reference, flag
 
 
 def test_lie3_suite_is_the_same_on_both_backends(tmp_path):

@@ -337,10 +337,9 @@ def test_batch_maps_equal_their_rows(dim):
     n = 7
     g1 = random_arrow(rng, dim, min_rescale_sq=1e-2, n=n)
     g2 = rebase(random_arrow(rng, dim, min_rescale_sq=1e-2, n=n), target(g1))
-    p = groupoid.random_point(rng, dim, n=n)
-    x = p.x.as_floats()
+    x, y = rng.normal(0.0, 0.7, (n, dim)), rng.normal(0.0, 0.7, (n, dim))
     x[[1, 4]] = 0.0  # two rows on the infinity line
-    p = PointD2(from_array(x), p.y)
+    p = PointD2(from_array(x), from_array(y))
     maps = {
         "target": lambda a, b, q: _flat(target(a)),
         "rescale": lambda a, b, q: rescale(a),

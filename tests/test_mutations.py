@@ -1,26 +1,49 @@
-"""Every check of the algebra suite can FAIL.
+"""Every check of the algebra and leaf suites, and every proved law of
+lambda^2 and the phi numerator, can FAIL.
 
 A PASS is vacuous if no plausible fault turns it into a FAIL: a row of
 algebra.IDENTITIES whose residual cancels by construction reports
 nonzero_components 0 exactly like a proof, and byte-identical reports cannot
 tell the two apart.  MUTATIONS are such faults, monkeypatches of a product
-table, conjugation, the pairing, the associator, the commutator, the inverse
-or the rational sampler.  KILLS maps every check that ``verify --suite
-algebra`` emits, at any of its dims, to one mutation and a dim at which that
-mutation FAILs the check; a check emitted at dim 8 is killed at dim 8.
+table, conjugation, the pairing, the associator, the commutator, the inverse,
+the leaf label, the tangency map, lambda^2, the unit, the phi numerator or a
+sampler.  KILLS maps every check that ``verify --suite algebra`` or
+``verify --suite leaves`` emits, at any of its dims, and the four groupoid
+and phi checks proved from lambda^2 and the phi numerator, to one mutation
+and a dim at which that mutation FAILs the check; a check emitted at dim 8
+is killed at dim 8.
 """
 
 import pytest
 
-from ohopf import algebra
+from ohopf import algebra, foliation, groupoid, leaves
 from ohopf.algebra import AlgebraElement
 from ohopf.cli import SUITE_DIMS, run_suite
+from ohopf.leaves import LeafId, PointD2
+
+TOL = 1e-9
+# report -> the suite that emits it
+SUITE_OF = {
+    "algebra": "algebra",
+    "counterexample": "algebra",
+    "leaves": "leaves",
+    "groupoid": "groupoid",
+    "phi_morphism": "groupoid",
+}
 
 
-def _verdicts(dim):
-    """Check name -> pass flag of ``verify --suite algebra`` at dim, seed 101."""
-    reports = run_suite("algebra", dim, 101, 1, 1e-9, "exact")
-    return {r.suite + "." + c.name: c.passed for r in reports for c in r.checks}
+def _reports(suite, dim):
+    if suite != "groupoid":
+        return run_suite(suite, dim, 101, 8, TOL, "exact")
+    # no samples: the proved laws read none, and a mutated lambda^2 makes the
+    # sampled laws refuse to compose (an abort, not a FAIL)
+    reports = [groupoid.verify_structure(dim, 0, 101, TOL)]
+    return reports + ([groupoid.verify_phi_morphism(dim, 0, 101, TOL)] if dim < 8 else [])
+
+
+def _verdicts(suite, dim):
+    """Check name -> pass flag of the reports of ``suite`` at dim, seed 101."""
+    return {r.suite + "." + c.name: c.passed for r in _reports(suite, dim) for c in r.checks}
 
 
 def _sign_flip(dim, i, j):
@@ -55,6 +78,33 @@ def _real_sampler(rng, dim, num=3, den=2):
     return AlgebraElement((real,) + (0,) * (dim - 1), dim)
 
 
+_CLASSIFY = leaves.classify
+_SAMPLE_LEAF = leaves.sample_leaf
+_RESCALE_SQ = groupoid.rescale_sq
+
+
+def _classify_doubling_pi2(p):
+    pi = _CLASSIFY(p)
+    return LeafId(pi.a, pi.b.scale(2), pi.c)
+
+
+def _sample_leaf_off_its_sphere(leaf, n, seed):
+    return PointD2(*(e.scale(1.01) for e in _SAMPLE_LEAF(leaf, n, seed)))
+
+
+def _tangency_reversing_a_product(u, v, x, y):
+    # conj(y) u for u conj(y): equal only where the product commutes
+    return x.inner(u), y.conjugate() * u + x * v.conjugate(), y.inner(v)
+
+
+def _unit_carrying_x(p):
+    return groupoid.Arrow(p.x, AlgebraElement.zero(p.x.dim), p.x, p.y)
+
+
+def _phi_numerator_negating_G(g):
+    return AlgebraElement.one(g.dim) + g.x.conjugate() * g.F - g.y.conjugate() * g.G
+
+
 # name -> the (owner, attribute, replacement) monkeypatches of one fault
 MUTATIONS = {
     "octonion_e1e2_sign": _sign_flip(8, 1, 2),
@@ -69,6 +119,13 @@ MUTATIONS = {
     "commutator_zero": [(algebra, "commutator", lambda a, b: AlgebraElement.zero(a.dim))],
     "inverse_is_conjugate": [(AlgebraElement, "inverse", AlgebraElement.conjugate)],
     "real_sampler": [(algebra, "random_rational_element", _real_sampler)],
+    "classify_doubles_pi2": [(leaves, "classify", _classify_doubling_pi2)],
+    "sample_leaf_off_its_sphere": [(leaves, "sample_leaf", _sample_leaf_off_its_sphere)],
+    "tangency_reverses_a_product": [(foliation, "_tangency", _tangency_reversing_a_product)],
+    "rescale_sq_plus_x_norm": [(groupoid, "rescale_sq", lambda g: _RESCALE_SQ(g) + g.x.norm_sq())],
+    "rescale_sq_plus_F_norm": [(groupoid, "rescale_sq", lambda g: _RESCALE_SQ(g) + g.F.norm_sq())],
+    "unit_carries_x": [(groupoid, "unit", _unit_carrying_x)],
+    "phi_numerator_negates_G": [(groupoid, "_phi_numerator", _phi_numerator_negating_G)],
 }
 
 # check -> (mutation, dim at which it FAILs the check)
@@ -105,6 +162,14 @@ KILLS = {
     "counterexample.second_equation": ("octonion_e2e5_sign", 8),
     "counterexample.no_common_unit": ("octonion_e2e5_sign", 8),
     "counterexample.quaternion_control": ("inverse_is_conjugate", 8),
+    "leaves.slope_scale_invariance": ("classify_doubles_pi2", 8),
+    "leaves.sampled_points_on_leaf": ("sample_leaf_off_its_sphere", 8),
+    "leaves.same_leaf_separates_slopes": ("classify_doubles_pi2", 8),
+    "leaves.unit_sphere_leaf_dimension": ("tangency_reverses_a_product", 8),
+    "groupoid.unit_rescale": ("rescale_sq_plus_x_norm", 8),
+    "groupoid.rescale_degenerate_slots": ("rescale_sq_plus_F_norm", 8),
+    "phi_morphism.lambda_is_norm": ("phi_numerator_negates_G", 4),
+    "phi_morphism.phi_of_unit": ("unit_carries_x", 4),
 }
 
 
@@ -115,23 +180,48 @@ def test_each_mutation_fails_its_checks(monkeypatch, mutation):
     runs = {}
     for name, (killer, dim) in KILLS.items():
         if killer == mutation:
-            runs.setdefault(dim, []).append(name)
+            runs.setdefault((SUITE_OF[name.split(".")[0]], dim), []).append(name)
     assert runs, "no check names this mutation"
-    for dim, names in sorted(runs.items()):
-        verdicts = _verdicts(dim)
+    for (suite, dim), names in sorted(runs.items()):
+        verdicts = _verdicts(suite, dim)
         passing = [name for name in names if verdicts[name]]
         assert not passing, "%s still PASS at dim %d" % (passing, dim)
 
 
-def test_every_check_of_the_suite_has_a_mutation():
+# the groupoid checks in KILLS: the laws proved from lambda^2 and the phi numerator
+PROVED_GROUPOID_CHECKS = {
+    "groupoid.unit_rescale",
+    "groupoid.rescale_degenerate_slots",
+    "phi_morphism.lambda_is_norm",
+    "phi_morphism.phi_of_unit",
+}
+
+
+def _assert_tabled(suite):
     emitted = {}
-    for dim in SUITE_DIMS["algebra"]:
-        verdicts = _verdicts(dim)
-        # unmutated, every check passes: each FAIL above is its mutation's
-        assert all(verdicts.values()), dim
-        for name in verdicts:
-            emitted.setdefault(name, set()).add(dim)
-    assert set(emitted) == set(KILLS)
-    for name, (_, dim) in KILLS.items():
+    for dim in SUITE_DIMS[suite]:
+        for report in run_suite(suite, dim, 101, 20, TOL, "float"):
+            for c in report.checks:
+                # unmutated, every check passes: each FAIL above is its mutation's
+                assert c.passed, (c.name, dim)
+                emitted.setdefault(report.suite + "." + c.name, set()).add(dim)
+    named = {name for name in KILLS if SUITE_OF[name.split(".")[0]] == suite}
+    if suite == "groupoid":
+        assert named == PROVED_GROUPOID_CHECKS
+        assert named <= set(emitted)
+    else:
+        assert set(emitted) == named, suite
+    unmutated = {}
+    for name in named:
+        dim = KILLS[name][1]
         assert dim in emitted[name]
         assert dim == 8 or 8 not in emitted[name], name
+        # so does the run each mutation makes
+        if dim not in unmutated:
+            unmutated[dim] = _verdicts(suite, dim)
+        assert unmutated[dim][name], name
+
+
+def test_every_check_of_the_suite_has_a_mutation():
+    for suite in ("algebra", "leaves", "groupoid"):
+        _assert_tabled(suite)

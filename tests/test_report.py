@@ -8,7 +8,6 @@ import pytest
 
 from ohopf import lie3
 from ohopf.groupoid import verify_g2_equivariance, verify_phi_morphism, verify_structure
-from ohopf.leaves import verify_leaves
 from ohopf.report import VerificationReport
 
 TOL = 1e-9
@@ -81,10 +80,9 @@ def test_checks_keep_declaration_order():
 @pytest.mark.parametrize(
     "run, laws",
     [
-        (lambda: verify_structure(4, 0, 0, TOL), 14),
-        (lambda: verify_phi_morphism(2, 0, 0, TOL), 3),
+        (lambda: verify_structure(4, 0, 0, TOL), 13),
+        (lambda: verify_phi_morphism(2, 0, 0, TOL), 2),
         (lambda: verify_g2_equivariance(0, 0, 1e-8), 5),
-        (lambda: verify_leaves(2, 0, 0, TOL), 1),
     ],
 )
 def test_zero_samples_fail_every_sampled_law(run, laws):
