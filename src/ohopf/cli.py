@@ -431,9 +431,11 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     try:
         reports = run_suite(args.suite, args.dim, args.seed, args.samples, args.tol, args.backend)
-    except (ValueError, WorkerLost) as exc:
+    except Exception as exc:
         # flags were validated by the parser: a suite that raises is a fault, not bad input
-        print("error: suite aborted: %s" % exc, file=sys.stderr)
+        # (the suites' own errors are ValueErrors; any other names its type)
+        text = exc if isinstance(exc, (ValueError, WorkerLost)) else "%s: %s" % (type(exc).__name__, exc)
+        print("error: suite aborted: %s" % text, file=sys.stderr)
         return 1
     merged = _merge(reports, args.suite, config)
     # wall time of the run: the units of a forked call overlap, so their times do not add

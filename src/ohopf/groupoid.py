@@ -48,7 +48,7 @@ from .algebra import (
 )
 from .leaves import PointD2, same_leaf
 from .polyring import PolyRing
-from .report import LazyNumpy, VerificationReport, chunks, derived_rng, timed_report
+from .report import LazyNumpy, Stream, VerificationReport, chunks, derived_rng, timed_report
 
 np = LazyNumpy(globals())
 
@@ -205,7 +205,7 @@ def _arrows(raw: np.ndarray) -> Arrow:
 
 
 def random_arrow(
-    rng: np.random.Generator,
+    rng: Stream,
     dim: int,
     min_rescale_sq: float = MEMBERSHIP_EPS,
     n: int = None,
@@ -331,7 +331,7 @@ def _basic_triples(raw: np.ndarray):
     return np.stack([v1, v2, v3], axis=1), ok
 
 
-def random_basic_triple(rng: np.random.Generator, n: int = None):
+def random_basic_triple(rng: Stream, n: int = None):
     """Gram-Schmidt sampling of a basic triple, dense in the G2 family (a
     batch of n triples when n is given)."""
     rows = _masked_redraw(

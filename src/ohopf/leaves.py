@@ -92,10 +92,9 @@ def same_leaf(p: PointD2, q: PointD2, tol: float = 0.0):
 
 
 def sample_leaf(leaf: LeafId, n: int, seed) -> PointD2:
-    """A batch of n points of the leaf, deterministic in the seed (an int, a
-    sequence of ints, or a Generator, as numpy's default_rng takes it; a
-    Generator is drawn from in place, so consecutive calls continue its
-    stream).
+    """A batch of n points of the leaf, deterministic in the seed: an int,
+    which draws from stream 0 of that root seed (report.derived_rng), or a
+    stream, drawn from in place, so consecutive calls continue it.
 
     With u uniform on the unit sphere of dimension leaf.b.dim: x = sqrt(a) u
     and y = m*x for the slope m = conj(b) / a when a > 0, else x = 0 and
@@ -103,7 +102,7 @@ def sample_leaf(leaf: LeafId, n: int, seed) -> PointD2:
     """
     if n < 1:
         raise ValueError("need n >= 1 points")
-    rng = np.random.default_rng(seed)
+    rng = derived_rng(seed, 0) if isinstance(seed, int) else seed
     units = rng.normal(size=(n, leaf.b.dim))
     units /= np.linalg.norm(units, axis=1, keepdims=True)
     u = from_array(units)

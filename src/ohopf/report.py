@@ -25,13 +25,14 @@ CHUNK_ROWS rows (``chunks``), which bounds the memory a batch takes whatever
 the sample count.
 
 Every random draw is fixed by the root seed and a stream number k within
-its suite.  The float draws come from ``derived_rng(root_seed, k)``, numpy's
-default_rng seeded with the pair (root_seed, k): the groupoid, phi and G2
-reports from stream 0, the foliation oracle's integer points from stream 0,
-the leaf suite its leaves from stream 1 and the points of leaf k from 10 + k.
-The exact draws come from ``derived_random(root_seed, k)``, Python's
-generator seeded with the text "root_seed/k", so they need no numpy (see
-``LazyNumpy``): the algebra suite's sedenion witnesses from stream 0 and
+its suite.  The exact draws come from ``derived_random(root_seed, k)``,
+Python's generator seeded with the text "root_seed/k", so they need no numpy
+(see ``LazyNumpy``).  The float draws come from ``derived_rng(root_seed, k)``,
+a SplitMix64 ``Stream`` keyed by the first 64 bits of that generator, which
+needs numpy but not numpy.random: the groupoid, phi and G2 reports from
+stream 0, the foliation oracle's integer points from stream 0, the leaf
+suite its leaves from stream 1 and the points of leaf k from 10 + k.  The
+exact draws are the algebra suite's sedenion witnesses from stream 0 and
 its exact inverse samples from stream 1, the counterexample's quaternion
 control from stream 0, and the leaf dimensions' integer points from stream
 3.  The slope laws of the leaf suite draw nothing.
@@ -82,9 +83,55 @@ ARTIFACT_VERSION = "0.1.0"
 CHUNK_ROWS = 512
 
 
-def derived_rng(root_seed: int, stream: int) -> np.random.Generator:
-    """Generator for check number ``stream`` under the given root seed."""
-    return np.random.default_rng([int(root_seed), int(stream)])
+class Stream:
+    """Seeded float draws on numpy arrays, without numpy.random: word i of
+    the stream keyed k is SplitMix64's (Steele, Lea and Flood, OOPSLA 2014)
+    mix of k + (i + 1) * 0x9E3779B97F4A7C15.  Each draw takes the next words,
+    so consecutive draws continue one stream (an odd count of normals leaves
+    the second of its last pair unused)."""
+
+    def __init__(self, key: int):
+        self.key, self.used = key, 0
+
+    def _words(self, n: int):
+        z = np.arange(self.used + 1, self.used + n + 1, dtype=np.uint64)
+        self.used += n
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z += np.uint64(self.key)
+        for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mul)
+        return z ^ (z >> np.uint64(31))
+
+    def normal(self, loc=0.0, scale=1.0, size=1):
+        """An array of Gaussians of shape ``size`` (an int or a tuple), by
+        Box-Muller (Ann. Math. Statist. 29(2), 1958): words 2j and 2j + 1
+        give the radius r = sqrt(-2 log u), u in (0, 1], and the angle 2p, p
+        uniform in [-pi/2, pi/2), of normals 2j = r cos 2p and 2j + 1 =
+        r sin 2p, read off t = tan p (one call in place of cos and sin)."""
+        n = math.prod(size) if isinstance(size, tuple) else size
+        z = self._words(n + n % 2)
+        z >>= np.uint64(11)  # 53-bit integers
+        r = scale * np.sqrt(-2.0 * np.log((z[0::2] + 1.0) * 2.0**-53))
+        t = np.tan(z[1::2] * (2.0**-53 * math.pi) - 0.5 * math.pi)
+        w = 2.0 * r / (1.0 + t * t)  # r (1 + cos 2p), and r sin 2p = w t
+        out = np.empty(z.shape)
+        np.subtract(w, r, out=out[0::2])
+        np.multiply(w, t, out=out[1::2])
+        return loc + out[:n].reshape(size)
+
+    def integers(self, low: int, high: int, size: int):
+        """``size`` integers in [low, high), each a word modulo high - low."""
+        return low + (self._words(size) % np.uint64(high - low)).astype(np.int64)
+
+    def uniform(self, low: float, high: float) -> float:
+        """One float in [low, high)."""
+        return low + (high - low) * int(self._words(1)[0] >> np.uint64(11)) * 2.0**-53
+
+
+def derived_rng(root_seed: int, stream: int) -> Stream:
+    """The float draws of stream ``stream`` under the root seed."""
+    return Stream(derived_random(root_seed, stream).getrandbits(64))
 
 
 def derived_random(root_seed: int, stream: int) -> random.Random:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ohopf import algebra, algebroid, cli, foliation, groupoid, lie3
+from ohopf import algebra, algebroid, cli, foliation, groupoid, leaves, lie3
 from ohopf.algebra import coordinate_elements
 from ohopf.cli import BACKENDS, SUITE_DIMS, SUITES, _merge, main, run_suite
 from ohopf.report import VerificationReport
@@ -156,6 +156,16 @@ def test_export_leaf_large_radius_residual_is_finite(tmp_path, capsys, slope, ra
         assert main(["export-leaf", *argv]) == 0
     residual = float(capsys.readouterr().out.split("max leaf residual ")[1].rstrip(")\n"))
     assert 0 <= residual < 1e-14 * float(radius) ** 2
+
+
+def test_export_leaf_count_beyond_memory(tmp_path, capsys):
+    # 8e12 normals: the first allocation of the sampler fails at once
+    out = tmp_path / "huge.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["export-leaf", "-n", "1000000000000", "--out", str(out)])
+    assert err.value.code == 2
+    assert "-n 1000000000000 points do not fit in memory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_leaf_bad_slope():
@@ -626,6 +636,41 @@ def test_a_unit_that_raises_aborts_all(monkeypatch, capsys, module, name, mutate
     assert "error: suite aborted: injected fault" in err
     assert "--help" not in err
     _no_child_left()
+
+
+def _raises(error):
+    def fault(*args):
+        raise error
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (leaves, "verify_leaves", ["--suite", "leaves", "--dim", "8"]),
+        (leaves, "verify_leaves", ["--suite", "all", "--dim", "8"]),
+        (foliation, "verify_foliation", ["--suite", "all", "--dim", "8"]),
+    ],
+    ids=["leaves", "all_command_side", "all_child_side"],
+)
+def test_any_error_of_a_unit_aborts_with_its_type(monkeypatch, capsys, module, name, argv):
+    # a TypeError is a fault in the program, not in the flags: exit 1, no traceback
+    monkeypatch.setattr(module, name, _raises(TypeError("injected type fault")))
+    assert main(["verify", *argv, "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "error: suite aborted: TypeError: injected type fault" in err
+    assert "Traceback" not in err and "--help" not in err
+    _no_child_left()
+
+
+def test_an_interrupt_is_not_a_suite_abort(monkeypatch, capsys):
+    monkeypatch.setattr(leaves, "verify_leaves", _raises(KeyboardInterrupt()))
+    for argv in (["--suite", "leaves", "--dim", "8"], ["--suite", "all", "--dim", "8"]):
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", *argv, "--samples", "5"])
+        assert "suite aborted" not in capsys.readouterr().err
+        _no_child_left()
 
 
 def test_a_child_that_dies_aborts_all(monkeypatch, capsys):

@@ -1,5 +1,6 @@
-"""numpy loads on first float use: the exact calls never import it, and numpy
-values still take the paths that no longer import numpy to recognize them."""
+"""numpy loads on first float use: the exact calls never import it, no call
+imports numpy.random, and numpy values still take the paths that no longer
+import numpy to recognize them."""
 
 import json
 import math
@@ -17,21 +18,26 @@ from ohopf.report import VerificationReport
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 EXACT_CALLS = [
-    ["--suite", "lie3", "--backend", "exact"],
-    ["--suite", "algebroid", "--backend", "exact"],
-    *(["--suite", "algebra", "--dim", str(dim)] for dim in (1, 2, 4, 8, 16)),
+    ["verify", "--suite", "lie3", "--backend", "exact"],
+    ["verify", "--suite", "algebroid", "--backend", "exact"],
+    *(["verify", "--suite", "algebra", "--dim", str(dim)] for dim in (1, 2, 4, 8, 16)),
 ]
-FLOAT_CALL = ["--suite", "groupoid", "--dim", "1", "--samples", "1"]
+FLOAT_CALL = ["verify", "--suite", "groupoid", "--dim", "1", "--samples", "1"]
+ALL_CALL = ["verify", "--suite", "all", "--dim", "8", "--samples", "1"]
+# numpy.random, and what its import pulls in through secrets -> hmac -> hashlib
+RANDOM_MODULES = ["numpy.random", "_hashlib", "secrets"]
 
-# one line per step: the step, its exit status, and whether numpy is loaded
+# one line per step: the step, its exit status, whether numpy is loaded, and
+# which of RANDOM_MODULES are
 _PROBE = """
 import contextlib, io, json, os, sys
 
 del os.fork  # every unit runs in this process, the one probed
+RANDOM_MODULES = %r
 
 
 def step(name, rc=None):
-    print(json.dumps([name, rc, "numpy" in sys.modules]))
+    print(json.dumps([name, rc, "numpy" in sys.modules, [m for m in RANDOM_MODULES if m in sys.modules]]))
 
 
 import ohopf
@@ -40,19 +46,20 @@ import ohopf.cli
 step("import ohopf.cli")
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        rc = ohopf.cli.main(["verify", *argv, "--format", "json"])
+        rc = ohopf.cli.main([*argv, "--format", "json"] if argv[0] == "verify" else argv)
     step(" ".join(argv), rc)
 # after the first float call, groupoid's np is numpy itself, not its stand-in
 import ohopf.groupoid
 step("groupoid binds numpy", ohopf.groupoid.np is sys.modules.get("numpy"))
-"""
+""" % RANDOM_MODULES
 
 
-def test_exact_calls_leave_numpy_unimported():
+def test_exact_calls_leave_numpy_unimported(tmp_path):
     env = {k: v for k, v in os.environ.items() if not k.startswith("OHOPF_")}
     env["PYTHONPATH"] = _SRC
+    export = ["export-leaf", "-n", "5", "--out", str(tmp_path / "leaf.csv")]
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps([*EXACT_CALLS, FLOAT_CALL])],
+        [sys.executable, "-c", _PROBE, json.dumps([*EXACT_CALLS, FLOAT_CALL, ALL_CALL, export])],
         env=env,
         capture_output=True,
         text=True,
@@ -60,15 +67,19 @@ def test_exact_calls_leave_numpy_unimported():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
-    exact = [" ".join(argv) for argv in EXACT_CALLS]
-    assert steps[:-2] == [
-        ["import ohopf", None, False],
-        ["import ohopf.cli", None, False],
-        *([name, 0, False] for name in exact),
+    assert steps[:-4] == [
+        ["import ohopf", None, False, []],
+        ["import ohopf.cli", None, False, []],
+        *([" ".join(argv), 0, False, []] for argv in EXACT_CALLS),
     ]
-    # the first float call loads numpy and passes
-    float_call = " ".join(FLOAT_CALL)
-    assert steps[-2:] == [[float_call, 0, True], ["groupoid binds numpy", True, True]]
+    # the first float call loads numpy and passes; no float call loads
+    # numpy.random or what its import brings
+    assert steps[-4:] == [
+        [" ".join(FLOAT_CALL), 0, True, []],
+        [" ".join(ALL_CALL), 0, True, []],
+        [" ".join(export), 0, True, []],
+        ["groupoid binds numpy", True, True, []],
+    ]
 
 
 def _json(report):

@@ -22,6 +22,7 @@ from ohopf.leaves import (
     slope_leaf,
     verify_leaves,
 )
+from ohopf.report import derived_rng
 
 
 def E(i, dim=8):
@@ -88,8 +89,8 @@ def test_sample_leaf_origin_and_determinism():
     a = sample_leaf(slope_leaf(E(1), 1.0), 10, seed=42)
     b = sample_leaf(slope_leaf(E(1), 1.0), 10, seed=42)
     assert np.array_equal(_coords(a), _coords(b))
-    # a Generator continues its stream: two draws of 4 and 6 are one draw of 10
-    rng = np.random.default_rng(42)
+    # a stream continues in place: two draws of 4 and 6 are one draw of 10
+    rng = derived_rng(42, 0)
     parts = [sample_leaf(slope_leaf(E(1), 1.0), k, seed=rng) for k in (4, 6)]
     assert np.array_equal(np.vstack([_coords(p) for p in parts]), _coords(a))
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from ohopf import lie3
 from ohopf.groupoid import verify_g2_equivariance, verify_phi_morphism, verify_structure
-from ohopf.report import VerificationReport
+from ohopf.report import Stream, VerificationReport, derived_random, derived_rng
 
 TOL = 1e-9
 
@@ -125,3 +125,71 @@ def test_an_unresolved_cite_refuses_to_render():
     assert report.to_json() == twin.to_json()
     assert report.to_text() == twin.to_text()
 
+
+# the first five outputs of SplitMix64 seeded with 1234567
+SPLITMIX_1234567 = [
+    6457827717110365317,
+    3203168211198807973,
+    9817491932198370423,
+    4593380528125082431,
+    16408922859458223821,
+]
+
+
+def test_the_stream_is_splitmix64_keyed_like_derived_random():
+    assert Stream(1234567)._words(5).tolist() == SPLITMIX_1234567
+    # a uniform is the top 53 bits of one word
+    assert Stream(1234567).uniform(0.0, 1.0) == (SPLITMIX_1234567[0] >> 11) * 2.0**-53
+    assert derived_rng(101, 10).key == derived_random(101, 10).getrandbits(64)
+    # Box-Muller on the first pair of words, in Python floats
+    z0, z1 = (w >> 11 for w in SPLITMIX_1234567[:2])
+    r, angle = math.sqrt(-2.0 * math.log((z0 + 1) * 2.0**-53)), z1 * 2.0**-52 * math.pi - math.pi
+    assert np.allclose(Stream(1234567).normal(size=2), [r * math.cos(angle), r * math.sin(angle)], rtol=1e-14, atol=0)
+
+
+def test_the_same_seed_and_stream_give_the_same_draws():
+    def draws(seed, k):
+        rng = derived_rng(seed, k)
+        return rng.normal(0.0, 0.7, (3, 4, 2)), rng.integers(-3, 4, 6), rng.uniform(0.25, 4.0)
+
+    first = draws(7, 1)
+    for seed, k, same in ((7, 1, True), (8, 1, False), (7, 2, False), (1, 7, False)):
+        other = draws(seed, k)
+        assert [np.array_equal(a, b) for a, b in zip(first, other)] == [same] * 3, (seed, k)
+
+
+def test_consecutive_draws_continue_the_stream():
+    rng = derived_rng(42, 0)
+    parts = [rng.normal(size=(rows, 8)) for rows in (4, 6)]
+    assert np.array_equal(np.vstack(parts), derived_rng(42, 0).normal(size=(10, 8)))
+    # an odd count leaves the second normal of its last pair unused
+    rng = derived_rng(42, 0)
+    odd = np.concatenate([rng.normal(size=3), rng.normal(size=1)])
+    assert np.array_equal(odd, derived_rng(42, 0).normal(size=6)[[0, 1, 2, 4]])
+
+
+def test_normals_are_standard():
+    z = derived_rng(3, 0).normal(size=100_000)
+    assert z.shape == (100_000,) and abs(z.mean()) < 0.01 and abs(z.var() - 1.0) < 0.01
+    scaled = derived_rng(3, 0).normal(2.0, 0.5, (50_000, 2))
+    assert np.allclose(scaled, 2.0 + 0.5 * z.reshape(50_000, 2), rtol=0, atol=1e-12)
+
+
+def test_integers_take_exactly_their_range():
+    values = derived_rng(5, 0).integers(-3, 4, 10_000)
+    assert values.dtype == np.int64 and set(values.tolist()) == set(range(-3, 4))
+
+
+def test_uniform_stays_in_its_range():
+    rng = derived_rng(6, 1)
+    draws = [rng.uniform(0.25, 4.0) for _ in range(1000)]
+    assert all(0.25 <= r < 4.0 for r in draws) and max(draws) - min(draws) > 3.5
+
+
+def test_a_zero_word_gives_a_finite_normal():
+    # key = -gamma makes word 0 the mix of 0, which is 0: the uniform that
+    # goes into the logarithm is then 2^-53, the smallest it takes, never 0
+    key = -0x9E3779B97F4A7C15 % 2**64
+    assert Stream(key)._words(1).tolist() == [0]
+    pair = Stream(key).normal(size=2)
+    assert np.isclose(np.hypot(*pair), math.sqrt(2 * 53 * math.log(2)), rtol=1e-15)
