@@ -207,8 +207,8 @@ class _Symbols(NamedTuple):
 def _antisymmetry_zero(s: _Symbols) -> bool:
     """[s1, s2] + [s2, s1] = 0.
 
-    The claim of lie3.antisymmetry_0_0, so a call that runs both suites
-    cites that check (LIE3_CITES).  lie3.bracket on degrees (0,0) is
+    The claim of lie3.antisymmetry_0_0, which a call that runs both suites
+    cites (CITES).  lie3.bracket on degrees (0,0) is
     bracket_e0, and lie3's X, Y are s1, s2: the sections of the same symbols
     (u, v) and (p, q).  lie3's ring has more section variables, but the
     inclusion of this ring in it is an injective ring map that fixes x and
@@ -222,8 +222,8 @@ def _antisymmetry_zero(s: _Symbols) -> bool:
 def _jacobi_zero(s: _Symbols) -> bool:
     """[s1,[s2,s3]] + [s2,[s3,s1]] + [s3,[s1,s2]] = 0.
 
-    The claim of lie3.jacobi_0_0_0, so a call that runs both suites cites
-    that check (LIE3_CITES).  On degrees (0,0,0) every sign of lie3's
+    The claim of lie3.jacobi_0_0_0, which a call that runs both suites
+    cites (CITES).  On degrees (0,0,0) every sign of lie3's
     Jacobiator is +, its terms are [X,[Y,W]], [Y,[W,X]] and [W,[X,Y]], and
     lie3.bracket is bracket_e0 there; X, Y, W are s1, s2, s3, the sections
     of the same symbols (u, v), (p, q), (r, s).  So it is this sum, taken in
@@ -248,8 +248,13 @@ def _anchor_morphism_zero(s: _Symbols) -> bool:
 
 
 def _tangent_zero(s: _Symbols) -> bool:
-    """J(rho(s1)) = 0; foliation.anchor_image_tangent cites it in a call
-    that runs both suites (see verify_foliation)."""
+    """J(rho(s1)) = 0, the claim of foliation.anchor_image_tangent, which a
+    call that runs both suites cites (CITES).  That check applies anchor and
+    is_tangent_symbolic to the section of the same symbols (u, v), so by the
+    inclusion argument of _antisymmetry_zero one residual is zero iff the
+    other is.  J rho = d1^T rho^T = (rho d1)^T = 0 at a point also follows
+    from lie3.complex_rho_d1 with generic_ranks' J = d1^T and rho = rho^T,
+    but that is three checks of two reports, not one claim."""
     from .foliation import is_tangent_symbolic
 
     X1 = anchor(s.s1, s.ring)
@@ -281,18 +286,22 @@ SYMBOLIC_CHECKS = (
 )
 
 
-# The rows whose claim a lie3 check proves too, with that check (the argument
-# is in the docstring of each row's proof).
-LIE3_CITES = {"antisymmetry": "lie3.antisymmetry_0_0", "jacobi": "lie3.jacobi_0_0_0"}
+# The one table of cites: the rows whose claim a check of another suite proves
+# too, with that check (the argument is in the docstring of each row's proof).
+# A call that runs the source's suite cites it (cli._units); others prove it.
+CITES = {
+    "antisymmetry": "lie3.antisymmetry_0_0",
+    "jacobi": "lie3.jacobi_0_0_0",
+    "anchor_image_in_kernel": "foliation.anchor_image_tangent",
+}
 
 
-def verify_algebroid_symbolic(rows: slice = slice(None), cite: bool = False) -> VerificationReport:
+def verify_algebroid_symbolic(rows=SYMBOLIC_CHECKS) -> VerificationReport:
     """Exact bracket/anchor facts at dimension 8, all section components symbolic.
 
-    ``rows`` runs only a slice of SYMBOLIC_CHECKS, so that the proofs can be
-    split across processes; the default runs them all.  With ``cite``, for a
-    call that runs lie3 too, the rows of LIE3_CITES cite their lie3 check
-    instead of proving it again.
+    ``rows`` is a sequence of rows of SYMBOLIC_CHECKS, so that the proofs can
+    be split across processes, and a row may name a cited check in place of
+    its proof (VerificationReport.add_rows); the default proves them all.
     """
     dim = 8
     with timed_report("algebroid_symbolic", {"dim": dim}) as report:
@@ -306,11 +315,7 @@ def verify_algebroid_symbolic(rows: slice = slice(None), cite: bool = False) -> 
             E0Section(vector_symbol(ring, "p", dim), vector_symbol(ring, "q", dim)),
             E0Section(vector_symbol(ring, "r", dim), vector_symbol(ring, "s", dim)),
         )
-        for name, law, proof in SYMBOLIC_CHECKS[rows]:
-            if cite and name in LIE3_CITES:
-                report.cite(name, law, LIE3_CITES[name])
-            else:
-                report.add(name, law, proof(symbols))
+        report.add_rows(rows, symbols)
     return report
 
 

@@ -15,9 +15,9 @@ On POSIX a verify call runs in two processes when it has two or more units
 table UNIT_COST assigns it, this process the rest, and the reports merge in
 unit order to the bytes one process gives.  A unit is one suite, except
 that lie3 and algebroid split their symbolic proofs into three units, so
-those two suites fork when run alone too.  A call that runs lie3, algebroid
-and foliation together proves each claim they share once: the other checks
-of that claim cite it, and take its verdict once both processes are done.
+those two suites fork when run alone too.  A call that runs the suite of a
+check in algebroid.CITES proves that claim once: the algebroid row cites
+the check, and takes its verdict once both processes are done.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def _child(unit, sink: int):
 
 
 # CPU milliseconds of each unit at dim 8 (seed 101, --samples 200, the median
-# of five warm passes in one process), as ``all`` runs it: there foliation
+# of five warm passes in one process), as ``all`` runs it: there algebroid.tail
 # cites one check, and algebroid.head runs only in --suite algebroid.  CPU
 # speed drifts between runs, so each run is scaled to lie3.jacobi_0_0_m1 =
 # 240 and the median of five runs kept.  _child_side uses them at every dim:
@@ -284,42 +284,41 @@ def _run_in_two_processes(units) -> list:
     return [report for reports in done for report in reports]
 
 
-def _split_around(suite: str, checks, heaviest: str, proofs, rest) -> list:
-    """Three units of a suite: the proofs before its heaviest check, that
-    check, and the proofs after it followed by the rest of the suite.
+def _split_around(suite: str, rows, heaviest: str, proofs, rest) -> list:
+    """Three units of a suite: the rows before its heaviest check, that
+    check, and the rows after it followed by the rest of the suite.  A head
+    of cites proves nothing, so it runs in the heaviest check's unit: each
+    unit name keeps one cost.
 
-    ``proofs(rows)`` returns the reports of a slice of the table ``checks``
+    ``proofs(rows)`` returns the reports of a sequence of the table's rows
     and ``rest()`` the suite's other reports.
     """
-    at = [name for name, _, _ in checks].index(heaviest)
-    return [
-        (suite + ".head", lambda: proofs(slice(None, at))),
-        (suite + "." + heaviest, lambda: proofs(slice(at, at + 1))),
-        (suite + ".tail", lambda: proofs(slice(at + 1, None)) + rest()),
+    at = [name for name, _, _ in rows].index(heaviest)
+    start = at if any(not isinstance(proof, str) for _, _, proof in rows[:at]) else 0
+    head = [(suite + ".head", lambda: proofs(rows[:at]))] if start else []
+    return head + [
+        (suite + "." + heaviest, lambda: proofs(rows[start : at + 1])),
+        (suite + ".tail", lambda: proofs(rows[at + 1 :]) + rest()),
     ]
 
 
 def _units(
-    suite: str, dim: int, seed: int, samples: int, tol: float, backend: str, cite: bool = False
+    suite: str, dim: int, seed: int, samples: int, tol: float, backend: str, suites=()
 ) -> list:
     """The units of a suite in report order: (name, call returning a list of
     reports), the one table of what each suite checks.
 
-    ``all`` runs the units of every suite whose SUITE_DIMS contain ``dim``.
-    The symbolic proofs of lie3 and algebroid are each split into three
-    units around their heaviest check; every other suite is one unit.
-
-    ``cite`` is set by an ``all`` call that runs lie3 and algebroid (dim 8).
-    The checks of algebroid.LIE3_CITES and foliation.anchor_image_tangent
-    then cite the check of another suite that proves the same claim.  The
-    two cited algebroid rows are all of algebroid.head, so the head rides
-    with the algebroid.anchor_morphism unit: each unit name keeps one cost.
+    ``all`` runs the units of every suite whose SUITE_DIMS contain ``dim``,
+    and passes them as ``suites``.  The symbolic proofs of lie3 and
+    algebroid are each split into three units around their heaviest check;
+    every other suite is one unit.  A row of algebroid.CITES whose source's
+    suite is in ``suites`` names its source in place of its proof, so the
+    call proves the claim once.
     """
     if suite == "all":
         names = [name for name in SUITES if name != "all" and dim in SUITE_DIMS[name]]
-        cite = "lie3" in names and "algebroid" in names
         return [
-            unit for name in names for unit in _units(name, dim, seed, samples, tol, backend, cite)
+            unit for name in names for unit in _units(name, dim, seed, samples, tol, backend, names)
         ]
     if suite == "algebra":
         return [
@@ -343,17 +342,14 @@ def _units(
 
         return [("groupoid", groupoid_reports)]
     if suite == "algebroid":
-        units = _split_around(
+        cited = {name: source for name, source in algebroid.CITES.items() if source.split(".")[0] in suites}
+        return _split_around(
             "algebroid",
-            algebroid.SYMBOLIC_CHECKS,
+            [(name, law, cited.get(name, proof)) for name, law, proof in algebroid.SYMBOLIC_CHECKS],
             "anchor_morphism",
-            lambda rows: [algebroid.verify_algebroid_symbolic(rows, cite)],
+            lambda rows: [algebroid.verify_algebroid_symbolic(rows)],
             lambda: [algebroid.verify_groupoid_consistency(dim)],
         )
-        if cite:  # the head proves nothing: it rides with the next unit
-            (_, head), (name, heaviest) = units[:2]
-            units[:2] = [(name, lambda: head() + heaviest())]
-        return units
     if suite == "lie3":
 
         def matrix_reports():
@@ -372,7 +368,7 @@ def _units(
     def foliation_reports():  # suite == "foliation"
         # one exact elimination for both reports at dim 8
         nullspace = foliation.linear_nullspace(dim)
-        reports = [foliation.verify_foliation(dim, seed, nullspace, cite)]
+        reports = [foliation.verify_foliation(dim, seed, nullspace)]
         if dim == 8:
             reports.append(foliation.linear_obstruction_report(nullspace))
         return reports
@@ -391,10 +387,11 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
     suite name, and the parts merge (_merge) to the same canonical JSON as
     one process gives.  ``--backend exact`` leaves out G2 equivariance.
 
-    Once both processes are done, each cite (report.Check.cites) takes the
-    verdict of its source, so a cite and its source may run on either side
-    of the fork.  A cite whose source is not a check of the call raises
-    ValueError: the suite aborts.
+    A call that runs the source suite of a row of algebroid.CITES cites the
+    source there (_units).  Once both processes are done, each cite
+    (report.Check.cites) takes the verdict of its source, so a cite and its
+    source may run on either side of the fork.  A cite whose source is not a
+    proved check of the call raises ValueError: the suite aborts.
     """
     _check_dim(suite, dim)
     reports = _run_in_two_processes(_units(suite, dim, seed, samples, tol, backend))

@@ -274,24 +274,15 @@ def linear_obstruction_report(nullspace=None) -> VerificationReport:
     return report
 
 
-def verify_foliation(dim: int, seed: int, nullspace=None, cite: bool = False) -> VerificationReport:
+def verify_foliation(dim: int, seed: int, nullspace=None) -> VerificationReport:
     """Tangency suite: symbolic kernel facts, the exact nullspace ladder, and
     the proof that anchor flows stay on their leaves.
 
     Every check is exact; the seed only picks the integer points of the
     sampled nullspace oracle.  ``nullspace`` is linear_nullspace(dim),
-    solved here when not given.
-
-    anchor_image_tangent, J(rho(u, v)) = 0, is the claim of
-    algebroid_symbolic.anchor_image_in_kernel, so with ``cite``, for a call
-    that runs the algebroid suite too, it cites that check.  Both apply
-    anchor and is_tangent_symbolic to the section of the symbols (u, v);
-    the algebroid's ring has four more blocks of section variables, and its
-    inclusion of this ring is an injective ring map that fixes x and y, so
-    one residual is zero iff the other is.  The claim also follows from
-    lie3.complex_rho_d1 with generic_ranks' J = d1^T and rho = rho^T: as
-    matrices at a point, J rho = d1^T rho^T = (rho d1)^T = 0.  That is three
-    checks of two reports, not one claim, so it is not cited.
+    solved here when not given.  anchor_image_tangent is the claim of
+    algebroid_symbolic.anchor_image_in_kernel, which cites it in a call that
+    runs both suites (algebroid.CITES).
 
     The leaves are the fibres of pi = (|x|^2, x*conj(y), |y|^2), the dim + 2
     polynomial components that leaves.classify computes.  The flow check
@@ -317,11 +308,11 @@ def verify_foliation(dim: int, seed: int, nullspace=None, cite: bool = False) ->
         u = vector_symbol(ring, "u", dim)
         v = vector_symbol(ring, "v", dim)
         X = anchor(E0Section(u, v), ring)
-        law = "J(rho(u, v)) = 0 for symbolic constant (u, v)"
-        if cite:
-            report.cite("anchor_image_tangent", law, "algebroid_symbolic.anchor_image_in_kernel")
-        else:
-            report.add("anchor_image_tangent", law, is_tangent_symbolic(X.u, X.v, ring))
+        report.add(
+            "anchor_image_tangent",
+            "J(rho(u, v)) = 0 for symbolic constant (u, v)",
+            is_tangent_symbolic(X.u, X.v, ring),
+        )
 
         # the Euler field is not tangent: J(x, y) = (|x|^2, 2 x conj(y), |y|^2)
         base = PolyRing(dim)

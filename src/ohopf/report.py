@@ -15,9 +15,10 @@ and every recorded residual is <= tol.  A NaN residual counts as the worst:
 it fails the law and is what ``max_residual`` reports.  A law that recorded
 nothing fails with ``max_residual`` null, so zero samples never make a PASS.
 
-A cite is a check that another report of the same call proves: it names its
-source check (``VerificationReport.cite``) and has no verdict until the call
-copies the source's (``cli.run_suite``).  A report that still holds a cite
+A cite is a check that another report of the same call proves: a row of a
+suite's table whose proof is the name of its source check
+(``VerificationReport.add_rows``).  It has no verdict until the call copies
+the source's (``cli.run_suite``), and a report that still holds a cite
 without a verdict refuses to render.
 
 The float suites draw and check their samples in batches of at most
@@ -236,10 +237,15 @@ class VerificationReport:
     def add(self, name, law, passed, **info):
         self.checks.append(Check(name, law, bool(passed), info))
 
-    def cite(self, name, law, source):
-        """Append a cite of the check ``source``, "<report>.<check>", which
-        proves the same claim elsewhere in the call."""
-        self.checks.append(Check(name, law, None, {}, source))
+    def add_rows(self, rows, symbols):
+        """Append a check per (name, law, proof) row, in order: the flag
+        proof(symbols), or, where proof is the name "<report>.<check>" of a
+        check that proves the same claim in this call, a cite of it."""
+        for name, law, proof in rows:
+            if isinstance(proof, str):
+                self.checks.append(Check(name, law, None, {}, proof))
+            else:
+                self.add(name, law, proof(symbols))
 
     def law(self, name, law, tol) -> SampledLaw:
         """Append a sampled law's Check now (failing until a residual is recorded)."""

@@ -485,30 +485,37 @@ def test_only_all_at_dim_8_cites(capsys):
     assert _cites(reports) == [
         ("algebroid_symbolic.antisymmetry", "lie3.antisymmetry_0_0"),
         ("algebroid_symbolic.jacobi", "lie3.jacobi_0_0_0"),
-        ("foliation.anchor_image_tangent", "algebroid_symbolic.anchor_image_in_kernel"),
+        ("algebroid_symbolic.anchor_image_in_kernel", "foliation.anchor_image_tangent"),
     ]
     verdicts = {r.suite + "." + c.name: c.passed for r in reports for c in r.checks}
     assert all(verdicts[name] is verdicts[source] is True for name, source in _cites(reports))
     _no_child_left()
 
 
+def test_the_cite_table_names_proved_checks_of_suites():
+    names = [name for name, _, _ in algebroid.SYMBOLIC_CHECKS]
+    assert set(algebroid.CITES) <= set(names)
+    for source in algebroid.CITES.values():
+        suite = source.split(".")[0]
+        assert suite in SUITES, source
+        # the suite's own run proves the source; it cites nothing there
+        checks = {r.suite + "." + c.name: c for r in run_suite(suite, 8, 5, 5, 1e-9, "exact") for c in r.checks}
+        assert checks[source].cites is None and checks[source].passed is True, source
+    _no_child_left()
+
+
 @pytest.mark.parametrize(
-    "module, name, argv",
-    [
-        (foliation, "verify_foliation", ["--suite", "foliation", "--dim", "2"]),
-        (algebroid, "verify_algebroid_symbolic", ["--suite", "algebroid"]),
-    ],
-    ids=["foliation", "algebroid"],
+    "row, source",
+    [("antisymmetry", "lie3.antisymmetry"), ("leibniz_rule", "foliation.no_such_check")],
+    ids=["lie3", "foliation"],
 )
-def test_a_cite_without_its_source_aborts(monkeypatch, capsys, module, name, argv):
-    # a single-suite call whose checks cite anyway (cite, the last argument,
-    # set): the source is not in the call
-    original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: original(*args[:-1], True))
-    assert main(["verify", *argv, "--format", "json"]) == 1
+def test_a_cite_without_its_source_aborts(monkeypatch, capsys, row, source):
+    # the source's suite runs in the call, but no check of it has that name
+    monkeypatch.setattr(algebroid, "CITES", {row: source})
+    assert main(["verify", "--suite", "all", "--dim", "8", "--backend", "exact", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert re.search(r"error: suite aborted: \S+ cites \S+, which this call does not prove", err)
+    assert "error: suite aborted: algebroid_symbolic.%s cites %s, which this call does not prove" % (row, source) in err
     _no_child_left()
 
 

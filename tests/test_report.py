@@ -113,7 +113,7 @@ def test_a_failed_certificate_fails_the_generic_rank_checks(monkeypatch, certifi
 def test_an_unresolved_cite_refuses_to_render():
     report = VerificationReport("t", {})
     report.add("proved", "a law", True)
-    report.cite("cited", "the same law", "other.proved")
+    report.add_rows([("cited", "the same law", "other.proved")], None)
     for render in (report.to_json, report.to_text):
         with pytest.raises(ValueError, match="cited cites other.proved"):
             render()
