@@ -113,13 +113,18 @@ def unit(p: PointD2) -> Arrow:
     return Arrow(z, z, p.x, p.y)
 
 
+class NotComposable(ValueError):
+    """compose met a row where source(g2) is off target(g1)."""
+
+
 def compose(g2: Arrow, g1: Arrow, tol: float = 1e-9) -> Arrow:
-    """g2 * g1, defined when source(g2) matches target(g1) up to tol in every row."""
+    """g2 * g1, defined when source(g2) matches target(g1) up to tol in every
+    row; NotComposable otherwise."""
     t1 = target(g1)
     gap = _gap(source(g2), t1)
     scale = np.sqrt(t1.x.norm_sq() + t1.y.norm_sq())
     if not np.all(gap <= tol * (1.0 + scale)):
-        raise ValueError("arrows are not composable: source/target gap %.3e" % np.max(gap))
+        raise NotComposable("arrows are not composable: source/target gap %.3e" % np.max(gap))
     lam = rescale(g1)
     return Arrow(g1.F + g2.F.scale(lam), g1.G + g2.G.scale(lam), g1.x, g1.y)
 
@@ -463,9 +468,18 @@ def verify_structure(dim: int, samples: int, seed: int, tol: float) -> Verificat
             slope_res = (t1.y * t1.x.conjugate()) - (s1.y * s1.x.conjugate())
             law["slope_invariant"].record(np.sqrt(slope_res.norm_sq()))
             leaf_ok = leaf_ok and bool(np.all(same_leaf(s1, t1, tol)))
-            # each group of laws frees its arrows before the next one runs
-            _composition_laws(law, rng, g1, n, tol)
-            _unit_and_inverse_laws(law, g1, tol)
+            # each group of laws frees its arrows before the next one runs; a
+            # composition the laws expect to be defined and that is not (a fault
+            # in lambda^2 or the target) records NaN, a FAIL, in each law of its group
+            for group, args, keys in (
+                (_composition_laws, (rng, g1, n, tol), "lambda_mult endpoints assoc"),
+                (_unit_and_inverse_laws, (g1, tol), "left_unit right_unit t_of_i_is_s lambda_inv inv_left inv_right"),
+            ):
+                try:
+                    group(law, *args)
+                except NotComposable:
+                    for key in keys.split():
+                        law[key].record(np.nan)
             _connecting_laws(law, rng, dim, n)
 
         report.add(

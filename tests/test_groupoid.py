@@ -1,5 +1,6 @@
 """Groupoid structure maps, composition laws, the G2 action."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from ohopf import groupoid
 from ohopf.algebra import AlgebraElement, from_array
+from ohopf.cli import main
 from ohopf.groupoid import (
     MAX_DRAWS,
     Arrow,
@@ -127,6 +129,23 @@ def test_compose_rejects_mismatched_arrows():
     g2 = random_arrow(rng, 8)  # generic source does not match target(g1)
     with pytest.raises(ValueError):
         compose(g2, g1, tol=1e-9)
+
+
+def test_a_lambda_sq_fault_fails_the_groupoid_suite_instead_of_aborting(monkeypatch, capsys):
+    # +|x|^2 makes lambda non-multiplicative, so target(g2 g1) leaves target(g2)
+    # and g3 does not compose with g2 g1: the laws of that group FAIL with NaN
+    monkeypatch.setattr(groupoid, "rescale_sq", lambda g: rescale_sq(g) + g.x.norm_sq())
+    argv = ["verify", "--suite", "groupoid", "--dim", "4", "--samples", "8", "--format", "json"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not any(c["passed"] for name, c in checks.items() if name.startswith("groupoid."))
+    assert math.isnan(checks["groupoid.assoc"]["info"]["max_residual"])
+    # any other error still aborts the suite
+    monkeypatch.setattr(groupoid, "_unit_and_inverse_laws", lambda *args: 1 / 0)
+    assert main(argv) == 1
+    assert "error: suite aborted: ZeroDivisionError" in capsys.readouterr().err
 
 
 def _nan_first_coordinate(a):
