@@ -8,11 +8,12 @@ derivative of the groupoid's target map at the units.
 import numpy as np
 
 from ohopf.algebroid import (
+    SYMBOLIC_CHECKS,
     anchor,
     bracket_e0,
     constant_section,
+    prove_rows,
     vf_commutator,
-    verify_algebroid_symbolic,
     verify_groupoid_consistency,
 )
 from ohopf.polyring import PolyRing
@@ -37,7 +38,7 @@ lhs = vf_commutator(anchor(s1, ring), anchor(s2, ring), ring)
 rhs = anchor(br, ring)
 print("\n[rho s1, rho s2] - rho[s1, s2] vanishes:", (lhs - rhs).is_zero())
 
-report = verify_algebroid_symbolic()
+report = prove_rows("algebroid_symbolic", SYMBOLIC_CHECKS)
 print("\nsymbolic algebroid suite:", "all passed" if report.passed else "FAILED")
 for check in report.checks:
     print("   %-26s %s" % (check.name, "ok" if check.passed else "FAIL"))

@@ -8,8 +8,9 @@ other than the origin from four polynomial identities.
 """
 
 from ohopf.algebra import vector_symbol, vector_names
-from ohopf.algebroid import E0Section
+from ohopf.algebroid import E0Section, prove_rows
 from ohopf.lie3 import (
+    CHECKS,
     Sec1,
     Sec2,
     bracket,
@@ -17,7 +18,6 @@ from ohopf.lie3 import (
     d2,
     generic_ranks,
     resolution_matrices,
-    verify_lie3,
     verify_matrix_vs_transcription,
 )
 from ohopf.polyring import PolyRing
@@ -40,7 +40,7 @@ print("\n[X, T] =", bracket(X, T, ring).t)
 print("\n[Z, Z'] for Z' = Z gives 4|a|^2 - 4 mu nu:")
 print("  ", bracket(Z, Z, ring).t)
 
-report = verify_lie3()
+report = prove_rows("lie3", CHECKS)
 print("\nsymbolic Lie-3 suite (%d checks): %s" % (len(report.checks), "all passed" if report.passed else "FAILED"))
 for check in report.checks:
     print("   %-22s %s" % (check.name, "ok" if check.passed else "FAIL"))

@@ -25,11 +25,19 @@ section and a base point (x, y) whose coefficients may be exact numbers,
 floats or polynomials.  The symbolic forms pass the coordinate elements of a
 polynomial ring as the point; the numeric checks pass numbers.
 
-Sections, vector fields and the graded sections of lie3 share one fieldwise
-arithmetic (Section).  Numbers and polynomials mix in it, so a section with
-numeric coefficients goes into the symbolic maps as it is, with no lifting
-into the polynomial ring; a Leibniz correction is one map of vf_apply over
-the coefficients, and a constant coefficient derives to zero.
+E is the degree-0 part of the Lie 3-algebroid of lie3, so the sections of
+degrees -1 and -2 (Sec1, Sec2) are declared here too.  Sections, vector
+fields and the graded sections share one fieldwise arithmetic (Section).
+Numbers and polynomials mix in it, so a section with numeric
+coefficients goes into the symbolic maps as it is, with no lifting into the
+polynomial ring; a Leibniz correction is one map of vf_apply over the
+coefficients, and a constant coefficient derives to zero.
+
+Every symbolic proof of this module, lie3 and foliation takes its sections
+from _sym_sections: one ring holds symbolic copies of every section shape,
+so a claim that two suites check is one residual polynomial in both.
+prove_rows is the one prover of a (name, law, proof) table, SYMBOLIC_CHECKS
+here and lie3.CHECKS.
 """
 
 from __future__ import annotations
@@ -119,6 +127,33 @@ class VectorField(Section):
     v: AlgebraElement
 
 
+@dataclass(frozen=True)
+class Sec1(Section):
+    """Degree -1 section of the Lie 3-algebroid: scalar mu, octonion a, scalar nu."""
+
+    DEGREE = -1
+
+    mu: object
+    a: AlgebraElement
+    nu: object
+
+
+@dataclass(frozen=True)
+class Sec2(Section):
+    """Degree -2 section of the Lie 3-algebroid: a single scalar."""
+
+    DEGREE = -2
+
+    t: object
+
+
+def degree(section) -> int:
+    deg = getattr(section, "DEGREE", None)
+    if deg is None:
+        raise TypeError("not a graded section: %r" % (section,))
+    return deg
+
+
 def constant_section(dim: int, i: int, slot: int) -> E0Section:
     """Basis section: (e_i, 0) for slot 0, (0, e_i) for slot 1."""
     e = AlgebraElement.basis(dim, i)
@@ -199,71 +234,74 @@ def bracket_e0(s1: E0Section, s2: E0Section, ring: PolyRing) -> E0Section:
 
 class _Symbols(NamedTuple):
     ring: PolyRing
-    s1: E0Section
-    s2: E0Section
-    s3: E0Section
+    X: E0Section
+    Y: E0Section
+    W: E0Section
+    Z1: Sec1
+    Z2: Sec1
+    T1: Sec2
+    T2: Sec2
+
+
+def _sym_sections(dim: int) -> _Symbols:
+    """One ring holding symbolic copies of every section shape, the sections
+    of every symbolic proof of this module, lie3 and foliation."""
+    names = []
+    for prefix in ("u", "v", "p", "q", "r", "s", "a", "b"):
+        names += vector_names(prefix, dim)
+    names += ["mu1", "nu1", "mu2", "nu2", "t1", "t2"]
+    ring = PolyRing(dim, names)
+    return _Symbols(
+        ring,
+        E0Section(vector_symbol(ring, "u", dim), vector_symbol(ring, "v", dim)),
+        E0Section(vector_symbol(ring, "p", dim), vector_symbol(ring, "q", dim)),
+        E0Section(vector_symbol(ring, "r", dim), vector_symbol(ring, "s", dim)),
+        Sec1(ring.poly("mu1"), vector_symbol(ring, "a", dim), ring.poly("nu1")),
+        Sec1(ring.poly("mu2"), vector_symbol(ring, "b", dim), ring.poly("nu2")),
+        Sec2(ring.poly("t1")),
+        Sec2(ring.poly("t2")),
+    )
 
 
 def _antisymmetry_zero(s: _Symbols) -> bool:
-    """[s1, s2] + [s2, s1] = 0.
-
-    The claim of lie3.antisymmetry_0_0, which a call that runs both suites
-    cites (CITES).  lie3.bracket on degrees (0,0) is
-    bracket_e0, and lie3's X, Y are s1, s2: the sections of the same symbols
-    (u, v) and (p, q).  lie3's ring has more section variables, but the
-    inclusion of this ring in it is an injective ring map that fixes x and
-    y, and bracket_e0 is built of ring operations and derivations in x and
-    y, which commute with it.  So the residual there is the image of the
-    residual here, and one is zero iff the other is.
-    """
-    return (bracket_e0(s.s1, s.s2, s.ring) + bracket_e0(s.s2, s.s1, s.ring)).is_zero()
+    """[X, Y] + [Y, X] = 0, the claim of lie3.antisymmetry_0_0 (CITES):
+    lie3.bracket is bracket_e0 on degrees (0, 0), so its residual is this one."""
+    return (bracket_e0(s.X, s.Y, s.ring) + bracket_e0(s.Y, s.X, s.ring)).is_zero()
 
 
 def _jacobi_zero(s: _Symbols) -> bool:
-    """[s1,[s2,s3]] + [s2,[s3,s1]] + [s3,[s1,s2]] = 0.
-
-    The claim of lie3.jacobi_0_0_0, which a call that runs both suites
-    cites (CITES).  On degrees (0,0,0) every sign of lie3's
-    Jacobiator is +, its terms are [X,[Y,W]], [Y,[W,X]] and [W,[X,Y]], and
-    lie3.bracket is bracket_e0 there; X, Y, W are s1, s2, s3, the sections
-    of the same symbols (u, v), (p, q), (r, s).  So it is this sum, taken in
-    a ring with more section variables, and by the inclusion argument of
-    _antisymmetry_zero it is zero iff this one is.
-    """
-    ring, s1, s2, s3 = s
+    """[X,[Y,W]] + [Y,[W,X]] + [W,[X,Y]] = 0, the claim of lie3.jacobi_0_0_0
+    (CITES): on degrees (0,0,0) every sign of lie3.jacobiator is + and
+    lie3.bracket is bracket_e0, so its residual is this one."""
+    ring, X, Y, W = s.ring, s.X, s.Y, s.W
     jac = (
-        bracket_e0(s1, bracket_e0(s2, s3, ring), ring)
-        + bracket_e0(s2, bracket_e0(s3, s1, ring), ring)
-        + bracket_e0(s3, bracket_e0(s1, s2, ring), ring)
+        bracket_e0(X, bracket_e0(Y, W, ring), ring)
+        + bracket_e0(Y, bracket_e0(W, X, ring), ring)
+        + bracket_e0(W, bracket_e0(X, Y, ring), ring)
     )
     return jac.is_zero()
 
 
 def _anchor_morphism_zero(s: _Symbols) -> bool:
-    ring, s1, s2, _ = s
-    morph = vf_commutator(anchor(s1, ring), anchor(s2, ring), ring) - anchor(
-        bracket_e0(s1, s2, ring), ring
+    ring = s.ring
+    morph = vf_commutator(anchor(s.X, ring), anchor(s.Y, ring), ring) - anchor(
+        bracket_e0(s.X, s.Y, ring), ring
     )
     return morph.is_zero()
 
 
 def _tangent_zero(s: _Symbols) -> bool:
-    """J(rho(s1)) = 0, the claim of foliation.anchor_image_tangent, which a
-    call that runs both suites cites (CITES).  That check applies anchor and
-    is_tangent_symbolic to the section of the same symbols (u, v), so by the
-    inclusion argument of _antisymmetry_zero one residual is zero iff the
-    other is.  J rho = d1^T rho^T = (rho d1)^T = 0 at a point also follows
-    from lie3.complex_rho_d1 with generic_ranks' J = d1^T and rho = rho^T,
-    but that is three checks of two reports, not one claim."""
+    """J(rho(X)) = 0, the claim of foliation.anchor_image_tangent (CITES),
+    which runs this function."""
     from .foliation import is_tangent_symbolic
 
-    X1 = anchor(s.s1, s.ring)
-    return is_tangent_symbolic(X1.u, X1.v, s.ring)
+    X = anchor(s.X, s.ring)
+    return is_tangent_symbolic(X.u, X.v, s.ring)
 
 
 def _leibniz_zero(s: _Symbols) -> bool:
     # [s, f s] = (rho(s) f) s for constant s and a sample function
-    ring, s1, dim = s.ring, s.s1, s.ring.base_dim
+    ring, s1, dim = s.ring, s.X, s.ring.base_dim
     f = ring.x(0) * ring.y(min(1, dim - 1)) + ring.x(dim - 1)
     lhs = bracket_e0(s1, s1.scale(f), ring)
     rhs = s1.scale(vf_apply(anchor(s1, ring), f, ring))
@@ -271,10 +309,10 @@ def _leibniz_zero(s: _Symbols) -> bool:
 
 
 def _vanishes_at_origin(s: _Symbols) -> bool:
-    return all(c.vanishes_at_base_origin() for c in anchor(s.s1, s.ring).components())
+    return all(c.vanishes_at_base_origin() for c in anchor(s.X, s.ring).components())
 
 
-# The checks of verify_algebroid_symbolic in report order: (name, law, proof),
+# The checks of the algebroid_symbolic report in order: (name, law, proof),
 # where proof takes the symbolic sections and returns the pass flag.
 SYMBOLIC_CHECKS = (
     ("antisymmetry", "[s1, s2] + [s2, s1] = 0", _antisymmetry_zero),
@@ -286,9 +324,9 @@ SYMBOLIC_CHECKS = (
 )
 
 
-# The one table of cites: the rows whose claim a check of another suite proves
-# too, with that check (the argument is in the docstring of each row's proof).
-# A call that runs the source's suite cites it (cli._units); others prove it.
+# The one table of cites: the rows whose claim a check of another suite
+# proves too, with that check.  A call that runs the source's suite cites it
+# (cli._units); others prove it.
 CITES = {
     "antisymmetry": "lie3.antisymmetry_0_0",
     "jacobi": "lie3.jacobi_0_0_0",
@@ -296,27 +334,19 @@ CITES = {
 }
 
 
-def verify_algebroid_symbolic(rows=SYMBOLIC_CHECKS) -> VerificationReport:
-    """Exact bracket/anchor facts at dimension 8, all section components symbolic.
+def prove_rows(report: str, rows) -> VerificationReport:
+    """The report named ``report`` of (name, law, proof) rows at dimension 8.
 
-    ``rows`` is a sequence of rows of SYMBOLIC_CHECKS, so that the proofs can
-    be split across processes, and a row may name a cited check in place of
-    its proof (VerificationReport.add_rows); the default proves them all.
+    Each proof takes _sym_sections(8), every section component an
+    indeterminate, so a residual must cancel coefficient-wise and a pass
+    covers every section, not a sample.  ``rows`` is SYMBOLIC_CHECKS or
+    lie3.CHECKS, or a part of one so that the proofs can be split across
+    processes; a row may name a cited check in place of its proof
+    (VerificationReport.add_rows).
     """
-    dim = 8
-    with timed_report("algebroid_symbolic", {"dim": dim}) as report:
-        names = []
-        for prefix in ("u", "v", "p", "q", "r", "s"):
-            names += vector_names(prefix, dim)
-        ring = PolyRing(dim, names)
-        symbols = _Symbols(
-            ring,
-            E0Section(vector_symbol(ring, "u", dim), vector_symbol(ring, "v", dim)),
-            E0Section(vector_symbol(ring, "p", dim), vector_symbol(ring, "q", dim)),
-            E0Section(vector_symbol(ring, "r", dim), vector_symbol(ring, "s", dim)),
-        )
-        report.add_rows(rows, symbols)
-    return report
+    with timed_report(report, {"dim": 8}) as out:
+        out.add_rows(rows, _sym_sections(8))
+    return out
 
 
 # -- groupoid consistency ------------------------------------------------------
@@ -338,9 +368,8 @@ def verify_groupoid_consistency(dim: int = 8) -> VerificationReport:
     coefficient-wise, so it covers every section and base point.
     """
     with timed_report("algebroid_vs_groupoid", {"dim": dim}) as report:
-        ring = PolyRing(dim, vector_names("u", dim) + vector_names("v", dim))
-        s = E0Section(vector_symbol(ring, "u", dim), vector_symbol(ring, "v", dim))
-        x, y = coordinate_elements(ring, dim)
+        sym = _sym_sections(dim)
+        s, (x, y) = sym.X, coordinate_elements(sym.ring, dim)
         sq = groupoid.rescale_sq(groupoid.Arrow(s.u, s.v, x, y))
         lam1 = sq.section_degree_part(1) / 2
         derivative = VectorField(

@@ -284,21 +284,19 @@ def _run_in_two_processes(units) -> list:
     return [report for reports in done for report in reports]
 
 
-def _split_around(suite: str, rows, heaviest: str, proofs, rest) -> list:
+def _split_around(suite: str, report: str, rows, heaviest: str, rest) -> list:
     """Three units of a suite: the rows before its heaviest check, that
-    check, and the rows after it followed by the rest of the suite.  A head
-    of cites proves nothing, so it runs in the heaviest check's unit: each
-    unit name keeps one cost.
-
-    ``proofs(rows)`` returns the reports of a sequence of the table's rows
-    and ``rest()`` the suite's other reports.
+    check, and the rows after it followed by ``rest()``, the suite's other
+    reports.  Each unit proves its rows into a part of ``report``
+    (algebroid.prove_rows).  A head of cites proves nothing, so it runs in
+    the heaviest check's unit: each unit name keeps one cost.
     """
     at = [name for name, _, _ in rows].index(heaviest)
     start = at if any(not isinstance(proof, str) for _, _, proof in rows[:at]) else 0
-    head = [(suite + ".head", lambda: proofs(rows[:at]))] if start else []
+    head = [(suite + ".head", lambda: [algebroid.prove_rows(report, rows[:at])])] if start else []
     return head + [
-        (suite + "." + heaviest, lambda: proofs(rows[start : at + 1])),
-        (suite + ".tail", lambda: proofs(rows[at + 1 :]) + rest()),
+        (suite + "." + heaviest, lambda: [algebroid.prove_rows(report, rows[start : at + 1])]),
+        (suite + ".tail", lambda: [algebroid.prove_rows(report, rows[at + 1 :])] + rest()),
     ]
 
 
@@ -345,9 +343,9 @@ def _units(
         cited = {name: source for name, source in algebroid.CITES.items() if source.split(".")[0] in suites}
         return _split_around(
             "algebroid",
+            "algebroid_symbolic",
             [(name, law, cited.get(name, proof)) for name, law, proof in algebroid.SYMBOLIC_CHECKS],
             "anchor_morphism",
-            lambda rows: [algebroid.verify_algebroid_symbolic(rows)],
             lambda: [algebroid.verify_groupoid_consistency(dim)],
         )
     if suite == "lie3":
@@ -357,13 +355,7 @@ def _units(
             mats = lie3.resolution_matrices()
             return [lie3.verify_matrix_vs_transcription(mats), lie3.generic_ranks(mats)]
 
-        return _split_around(
-            "lie3",
-            lie3.CHECKS,
-            "jacobi_0_0_m1",
-            lambda rows: [lie3.verify_lie3(rows)],
-            matrix_reports,
-        )
+        return _split_around("lie3", "lie3", lie3.CHECKS, "jacobi_0_0_m1", matrix_reports)
 
     def foliation_reports():  # suite == "foliation"
         # one exact elimination for both reports at dim 8

@@ -32,8 +32,8 @@ the basis of linear_nullspace is the solver's integer vectors over them.
 from __future__ import annotations
 
 from . import exactsolve
-from .algebra import AlgebraElement, coordinate_elements, vector_symbol
-from .algebroid import E0Section, _e0_basis, anchor, vf_apply
+from .algebra import AlgebraElement, coordinate_elements
+from .algebroid import _e0_basis, _sym_sections, _tangent_zero, anchor, vf_apply
 from .leaves import PointD2, classify
 from .polyring import PolyRing
 from .report import LazyNumpy, VerificationReport, derived_rng, timed_report
@@ -280,7 +280,7 @@ def verify_foliation(dim: int, seed: int, nullspace=None) -> VerificationReport:
 
     Every check is exact; the seed only picks the integer points of the
     sampled nullspace oracle.  ``nullspace`` is linear_nullspace(dim),
-    solved here when not given.  anchor_image_tangent is the claim of
+    solved here when not given.  anchor_image_tangent runs the proof of
     algebroid_symbolic.anchor_image_in_kernel, which cites it in a call that
     runs both suites (algebroid.CITES).
 
@@ -303,15 +303,9 @@ def verify_foliation(dim: int, seed: int, nullspace=None) -> VerificationReport:
 
     with timed_report("foliation", {"dim": dim, "seed": seed}) as report:
         # anchor image sits inside ker J, symbolically in all 4n variables
-        names = ["u%d" % i for i in range(dim)] + ["v%d" % i for i in range(dim)]
-        ring = PolyRing(dim, names)
-        u = vector_symbol(ring, "u", dim)
-        v = vector_symbol(ring, "v", dim)
-        X = anchor(E0Section(u, v), ring)
+        s = _sym_sections(dim)
         report.add(
-            "anchor_image_tangent",
-            "J(rho(u, v)) = 0 for symbolic constant (u, v)",
-            is_tangent_symbolic(X.u, X.v, ring),
+            "anchor_image_tangent", "J(rho(u, v)) = 0 for symbolic constant (u, v)", _tangent_zero(s)
         )
 
         # the Euler field is not tangent: J(x, y) = (|x|^2, 2 x conj(y), |y|^2)
@@ -375,11 +369,11 @@ def verify_foliation(dim: int, seed: int, nullspace=None) -> VerificationReport:
             )
 
         # the leaf invariants are first integrals of every anchor field
-        xs, ys = coordinate_elements(ring, dim)
-        invariants = _flatten(*classify(PointD2(xs, ys)))
+        X = anchor(s.X, s.ring)
+        invariants = _flatten(*classify(PointD2(*coordinate_elements(s.ring, dim))))
         report.add(
             "tangent_flow_stays_on_leaf",
             "rho(u, v)(pi) = 0 for pi = (|x|^2, x*conj(y), |y|^2) and symbolic constant (u, v)",
-            not any(vf_apply(X, f, ring) for f in invariants),
+            not any(vf_apply(X, f, s.ring) for f in invariants),
         )
     return report

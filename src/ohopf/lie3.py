@@ -21,16 +21,18 @@ with the degree-0/degree-0 case the algebroid bracket; every other degree
 pair brackets to zero, and all k-brackets with k >= 3 vanish.  On
 polynomial-coefficient sections the 2-bracket picks up the single Leibniz
 correction rho(degree-0 argument) applied to the other argument's
-coefficients.  Sec1 and Sec2 declare only their fields and their degree;
-their arithmetic is the Section arithmetic shared with E_0, in which int,
-Fraction and Polynomial coefficients mix, so no section needs lifting into
-the polynomial ring before a bracket or a differential.
+coefficients.  The sections Sec1 and Sec2 of E_-1 and E_-2 live in
+algebroid next to E_0's; their arithmetic is the Section arithmetic, in which
+int, Fraction and Polynomial coefficients mix, so no section needs lifting
+into the polynomial ring before a bracket or a differential.
 
-verify_lie3 proves, with every section component a symbolic indeterminate:
-the complex property, graded antisymmetry, the Leibniz compatibility of the
-differentials with the bracket for the pairs (0,-1), (0,-2), (-1,-1), the
-graded Jacobi identity for the degree triples (0,0,0), (0,0,-1), (0,0,-2),
-(0,-1,-1), and minimality at the origin.  Remaining degree combinations are
+The rows of CHECKS, which algebroid.prove_rows proves on
+algebroid._sym_sections, the one ring of symbolic sections of the
+algebroid, lie3 and foliation proofs, establish: the complex property,
+graded antisymmetry, the Leibniz compatibility of the differentials with
+the bracket for the pairs (0,-1), (0,-2), (-1,-1), the graded Jacobi
+identity for the degree triples (0,0,0), (0,0,-1), (0,0,-2), (0,-1,-1),
+and minimality at the origin.  Remaining degree combinations are
 exercised too: every term in them hits a bracket that is zero by degree.
 The (0,0,-1) Jacobiator, the costliest proof, evaluates one of its two
 degree-0 bracket terms and gets the other as its mirror image, under the
@@ -51,18 +53,21 @@ at integer points, as an independent check of those identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
+from .algebra import AlgebraElement, coordinate_elements, vector_names
 from .algebroid import (
     E0Section,
-    Section,
+    Sec1,
+    Sec2,
     _e0_basis,
     _rho,
     _section_constant,
+    _Symbols,
+    _vanishes_at_origin,
     _weight,
     anchor,
     bracket_e0,
+    degree,
     vf_apply,
 )
 from .exactsolve import nullspace
@@ -70,33 +75,6 @@ from .foliation import _columns_to_rows, _J_matrix
 from .leaves import PointD2, classify
 from .polyring import PolyRing, Polynomial, sum_of_products
 from .report import VerificationReport, timed_report
-
-
-@dataclass(frozen=True)
-class Sec1(Section):
-    """Degree -1 section: scalar mu, octonion a, scalar nu."""
-
-    DEGREE = -1
-
-    mu: object
-    a: AlgebraElement
-    nu: object
-
-
-@dataclass(frozen=True)
-class Sec2(Section):
-    """Degree -2 section: a single scalar."""
-
-    DEGREE = -2
-
-    t: object
-
-
-def degree(section) -> int:
-    deg = getattr(section, "DEGREE", None)
-    if deg is None:
-        raise TypeError("not a graded section: %r" % (section,))
-    return deg
 
 
 # -- differentials ------------------------------------------------------------
@@ -219,36 +197,6 @@ def _section_zero(section) -> bool:
     return section is None or section.is_zero()
 
 
-class _Symbols(NamedTuple):
-    ring: PolyRing
-    X: E0Section
-    Y: E0Section
-    W: E0Section
-    Z1: Sec1
-    Z2: Sec1
-    T1: Sec2
-    T2: Sec2
-
-
-def _sym_sections(dim: int) -> _Symbols:
-    """One ring holding symbolic copies of every section shape."""
-    names = []
-    for prefix in ("u", "v", "p", "q", "r", "s", "a", "b"):
-        names += vector_names(prefix, dim)
-    names += ["mu1", "nu1", "mu2", "nu2", "t1", "t2"]
-    ring = PolyRing(dim, names)
-    return _Symbols(
-        ring,
-        E0Section(vector_symbol(ring, "u", dim), vector_symbol(ring, "v", dim)),
-        E0Section(vector_symbol(ring, "p", dim), vector_symbol(ring, "q", dim)),
-        E0Section(vector_symbol(ring, "r", dim), vector_symbol(ring, "s", dim)),
-        Sec1(ring.poly("mu1"), vector_symbol(ring, "a", dim), ring.poly("nu1")),
-        Sec1(ring.poly("mu2"), vector_symbol(ring, "b", dim), ring.poly("nu2")),
-        Sec2(ring.poly("t1")),
-        Sec2(ring.poly("t2")),
-    )
-
-
 def _jacobi(picks: str):
     """The proof that the Jacobiator of the named sections vanishes."""
     return lambda s: _section_zero(jacobiator(*(getattr(s, k) for k in picks.split()), s.ring))
@@ -284,16 +232,15 @@ def _leibniz(picks: str):
 
 
 def _minimal_at_origin(s: _Symbols) -> bool:
-    components = [
-        *anchor(s.X, s.ring).components(),
-        *d1(s.Z1, s.ring).components(),
-        *d2(s.T1, s.ring).components(),
-    ]
-    return all(c.vanishes_at_base_origin() for c in components)
+    """rho, d1 and d2 vanish at the origin; rho's part is the proof of
+    algebroid_symbolic.anchor_vanishes_at_origin."""
+    d1_d2 = (*d1(s.Z1, s.ring).components(), *d2(s.T1, s.ring).components())
+    return _vanishes_at_origin(s) and all(c.vanishes_at_base_origin() for c in d1_d2)
 
 
-# The checks of verify_lie3 in report order: (name, law, proof), where proof
-# takes the symbolic sections of _sym_sections and returns the pass flag.
+# The checks of the lie3 report in order: (name, law, proof), where proof
+# takes the symbolic sections of algebroid._sym_sections and returns the pass
+# flag; algebroid.prove_rows proves them.
 CHECKS = (
     ("complex_rho_d1", "rho . d1 = 0", lambda s: anchor(d1(s.Z1, s.ring), s.ring).is_zero()),
     ("complex_d1_d2", "d1 . d2 = 0", lambda s: d1(d2(s.T1, s.ring), s.ring).is_zero()),
@@ -343,21 +290,6 @@ CHECKS = (
     ),
     ("minimal_at_origin", "rho, d1, d2 all vanish at (0, 0)", _minimal_at_origin),
 )
-
-
-def verify_lie3(rows=CHECKS) -> VerificationReport:
-    """Prove the Lie 3-algebroid structure equations at dimension 8.
-
-    Every section component is an indeterminate, so each residual must
-    cancel coefficient-wise: a pass covers every section, not a sample.
-    ``rows`` is a sequence of rows of CHECKS, so that the proofs can be
-    split across processes; the default runs them all.
-    """
-    dim = 8
-    with timed_report("lie3", {"dim": dim}) as report:
-        symbols = _sym_sections(dim)
-        report.add_rows(rows, symbols)
-    return report
 
 
 # -- matrices of the resolution --------------------------------------------------

@@ -84,7 +84,7 @@ def test_05_g2_suite():
 
 
 def test_06_algebroid_suite():
-    sym = algebroid.verify_algebroid_symbolic()
+    sym = algebroid.prove_rows("algebroid_symbolic", algebroid.SYMBOLIC_CHECKS)
     sym_bad = [c.name for c in sym.checks if not c.passed]
     num = algebroid.verify_groupoid_consistency()
     num_bad = [c.name for c in num.checks if not c.passed]
@@ -98,7 +98,7 @@ def test_06_algebroid_suite():
 
 def test_07_lie3_suite():
     start = time.perf_counter()
-    report = lie3.verify_lie3()
+    report = algebroid.prove_rows("lie3", lie3.CHECKS)
     elapsed = time.perf_counter() - start
     bad = [c.name for c in report.checks if not c.passed]
     ok = not bad and elapsed <= 600.0

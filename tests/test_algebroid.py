@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ohopf import algebroid, foliation, groupoid, lie3
+from ohopf import algebroid, foliation, lie3
 from ohopf.algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
 from ohopf.algebroid import (
     E0Section,
@@ -14,13 +14,14 @@ from ohopf.algebroid import (
     anchor,
     bracket_e0,
     constant_section,
+    prove_rows,
     vf_apply,
     vf_commutator,
-    verify_algebroid_symbolic,
     verify_groupoid_consistency,
 )
 from ohopf.lie3 import Sec1, Sec2
 from ohopf.polyring import Deferred, ExponentOverflow, PolyRing, sum_of_products
+from test_mutations import _doubled_rho_v_part, _extra_rho_term, _rho_with_constant_u
 
 
 def test_anchor_basis_formula():
@@ -204,7 +205,7 @@ def test_vf_apply_is_derivation():
 
 
 def test_symbolic_suite():
-    report = verify_algebroid_symbolic()
+    report = prove_rows("algebroid_symbolic", algebroid.SYMBOLIC_CHECKS)
     assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
@@ -214,31 +215,9 @@ def test_groupoid_consistency_suite():
         assert report.passed, (dim, [c.name for c in report.checks if not c.passed])
 
 
-def _extra_rho_term(original):
-    def rho(sec, x, y):
-        X = original(sec, x, y)
-        return VectorField(X.u + x.scale(x.inner(sec.u) * y.inner(sec.v)), X.v)
-
-    return rho
-
-
-def _extra_weight_term(original):
-    return lambda sec, x, y: original(sec, x, y) + x.inner(sec.v)
-
-
 def _d1_without_conjugation(original):
     # a x in place of conj(a) x
     return lambda s, x, y: E0Section(original(s, x, y).u, y.scale(s.nu) + s.a * x)
-
-
-def _doubled_rho_v_part(original):
-    # (x conj(y)) v counted twice; linear in the section, so the basis-column
-    # matrices see it, unlike the quadratic _extra_rho_term
-    def rho(sec, x, y):
-        X = original(sec, x, y)
-        return VectorField(X.u + (x * y.conjugate()) * sec.v, X.v)
-
-    return rho
 
 
 def _merged_rho_columns(original):
@@ -259,15 +238,6 @@ def _d1_with_constant_term(original):
     return lambda s, x, y: original(s, x, y) + E0Section(s.a, AlgebraElement.zero(s.a.dim))
 
 
-def _rho_with_constant_u(original):
-    # rho + (u, 0): the section itself survives at the origin
-    def rho(sec, x, y):
-        X = original(sec, x, y)
-        return VectorField(X.u + sec.u, X.v)
-
-    return rho
-
-
 def _d2_with_constant_mu(original):
     # d2 + (t, 0, 0)
     def d2(s, x, y):
@@ -277,25 +247,18 @@ def _d2_with_constant_mu(original):
     return d2
 
 
-def _shift_with_constant_F(original):
-    # the target's x block moves by F even where x = y = 0
-    return lambda F, G, x, y: original(F, G, x, y) + F
+def _one_row(report, checks, name):
+    """The report of the one row of its checks table named name."""
+    return lambda: prove_rows(report, [row for row in checks if row[0] == name])
 
 
-def _one_row(verify, checks, name):
-    """The suite verify run on the one row of its checks table named name."""
-    return lambda: verify([row for row in checks if row[0] == name])
-
-
-ANCHOR_AT_ORIGIN = _one_row(verify_algebroid_symbolic, algebroid.SYMBOLIC_CHECKS, "anchor_vanishes_at_origin")
-MINIMAL_AT_ORIGIN = _one_row(lie3.verify_lie3, lie3.CHECKS, "minimal_at_origin")
+ANCHOR_AT_ORIGIN = _one_row("algebroid_symbolic", algebroid.SYMBOLIC_CHECKS, "anchor_vanishes_at_origin")
+MINIMAL_AT_ORIGIN = _one_row("lie3", lie3.CHECKS, "minimal_at_origin")
 
 
 @pytest.mark.parametrize(
     "module, name, mutate, run, checks",
     [
-        (algebroid, "_rho", _extra_rho_term, verify_groupoid_consistency, "target_derivative_is_anchor"),
-        (algebroid, "_weight", _extra_weight_term, verify_groupoid_consistency, "lambda_derivative"),
         (lie3, "_d1", _d1_without_conjugation, lie3.generic_ranks, "tangency_is_d1_transpose generic_point_ranks"),
         (algebroid, "_rho", _extra_rho_term, lambda: foliation.verify_foliation(8, 0), "tangent_flow_stays_on_leaf"),
         (lie3, "_rho", _doubled_rho_v_part, lie3.generic_ranks, "rho_is_scaled_projection infinity_line_ranks"),
@@ -306,11 +269,10 @@ MINIMAL_AT_ORIGIN = _one_row(lie3.verify_lie3, lie3.CHECKS, "minimal_at_origin")
         (algebroid, "_rho", _rho_with_constant_u, MINIMAL_AT_ORIGIN, "minimal_at_origin"),
         (lie3, "_d1", _d1_with_constant_term, MINIMAL_AT_ORIGIN, "minimal_at_origin"),
         (lie3, "_d2", _d2_with_constant_mu, MINIMAL_AT_ORIGIN, "minimal_at_origin"),
-        (groupoid, "_shift", _shift_with_constant_F, verify_groupoid_consistency, "origin_is_fixed"),
     ],
     ids=[
-        "rho", "weight", "d1", "rho_flow", "rho_v_part", "d2_doubled", "d1_constant", "rho_merged",
-        "rho_at_origin", "rho_minimal", "d1_minimal", "d2_minimal", "shift_at_origin",
+        "d1", "rho_flow", "rho_v_part", "d2_doubled", "d1_constant", "rho_merged",
+        "rho_at_origin", "rho_minimal", "d1_minimal", "d2_minimal",
     ],
 )
 def test_mutated_map_fails_its_exact_check(monkeypatch, module, name, mutate, run, checks):

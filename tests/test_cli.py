@@ -20,6 +20,7 @@ from ohopf import algebra, algebroid, cli, foliation, groupoid, leaves, lie3
 from ohopf.algebra import coordinate_elements
 from ohopf.cli import BACKENDS, SUITE_DIMS, SUITES, _merge, main, run_suite
 from ohopf.report import VerificationReport
+from test_mutations import _bracket_with_extra_weight, _doubled_rho_v_part
 
 
 def test_verify_algebra_text(tmp_path, capsys):
@@ -524,15 +525,6 @@ def _verdicts(capsys, *argv):
     return {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
 
 
-def _bracket_with_extra_weight(original):
-    # [s1, s2] + <x, v1> s2 - <x, v2> s1: antisymmetric, but no longer matched to the anchor
-    def bracket_e0(s1, s2, ring):
-        x, _ = coordinate_elements(ring, s1.dim)
-        return original(s1, s2, ring) + s2.scale(x.inner(s1.v)) - s1.scale(x.inner(s2.v))
-
-    return bracket_e0
-
-
 def _tangency_with_flipped_term(original):
     # u conj(y) - x conj(v) in the middle component of J
     def tangency(u, v, x, y):
@@ -588,14 +580,6 @@ def _flipped_bracket(original):
         return out
 
     return bracket
-
-
-def _doubled_rho_v_part(original):
-    def rho(sec, x, y):
-        X = original(sec, x, y)
-        return algebroid.VectorField(X.u + (x * y.conjugate()) * sec.v, X.v)
-
-    return rho
 
 
 @pytest.mark.parametrize(

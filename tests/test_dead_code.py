@@ -1,5 +1,6 @@
 """Static guards over src/ohopf: every function and method has a caller in
-the package or the demos, and only report.py constructs a Check."""
+the package or the demos, only report.py constructs a Check, and the
+symbolic proofs of algebroid, lie3 and foliation share one ring of sections."""
 
 import ast
 from collections import Counter
@@ -136,3 +137,53 @@ b = report.Check("b", "law", True)
 report.add("c", "law", True)
 """
     assert check_constructions(source) == [5, 6]
+
+
+def section_rings(source) -> list:
+    """(enclosing function, line) of each PolyRing(...) call in source that is
+    given section variables: more than the base dimension."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Call)
+                and "PolyRing" in (getattr(child.func, "id", None), getattr(child.func, "attr", None))
+                and (len(child.args) > 1 or child.keywords)
+            ):
+                found.append((owner, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+# the one ring of symbolic sections, and the linear ansatz, whose unknowns
+# are no section's
+SECTION_RINGS = {("algebroid.py", "_sym_sections"), ("foliation.py", "_ansatz_rows")}
+
+
+def test_symbolic_sections_come_from_one_ring():
+    found = {
+        (name, owner)
+        for name in ("algebroid.py", "lie3.py", "foliation.py")
+        for owner, _ in section_rings((ROOT / "src/ohopf" / name).read_text(encoding="utf-8"))
+    }
+    assert found == SECTION_RINGS
+
+
+def test_the_guard_finds_section_rings():
+    source = """
+from .polyring import PolyRing
+from . import polyring
+
+def base():
+    return PolyRing(8)
+
+def sections(dim):
+    ring = PolyRing(dim, ["u0"])
+    def inner():
+        return polyring.PolyRing(dim, sections=["v0"])
+    return ring, inner
+"""
+    assert section_rings(source) == [("sections", 9), ("inner", 11)]

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from ohopf.algebra import AlgebraElement, random_integer_element, vector_symbol, vector_names
-from ohopf.algebroid import E0Section
+from ohopf.algebroid import E0Section, _sym_sections, prove_rows
 from ohopf.exactsolve import dense_rank
 from ohopf.lie3 import (
+    CHECKS,
     Sec1,
     Sec2,
     TRANSCRIBED_TANGENCY_MATRIX,
@@ -22,7 +23,6 @@ from ohopf.lie3 import (
     jacobiator,
     leibniz_residual,
     resolution_matrices,
-    verify_lie3,
     verify_matrix_vs_transcription,
 )
 from ohopf.polyring import PolyRing
@@ -219,7 +219,7 @@ def test_integer_points_eliminate_to_the_certified_ranks():
 
 
 def test_symbolic_suite():
-    report = verify_lie3()
+    report = prove_rows("lie3", CHECKS)
     assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
@@ -243,8 +243,6 @@ def test_missing_leibniz_correction_is_detected(monkeypatch):
     # identity on degrees (0,0,-1) must fail: the correction carries weight
     import ohopf.algebroid as algebroid_mod
     import ohopf.lie3 as lie3_mod
-    from ohopf.lie3 import _sym_sections
-
     def no_action(X, f, ring):
         return ring.zero
 
@@ -272,7 +270,7 @@ def test_flipped_bracket_term_is_detected(monkeypatch):
         return out
 
     monkeypatch.setattr(lie3_mod, "bracket", flipped)
-    failed = {c.name for c in verify_lie3().checks if not c.passed}
+    failed = {c.name for c in prove_rows("lie3", CHECKS).checks if not c.passed}
     assert {"jacobi_0_0_m1", "leibniz_0_m1"} <= failed
 
 
@@ -289,15 +287,13 @@ def test_unsigned_reversed_bracket_is_detected(monkeypatch):
         return original(s1, s2, ring)
 
     monkeypatch.setattr(lie3_mod, "bracket", unsigned)
-    failed = {c.name for c in verify_lie3().checks if not c.passed}
+    failed = {c.name for c in prove_rows("lie3", CHECKS).checks if not c.passed}
     assert {"jacobi_0_0_m1", "antisymmetry_0_m1"} <= failed
 
 
 def test_the_mirror_of_a_jacobi_term_is_the_other_term():
     # sigma swaps X's variables (u, v) with Y's (p, q); the other term is
     # computed directly through bracket, an oracle independent of the mirror
-    from ohopf.lie3 import _sym_sections
-
     s = _sym_sections(8)
     ring = s.ring
     sigma = ring.swap(
@@ -322,7 +318,7 @@ def test_brackets_zero_by_degree_can_fail(monkeypatch):
         return original(s1, s2, ring)
 
     monkeypatch.setattr(lie3_mod, "bracket", nonzero)
-    failed = {c.name for c in verify_lie3().checks if not c.passed}
+    failed = {c.name for c in prove_rows("lie3", CHECKS).checks if not c.passed}
     assert failed == {
         "jacobi_0_m1_m2",
         "jacobi_0_m2_m2",

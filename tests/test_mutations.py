@@ -1,17 +1,20 @@
-"""Every check of the algebra, leaf and groupoid suites can FAIL, and every
-term of the tangency map J is seen by some check.
+"""Every check of the algebra, leaf, groupoid and algebroid suites can FAIL,
+and every term of the tangency map J is seen by some check.
 
 A PASS is vacuous if no plausible fault turns it into a FAIL: a row of
 algebra.IDENTITIES whose residual cancels by construction reports
 nonzero_components 0 exactly like a proof, and byte-identical reports cannot
 tell the two apart.  MUTATIONS are such faults, monkeypatches of a product
 table, conjugation, the pairing, the associator, the commutator, the inverse,
-the leaf label, the tangency map, lambda^2, the unit, the phi numerator, phi
+the leaf label, the tangency map, lambda^2, the unit, the phi numerator, phi,
+the G2 automorphism matrix, the anchor, the weight, the bracket, the shift
 or a sampler.  KILLS maps every check that ``verify --suite algebra``,
-``verify --suite leaves`` or ``verify --suite groupoid`` emits, at any of
-its dims, to one mutation and a dim at which that mutation FAILs the check;
-a check emitted at dim 8 is killed at dim 8.  UNCOVERED lists the checks
-that no mutation FAILs yet, each with its reason.
+``verify --suite leaves``, ``verify --suite groupoid`` or ``verify --suite
+algebroid`` emits, at any of its dims, to one mutation and a dim at which
+that mutation FAILs the check; a check emitted at dim 8 is killed at dim 8.
+Checks run on the exact backend, except those of FLOAT_ONLY reports, which
+``--backend exact`` leaves out.  UNCOVERED lists the checks that no mutation
+FAILs yet, each with its reason.
 
 The dual, TANGENCY_TERMS: each single-term mutant of foliation._tangency,
 with the checks of the single reports that read J that it FAILs at dim 8.
@@ -20,7 +23,7 @@ with the checks of the single reports that read J that it FAILs at dim 8.
 import pytest
 
 from ohopf import algebra, algebroid, foliation, groupoid, leaves, lie3
-from ohopf.algebra import AlgebraElement
+from ohopf.algebra import AlgebraElement, coordinate_elements
 from ohopf.cli import SUITE_DIMS, run_suite
 from ohopf.leaves import LeafId, PointD2
 
@@ -33,12 +36,20 @@ SUITE_OF = {
     "groupoid": "groupoid",
     "phi_morphism": "groupoid",
     "g2": "groupoid",
+    "algebroid_symbolic": "algebroid",
+    "algebroid_vs_groupoid": "algebroid",
 }
+# the reports that only the float backend runs
+FLOAT_ONLY = {"g2"}
 
 
-def _verdicts(suite, dim):
+def _backend(name):
+    return "float" if name.split(".")[0] in FLOAT_ONLY else "exact"
+
+
+def _verdicts(suite, dim, backend="exact"):
     """Check name -> pass flag of the reports of ``suite`` at dim, seed 101."""
-    return {r.suite + "." + c.name: c.passed for r in run_suite(suite, dim, 101, 8, TOL, "exact") for c in r.checks}
+    return {r.suite + "." + c.name: c.passed for r in run_suite(suite, dim, 101, 8, TOL, backend) for c in r.checks}
 
 
 def _sign_flip(dim, i, j):
@@ -100,6 +111,98 @@ def _phi_numerator_negating_G(g):
     return AlgebraElement.one(g.dim) + g.x.conjugate() * g.F - g.y.conjugate() * g.G
 
 
+_G2_FROM_TRIPLE = groupoid.g2_from_basic_triple
+
+
+def _g2_with_matrix(change):
+    """g2_from_basic_triple with change(matrix) applied to every matrix it builds."""
+
+    def g2(*triple, tol=1e-8):
+        matrix = _G2_FROM_TRIPLE(*triple, tol=tol).matrix.copy()
+        change(matrix)
+        return groupoid.G2Automorphism(matrix)
+
+    return g2
+
+
+def _swap_columns_e3_e5(matrix):
+    matrix[..., [3, 5]] = matrix[..., [5, 3]]
+
+
+def _double_column_e7(matrix):
+    matrix[..., 7] *= 2
+
+
+# the faults below are factories of the faulty map from its original, so the
+# unit tests of algebroid, lie3 and the runner apply them to their own maps
+
+
+def _extra_rho_term(original):
+    def rho(sec, x, y):
+        X = original(sec, x, y)
+        return algebroid.VectorField(X.u + x.scale(x.inner(sec.u) * y.inner(sec.v)), X.v)
+
+    return rho
+
+
+def _extra_weight_term(original):
+    return lambda sec, x, y: original(sec, x, y) + x.inner(sec.v)
+
+
+def _doubled_rho_v_part(original):
+    # (x conj(y)) v counted twice; linear in the section, so the basis-column
+    # matrices see it, unlike the quadratic _extra_rho_term
+    def rho(sec, x, y):
+        X = original(sec, x, y)
+        return algebroid.VectorField(X.u + (x * y.conjugate()) * sec.v, X.v)
+
+    return rho
+
+
+def _rho_with_constant_u(original):
+    # rho + (u, 0): the section itself survives at the origin
+    def rho(sec, x, y):
+        X = original(sec, x, y)
+        return algebroid.VectorField(X.u + sec.u, X.v)
+
+    return rho
+
+
+def _shift_with_constant_F(original):
+    # the target's x block moves by F even where x = y = 0
+    return lambda F, G, x, y: original(F, G, x, y) + F
+
+
+def _bracket_with_extra_weight(original):
+    # [s1, s2] + <x, v1> s2 - <x, v2> s1: antisymmetric, but no longer matched to the anchor
+    def bracket_e0(s1, s2, ring):
+        x, _ = coordinate_elements(ring, s1.dim)
+        return original(s1, s2, ring) + s2.scale(x.inner(s1.v)) - s1.scale(x.inner(s2.v))
+
+    return bracket_e0
+
+
+def _bracket_with_symmetric_weight(original):
+    # c(s1) s2 + c(s2) s1: the sign of the second weight term flipped
+    def bracket_e0(s1, s2, ring):
+        x, y = coordinate_elements(ring, s1.dim)
+        return original(s1, s2, ring) + s1.scale(2 * algebroid._weight(s2, x, y))
+
+    return bracket_e0
+
+
+def _bracket_with_flipped_second_leibniz(original):
+    # - rho(s1)(s2) in place of + rho(s1)(s2) when s2 is not constant
+    def bracket_e0(s1, s2, ring):
+        out = original(s1, s2, ring)
+        if algebroid._section_constant(s2):
+            return out
+        X = algebroid.anchor(s1, ring)
+        return out - s2.map(lambda c: algebroid.vf_apply(X, c, ring)).scale(2)
+
+    return bracket_e0
+
+
 # name -> the (owner, attribute, replacement) monkeypatches of one fault
 MUTATIONS = {
     "octonion_e1e2_sign": _sign_flip(8, 1, 2),
@@ -122,6 +225,20 @@ MUTATIONS = {
     "unit_carries_x": [(groupoid, "unit", _unit_carrying_x)],
     "phi_numerator_negates_G": [(groupoid, "_phi_numerator", _phi_numerator_negating_G)],
     "phi_is_one": [(groupoid, "phi_group_element", lambda g: AlgebraElement.one(g.dim))],
+    "g2_swaps_columns_e3_e5": [(groupoid, "g2_from_basic_triple", _g2_with_matrix(_swap_columns_e3_e5))],
+    "g2_doubles_column_e7": [(groupoid, "g2_from_basic_triple", _g2_with_matrix(_double_column_e7))],
+    "rho_extra_term": [(algebroid, "_rho", _extra_rho_term(algebroid._rho))],
+    "rho_doubles_v_part": [(algebroid, "_rho", _doubled_rho_v_part(algebroid._rho))],
+    "rho_constant_u": [(algebroid, "_rho", _rho_with_constant_u(algebroid._rho))],
+    "weight_extra_term": [(algebroid, "_weight", _extra_weight_term(algebroid._weight))],
+    "shift_constant_F": [(groupoid, "_shift", _shift_with_constant_F(groupoid._shift))],
+    "bracket_extra_weight": [(algebroid, "bracket_e0", _bracket_with_extra_weight(algebroid.bracket_e0))],
+    "bracket_symmetric_weight": [
+        (algebroid, "bracket_e0", _bracket_with_symmetric_weight(algebroid.bracket_e0))
+    ],
+    "bracket_flips_second_leibniz": [
+        (algebroid, "bracket_e0", _bracket_with_flipped_second_leibniz(algebroid.bracket_e0))
+    ],
 }
 
 # check -> (mutation, dim at which it FAILs the check)
@@ -184,22 +301,25 @@ KILLS = {
     "phi_morphism.phi_matches_target": ("phi_numerator_negates_G", 4),
     "phi_morphism.phi_of_unit": ("unit_carries_x", 4),
     "phi_morphism.phi_fails_nonassociative": ("phi_is_one", 8),
+    "g2.standard_triple_identity": ("g2_swaps_columns_e3_e5", 8),
+    "g2.automorphism_on_basis_pairs": ("g2_swaps_columns_e3_e5", 8),
+    "g2.orthogonal_matrix": ("g2_doubles_column_e7", 8),
+    "g2.lambda_invariant": ("g2_doubles_column_e7", 8),
+    "g2.target_equivariant": ("g2_swaps_columns_e3_e5", 8),
+    "g2.composition_equivariant": ("g2_swaps_columns_e3_e5", 8),
+    "algebroid_symbolic.antisymmetry": ("bracket_symmetric_weight", 8),
+    "algebroid_symbolic.jacobi": ("bracket_extra_weight", 8),
+    "algebroid_symbolic.anchor_morphism": ("rho_doubles_v_part", 8),
+    "algebroid_symbolic.anchor_image_in_kernel": ("rho_extra_term", 8),
+    "algebroid_symbolic.leibniz_rule": ("bracket_flips_second_leibniz", 8),
+    "algebroid_symbolic.anchor_vanishes_at_origin": ("rho_constant_u", 8),
+    "algebroid_vs_groupoid.target_derivative_is_anchor": ("rho_extra_term", 8),
+    "algebroid_vs_groupoid.lambda_derivative": ("weight_extra_term", 8),
+    "algebroid_vs_groupoid.origin_is_fixed": ("shift_constant_F", 8),
 }
 
-# the checks that no mutation FAILs yet: the lambda^2 faults above keep every
-# G2 law passing, because |x|^2 and |F|^2 are invariant under G2
-_G2_REASON = "no mutation yet: the lambda^2 faults are G2-invariant"
-UNCOVERED = {
-    "g2." + name: _G2_REASON
-    for name in (
-        "standard_triple_identity",
-        "automorphism_on_basis_pairs",
-        "orthogonal_matrix",
-        "lambda_invariant",
-        "target_equivariant",
-        "composition_equivariant",
-    )
-}
+# the checks that no mutation FAILs yet, each with its reason
+UNCOVERED = {}
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
@@ -209,10 +329,10 @@ def test_each_mutation_fails_its_checks(monkeypatch, mutation):
     runs = {}
     for name, (killer, dim) in KILLS.items():
         if killer == mutation:
-            runs.setdefault((SUITE_OF[name.split(".")[0]], dim), []).append(name)
+            runs.setdefault((SUITE_OF[name.split(".")[0]], dim, _backend(name)), []).append(name)
     assert runs, "no check names this mutation"
-    for (suite, dim), names in sorted(runs.items()):
-        verdicts = _verdicts(suite, dim)
+    for (suite, dim, backend), names in sorted(runs.items()):
+        verdicts = _verdicts(suite, dim, backend)
         passing = [name for name in names if verdicts[name]]
         assert not passing, "%s still PASS at dim %d" % (passing, dim)
 
@@ -234,13 +354,14 @@ def _assert_tabled(suite):
         assert dim in emitted[name]
         assert dim == 8 or 8 not in emitted[name], name
         # so does the run each mutation makes
-        if dim not in unmutated:
-            unmutated[dim] = _verdicts(suite, dim)
-        assert unmutated[dim][name], name
+        run = (dim, _backend(name))
+        if run not in unmutated:
+            unmutated[run] = _verdicts(suite, *run)
+        assert unmutated[run][name], name
 
 
 def test_every_check_of_the_suite_has_a_mutation():
-    for suite in ("algebra", "leaves", "groupoid"):
+    for suite in ("algebra", "leaves", "groupoid", "algebroid"):
         _assert_tabled(suite)
 
 
@@ -293,7 +414,7 @@ def _tangency_reports():
         lie3.verify_matrix_vs_transcription(mats),
         lie3.generic_ranks(mats),
         foliation.verify_foliation(8, 101),
-        algebroid.verify_algebroid_symbolic(row),
+        algebroid.prove_rows("algebroid_symbolic", row),
         leaves.verify_leaves(8, 8, 101, TOL),
     ]
 
