@@ -38,6 +38,14 @@ from _sym_sections: one ring holds symbolic copies of every section shape,
 so a claim that two suites check is one residual polynomial in both.
 prove_rows is the one prover of a (name, law, proof) table, SYMBOLIC_CHECKS
 here and lie3.CHECKS.
+
+The structure is equivariant under a finite group of signed permutations:
+g, an automorphism of order 7 of the octonion table acting on every
+octonion factor, and kappa, which swaps the two factors of O^2
+(SYMMETRIES).  The costliest proofs, the Jacobi identities and the anchor
+morphism, are multilinear in constant sections, so they are proved with one
+argument at a few orbit representatives, given an exact equivariance
+premise proved in the same call (_commutes, prove_rows).
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import groupoid
-from .algebra import AlgebraElement, coordinate_elements, vector_names, vector_symbol
+from .algebra import AlgebraElement, coordinate_elements, mult_table, vector_names, vector_symbol
 from .polyring import Deferred, PolyRing, Polynomial
 from .report import VerificationReport, timed_report
 
@@ -233,6 +241,8 @@ def bracket_e0(s1: E0Section, s2: E0Section, ring: PolyRing) -> E0Section:
 
 
 class _Symbols(NamedTuple):
+    """The symbolic sections of _sym_sections, and the premises proved on them."""
+
     ring: PolyRing
     X: E0Section
     Y: E0Section
@@ -241,6 +251,14 @@ class _Symbols(NamedTuple):
     Z2: Sec1
     T1: Sec2
     T2: Sec2
+    proved: dict
+
+    def holds(self, premise) -> bool:
+        """premise(self), proved on the first call and kept for the later ones,
+        so the rows of one prove_rows call prove a premise they share once."""
+        if premise not in self.proved:
+            self.proved[premise] = premise(self)
+        return self.proved[premise]
 
 
 def _sym_sections(dim: int) -> _Symbols:
@@ -260,7 +278,138 @@ def _sym_sections(dim: int) -> _Symbols:
         Sec1(ring.poly("mu2"), vector_symbol(ring, "b", dim), ring.poly("nu2")),
         Sec2(ring.poly("t1")),
         Sec2(ring.poly("t2")),
+        {},
     )
+
+
+# -- a finite symmetry and orbit representatives -------------------------------
+
+
+class _Symmetry:
+    """A linear symmetry h of the base O^2 and of the bundles E_0, E_-1, E_-2.
+
+    h sends e_i of every octonion factor to sign * e_index, (sign, index) =
+    images[i].  With swap it also exchanges the two factors of each pair:
+    (x, y) -> (y, x), (u, v) -> (v, u), a vector field's two blocks, and
+    (mu, a, nu) -> (nu, conj(a), mu).  It fixes E_-2 and every function.
+    """
+
+    def __init__(self, images: tuple, swap: bool):
+        self.images, self.swap = images, swap
+
+    def octonion(self, e: AlgebraElement) -> AlgebraElement:
+        coeffs = [0] * e.dim
+        for c, (sign, index) in zip(e.coeffs, self.images):
+            coeffs[index] = c if sign > 0 else -c
+        return AlgebraElement(coeffs, e.dim)
+
+    def __call__(self, obj):
+        if isinstance(obj, (E0Section, VectorField)):
+            u, v = self.octonion(obj.u), self.octonion(obj.v)
+            return type(obj)(v, u) if self.swap else type(obj)(u, v)
+        if isinstance(obj, Sec1):
+            a = self.octonion(obj.a)
+            return Sec1(obj.nu, a.conjugate(), obj.mu) if self.swap else Sec1(obj.mu, a, obj.nu)
+        return obj
+
+
+# g, an automorphism of order 7 of the octonion table that permutes the basis
+# up to sign, g(e_1..e_7) = (e_2, -e_4, -e_6, e_3, e_1, e_7, e_5): one of the
+# 384 elements of order 7 among the 1344 such automorphisms, the group
+# 2^3 . GL(3,2) (Baez, "The Octonions", Bull. AMS 39, 2002).  Its powers move
+# e_1 through +-e_1 .. +-e_7.  kappa swaps the two factors of O^2.
+SYMMETRIES = (
+    _Symmetry(((1, 0), (1, 2), (-1, 4), (-1, 6), (1, 3), (1, 1), (1, 7), (1, 5)), False),
+    _Symmetry(((1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7)), True),
+)
+
+
+def _point(s: _Symbols) -> VectorField:
+    """The symbolic base point (x, y), in the pair form the symmetries act on."""
+    return VectorField(*coordinate_elements(s.ring, s.ring.base_dim))
+
+
+def _ring_map(h: _Symmetry, s: _Symbols):
+    """phi_h, the ring automorphism of s.ring that gives the image under h of
+    every symbolic object of s, the point (x, y) included, when applied to
+    its coefficients; each variable goes to plus or minus a variable."""
+    objects = (_point(s), s.X, s.Y, s.W, s.Z1, s.Z2, s.T1, s.T2)
+    return s.ring.permutation(
+        pair for o in objects for pair in zip(o.components(), h(o).components())
+    )
+
+
+def _single(e: AlgebraElement, i: int) -> AlgebraElement:
+    """e with every coefficient but the i-th set to 0."""
+    return AlgebraElement(tuple(c if k == i else 0 for k, c in enumerate(e.coeffs)), e.dim)
+
+
+def _representatives(s: _Symbols):
+    """Single-variable sections of s whose orbits under g and kappa span the
+    fibres: (u0 e_0, 0), (u1 e_1, 0) of E_0 and (mu1, 0, 0), (0, a0 e_0, 0),
+    (0, a1 e_1, 0) of E_-1, as the pair (E_0 list, E_-1 list)."""
+    z = AlgebraElement.zero(s.ring.base_dim)
+    return (
+        [E0Section(_single(s.X.u, i), z) for i in (0, 1)],
+        [Sec1(s.Z1.mu, z, 0), *(Sec1(0, _single(s.Z1.a, i), 0) for i in (0, 1))],
+    )
+
+
+def _commutes(s: _Symbols, maps, brackets) -> bool:
+    """The equivariance premise under g and kappa (SYMMETRIES), exact.
+
+    - g preserves the octonion table and its powers move e_1 through
+      +-e_1 .. +-e_7; kappa is an involution.
+    - _weight and _rho, and every (map, section) of ``maps``, commute with
+      each h on symbolic constant sections: map(h s, h x, h y) = h map(s, x, y).
+    - Every value in ``brackets``, a bracket of symbolic constant sections
+      of s, commutes with each h: phi_h(B) = h B, compared through the ring
+      map _ring_map.  phi_h(B) is the bracket of the images at the image of
+      the point, since a bracket of constant sections is a polynomial in
+      their coefficients and the point.
+    - vf_apply commutes with each h on a symbolic constant field V and a
+      generic affine f: phi_h((hV)(f)) = phi_h(V)(phi_h(f)), the chain rule.
+      X(f) at a point is bilinear in the value of X and the differential of
+      f there, an operator of order 1, so this covers every field and every
+      function.
+    """
+    ring, point = s.ring, _point(s)
+    x, y = point.u, point.v
+    maps = [(_weight, s.X), (_rho, s.X), *maps]
+    values = [m(sec, x, y) for m, sec in maps]
+    V = VectorField(s.X.u, s.X.v)
+    f = s.T1.t + x.inner(s.W.u) + y.inner(s.W.v)
+    g, kappa = SYMMETRIES
+    sign, index = mult_table(8)
+    orbit = [AlgebraElement.basis(8, 1)]
+    for _ in range(6):
+        orbit.append(g.octonion(orbit[-1]))
+    if not (
+        # g(e_i e_j) = g(e_i) g(e_j) on every basis pair, read off the table
+        all(
+            g.images[index[i][j]] == (sign[i][j] * si * sj * sign[a][b], index[a][b])
+            for i, (si, a) in enumerate(g.images)
+            for j, (sj, b) in enumerate(g.images)
+        )
+        and sorted(i for e in orbit for i, c in enumerate(e.coeffs) if c) == list(range(1, 8))
+        and all(kappa(kappa(o)) == o for o in (point, s.X, s.Z1, s.T1))
+    ):
+        return False
+    for h in SYMMETRIES:
+        phi, image = _ring_map(h, s), h(point)
+        if not (
+            all(m(h(sec), image.u, image.v) == h(v) for (m, sec), v in zip(maps, values))
+            and all(b.map(phi) == h(b) for b in brackets)
+            and phi(vf_apply(h(V), f, ring)) == vf_apply(V.map(phi), phi(f), ring)
+        ):
+            return False
+    return True
+
+
+def _equivariance(s: _Symbols) -> bool:
+    """The premise of the reduced rows of SYMBOLIC_CHECKS: g and kappa commute
+    with _weight, _rho, vf_apply and bracket_e0 (_commutes)."""
+    return _commutes(s, [], [bracket_e0(s.X, s.Y, s.ring)])
 
 
 def _antisymmetry_zero(s: _Symbols) -> bool:
@@ -270,29 +419,36 @@ def _antisymmetry_zero(s: _Symbols) -> bool:
 
 
 def _jacobi_zero(s: _Symbols) -> bool:
-    """[X,[Y,W]] + [Y,[W,X]] + [W,[X,Y]] = 0, the claim of lie3.jacobi_0_0_0
-    (CITES): on degrees (0,0,0) every sign of lie3.jacobiator is + and
-    lie3.bracket is bracket_e0, so its residual is this one."""
-    ring, X, Y, W = s.ring, s.X, s.Y, s.W
-    jac = (
-        bracket_e0(X, bracket_e0(Y, W, ring), ring)
-        + bracket_e0(Y, bracket_e0(W, X, ring), ring)
-        + bracket_e0(W, bracket_e0(X, Y, ring), ring)
+    """[s1,[s2,s3]] + [s2,[s3,s1]] + [s3,[s1,s2]] = 0, the claim of
+    lie3.jacobi_0_0_0 (CITES): on degrees (0,0,0) every sign of
+    lie3.jacobiator is + and lie3.bracket is bracket_e0, so its residual is
+    this one.  Proved with s1 at each E_0 representative, given _equivariance
+    (see prove_rows)."""
+    ring, Y, W = s.ring, s.Y, s.W
+    return s.holds(_equivariance) and all(
+        (
+            bracket_e0(X, bracket_e0(Y, W, ring), ring)
+            + bracket_e0(Y, bracket_e0(W, X, ring), ring)
+            + bracket_e0(W, bracket_e0(X, Y, ring), ring)
+        ).is_zero()
+        for X in _representatives(s)[0]
     )
-    return jac.is_zero()
 
 
 def _anchor_morphism_zero(s: _Symbols) -> bool:
+    """[rho(s1), rho(s2)] = rho([s1, s2]), proved with s1 at each E_0
+    representative, given _equivariance (see prove_rows)."""
     ring = s.ring
-    morph = vf_commutator(anchor(s.X, ring), anchor(s.Y, ring), ring) - anchor(
-        bracket_e0(s.X, s.Y, ring), ring
+    rho_Y = anchor(s.Y, ring)
+    return s.holds(_equivariance) and all(
+        (vf_commutator(anchor(X, ring), rho_Y, ring) - anchor(bracket_e0(X, s.Y, ring), ring)).is_zero()
+        for X in _representatives(s)[0]
     )
-    return morph.is_zero()
 
 
 def _tangent_zero(s: _Symbols) -> bool:
     """J(rho(X)) = 0, the claim of foliation.anchor_image_tangent (CITES),
-    which runs this function."""
+    which computes this residual of the same sections with the same maps."""
     from .foliation import is_tangent_symbolic
 
     X = anchor(s.X, s.ring)
@@ -343,6 +499,45 @@ def prove_rows(report: str, rows) -> VerificationReport:
     lie3.CHECKS, or a part of one so that the proofs can be split across
     processes; a row may name a cited check in place of its proof
     (VerificationReport.add_rows).
+
+    Four rows, jacobi and anchor_morphism here and lie3.jacobi_0_0_0 and
+    lie3.jacobi_0_0_m1, prove their identity T = 0 with one argument fixed
+    to each representative of _representatives and the others symbolic;
+    the verdict is the conjunction of those proofs and the module's
+    equivariance premise (_equivariance here, lie3._equivariance there),
+    which the call proves once on its sections (_Symbols.holds).  The
+    argument:
+
+    - Linearity.  On constant sections T is R-linear in each argument:
+      every bracket of constant sections is R-bilinear, and a Leibniz
+      correction applies rho of a constant section, linear in it, to
+      coefficients that are linear in the other arguments.
+    - Equivariance.  h in SYMMETRIES acts on a section A by (hA)(p) =
+      h A(h^-1 p), on a field by pushing it forward and on a function by
+      f o h^-1.  The premise (_commutes) proves, on symbolic constant
+      sections, that rho and each bracket the identity uses commute with
+      h, and that (hV)(hf) = h(V f) for every field V and function f.  The
+      package computes a bracket of non-constant sections as the
+      constant-section formula applied to the coefficient values at each
+      point, which commutes with h point by point, plus Leibniz corrections
+      rho(s)(c) of a coefficient c, which commute with h by the premises on
+      rho and vf_apply; rho of a non-constant section is pointwise too, and
+      the commutator of fields is built from vf_apply.  So each Jacobiator
+      term and the anchor-morphism residual satisfy T(hs1, hs2, ...) =
+      h T(s1, s2, ...).
+    - Orbits.  If T(r, s2, ...) = 0 for a representative r and symbolic
+      s2, ..., then T(hr, s2, ...) = h T(r, h^-1 s2, ...) = 0: T vanishes
+      on the orbit of r under the group g and kappa generate, and by
+      linearity on the span of the orbits.  g fixes e_0 and its powers
+      move e_1 through +-e_1 .. +-e_7, which the premise checks, so the
+      orbits of (e_0, 0) and (e_1, 0) span O + 0 and kappa carries it to
+      0 + O; those of (0, e_0, 0) and (0, e_1, 0) span the a slot of E_-1,
+      and kappa sends (1, 0, 0) to (0, 0, 1).  So T = 0 on every constant
+      section, which is what the full symbolic proof gave.
+
+    A representative is a single-variable section of _sym_sections, such
+    as (u1 e_1, 0): T is linear in its one variable, so its proof is the
+    proof at the basis section.
     """
     with timed_report(report, {"dim": 8}) as out:
         out.add_rows(rows, _sym_sections(8))

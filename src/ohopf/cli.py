@@ -199,20 +199,21 @@ def _child(unit, sink: int):
 # CPU milliseconds of each unit at dim 8 (seed 101, --samples 200, the median
 # of five warm passes in one process), as ``all`` runs it: there algebroid.tail
 # cites one check, and algebroid.head runs only in --suite algebroid.  CPU
-# speed drifts between runs, so each run is scaled to lie3.jacobi_0_0_m1 =
-# 240 and the median of five runs kept.  _child_side uses them at every dim:
-# only their order and rough ratios matter.  Integers, so that ties are exact.
+# speed drifts between runs, so each run is scaled to algebra = 50 and the
+# median of five runs kept, rounded to ten: tests/golden/unit_cost.py measures
+# it.  _child_side uses them at every dim: only their order and rough ratios
+# matter.  Integers, so that ties are exact.
 UNIT_COST = {
     "algebra": 50,
-    "leaves": 10,
-    "groupoid": 70,
-    "algebroid.head": 80,
-    "algebroid.anchor_morphism": 130,
+    "leaves": 20,
+    "groupoid": 90,
+    "algebroid.head": 50,
+    "algebroid.anchor_morphism": 50,
     "algebroid.tail": 30,
     "lie3.head": 150,
-    "lie3.jacobi_0_0_m1": 240,
-    "lie3.tail": 60,
-    "foliation": 90,
+    "lie3.jacobi_0_0_m1": 120,
+    "lie3.tail": 70,
+    "foliation": 110,
 }
 
 
@@ -285,11 +286,11 @@ def _run_in_two_processes(units) -> list:
 
 
 def _split_around(suite: str, report: str, rows, heaviest: str, rest) -> list:
-    """Three units of a suite: the rows before its heaviest check, that
+    """Three units of a suite: the rows before the check ``heaviest``, that
     check, and the rows after it followed by ``rest()``, the suite's other
     reports.  Each unit proves its rows into a part of ``report``
     (algebroid.prove_rows).  A head of cites proves nothing, so it runs in
-    the heaviest check's unit: each unit name keeps one cost.
+    that check's unit: each unit name keeps one cost.
     """
     at = [name for name, _, _ in rows].index(heaviest)
     start = at if any(not isinstance(proof, str) for _, _, proof in rows[:at]) else 0
@@ -308,7 +309,7 @@ def _units(
 
     ``all`` runs the units of every suite whose SUITE_DIMS contain ``dim``,
     and passes them as ``suites``.  The symbolic proofs of lie3 and
-    algebroid are each split into three units around their heaviest check;
+    algebroid are each split into three units around one heavy check;
     every other suite is one unit.  A row of algebroid.CITES whose source's
     suite is in ``suites`` names its source in place of its proof, so the
     call proves the claim once.
@@ -374,7 +375,7 @@ def run_suite(suite: str, dim: int, seed: int, samples: int, tol: float, backend
     On POSIX, a call of two or more units (_units) runs in two processes: a
     forked child runs the units that _child_side picks by their measured
     cost and this process the rest (_run_in_two_processes).  A single suite
-    may split too: lie3 and algebroid each fork their heaviest proof.  A
+    may split too: lie3 and algebroid each fork part of their three units.  A
     report split across units comes back as consecutive parts under one
     suite name, and the parts merge (_merge) to the same canonical JSON as
     one process gives.  ``--backend exact`` leaves out G2 equivariance.

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from . import exactsolve
 from .algebra import AlgebraElement, coordinate_elements
-from .algebroid import _e0_basis, _sym_sections, _tangent_zero, anchor, vf_apply
+from .algebroid import _e0_basis, _sym_sections, anchor, vf_apply
 from .leaves import PointD2, classify
 from .polyring import PolyRing
 from .report import LazyNumpy, VerificationReport, derived_rng, timed_report
@@ -280,9 +280,10 @@ def verify_foliation(dim: int, seed: int, nullspace=None) -> VerificationReport:
 
     Every check is exact; the seed only picks the integer points of the
     sampled nullspace oracle.  ``nullspace`` is linear_nullspace(dim),
-    solved here when not given.  anchor_image_tangent runs the proof of
-    algebroid_symbolic.anchor_image_in_kernel, which cites it in a call that
-    runs both suites (algebroid.CITES).
+    solved here when not given.  anchor_image_tangent computes the residual
+    of algebroid_symbolic.anchor_image_in_kernel (algebroid._tangent_zero),
+    which cites it in a call that runs both suites (algebroid.CITES); the
+    flow check below reads the same anchor field rho(u, v), built once.
 
     The leaves are the fibres of pi = (|x|^2, x*conj(y), |y|^2), the dim + 2
     polynomial components that leaves.classify computes.  The flow check
@@ -304,8 +305,11 @@ def verify_foliation(dim: int, seed: int, nullspace=None) -> VerificationReport:
     with timed_report("foliation", {"dim": dim, "seed": seed}) as report:
         # anchor image sits inside ker J, symbolically in all 4n variables
         s = _sym_sections(dim)
+        X = anchor(s.X, s.ring)
         report.add(
-            "anchor_image_tangent", "J(rho(u, v)) = 0 for symbolic constant (u, v)", _tangent_zero(s)
+            "anchor_image_tangent",
+            "J(rho(u, v)) = 0 for symbolic constant (u, v)",
+            is_tangent_symbolic(X.u, X.v, s.ring),
         )
 
         # the Euler field is not tangent: J(x, y) = (|x|^2, 2 x conj(y), |y|^2)
@@ -369,7 +373,6 @@ def verify_foliation(dim: int, seed: int, nullspace=None) -> VerificationReport:
             )
 
         # the leaf invariants are first integrals of every anchor field
-        X = anchor(s.X, s.ring)
         invariants = _flatten(*classify(PointD2(*coordinate_elements(s.ring, dim))))
         report.add(
             "tangent_flow_stays_on_leaf",

@@ -34,10 +34,15 @@ the bracket for the pairs (0,-1), (0,-2), (-1,-1), the graded Jacobi
 identity for the degree triples (0,0,0), (0,0,-1), (0,0,-2), (0,-1,-1),
 and minimality at the origin.  Remaining degree combinations are
 exercised too: every term in them hits a bracket that is zero by degree.
-The (0,0,-1) Jacobiator, the costliest proof, evaluates one of its two
-degree-0 bracket terms and gets the other as its mirror image, under the
-ring automorphism that swaps the two degree-0 sections' variables
-(_mirrored_jacobiator).
+The Jacobi identities on (0,0,0) and (0,0,-1), the costliest proofs, fix
+one argument, X and the degree -1 section respectively, to each orbit
+representative of algebroid._representatives and keep the others symbolic;
+their verdict also needs _equivariance, the premise that the symmetries g
+and kappa commute with every map they run through, proved in the same call
+(algebroid.prove_rows gives the argument).  The (0,0,-1) Jacobiator
+evaluates one of its two degree-0 bracket terms and gets the other as its
+mirror image, under the ring automorphism that swaps the two degree-0
+sections' variables (_mirrored_jacobiator).
 
 d1 and d2, like the anchor and J they extend, are each written once as a
 function of a section and a base point (x, y) on any scalar backend.  One
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, coordinate_elements, vector_names
+from .algebra import AlgebraElement, coordinate_elements
 from .algebroid import (
     E0Section,
     Sec1,
@@ -62,6 +67,8 @@ from .algebroid import (
     _e0_basis,
     _rho,
     _section_constant,
+    _commutes,
+    _representatives,
     _Symbols,
     _vanishes_at_origin,
     _weight,
@@ -202,28 +209,48 @@ def _jacobi(picks: str):
     return lambda s: _section_zero(jacobiator(*(getattr(s, k) for k in picks.split()), s.ring))
 
 
-def _mirrored_jacobiator(s: _Symbols):
-    """The Jacobiator of X, Y, Z1 from one bracket term and its mirror image.
+def _mirrored_jacobiator(s: _Symbols, Z: Sec1):
+    """The Jacobiator of X, Y, Z from one bracket term and its mirror image.
 
     On the degrees (0,0,-1) every sign of the Jacobiator is +, so it is
-    T + [Y,[Z1,X]] + [Z1,[X,Y]] with T = [X,[Y,Z1]].  Let sigma be the ring
+    T + [Y,[Z,X]] + [Z,[X,Y]] with T = [X,[Y,Z]].  Let sigma be the ring
     automorphism that swaps X's coefficient variables (u, v) with Y's (p, q)
-    and fixes x, y and every other variable.  Symbolic evaluation commutes
-    with a ring homomorphism that fixes the base variables: bracket, the
-    anchor and the differentials are sums and products of coefficients and
-    their derivatives in x and y, and sigma commutes with each of those.
-    That is the fact that lets one symbolic pass cover every section, and
-    here it gives sigma(T) = [sigma X, [sigma Y, Z1]] = [Y,[X,Z1]].  By
-    bracket's (-1,0) rule [Z1,X] = -[X,Z1], and bracket is linear, so
-    [Y,[Z1,X]] = -sigma(T).  The Jacobiator is therefore
-    T - sigma(T) + [Z1,[X,Y]], and T is evaluated once.
+    and fixes x, y and every other variable, Z's included.  Symbolic
+    evaluation commutes with a ring homomorphism that fixes the base
+    variables: bracket, the anchor and the differentials are sums and
+    products of coefficients and their derivatives in x and y, and sigma
+    commutes with each of those.  That is the fact that lets one symbolic
+    pass cover every section, and here it gives sigma(T) = [sigma X,
+    [sigma Y, Z]] = [Y,[X,Z]].  By bracket's (-1,0) rule [Z,X] = -[X,Z], and
+    bracket is linear, so [Y,[Z,X]] = -sigma(T).  The Jacobiator is
+    therefore T - sigma(T) + [Z,[X,Y]], and T is evaluated once.
     """
-    ring, dim = s.ring, s.ring.base_dim
-    sigma = ring.swap(
-        vector_names("u", dim) + vector_names("v", dim), vector_names("p", dim) + vector_names("q", dim)
+    ring, xs, ys = s.ring, s.X.components(), s.Y.components()
+    sigma = ring.permutation(zip(xs + ys, ys + xs))
+    T = bracket(s.X, bracket(s.Y, Z, ring), ring)
+    return T - T.map(sigma) + bracket(Z, bracket(s.X, s.Y, ring), ring)
+
+
+def _equivariance(s: _Symbols) -> bool:
+    """The premise of the reduced rows of CHECKS (see algebroid._commutes):
+    g and kappa commute with _weight, _rho, d1, d2, vf_apply and the degree
+    pairs (0,0) and (0,-1) of bracket, and the (-1,0) pair is the (0,-1) pair
+    with its arguments swapped and its sign flipped, so it commutes too."""
+    ring = s.ring
+    x_z = bracket(s.X, s.Z1, ring)
+    return _commutes(s, [(_d1, s.Z1), (_d2, s.T1)], [bracket(s.X, s.Y, ring), x_z]) and (
+        bracket(s.Z1, s.X, ring) == -x_z
     )
-    T = bracket(s.X, bracket(s.Y, s.Z1, ring), ring)
-    return T - T.map(sigma) + bracket(s.Z1, bracket(s.X, s.Y, ring), ring)
+
+
+def _at_representatives(fixed: int, proof):
+    """The row proof of an identity multilinear in constant sections, with
+    its argument of degree ``fixed`` at each of its representatives
+    (algebroid._representatives) and the others symbolic, given
+    _equivariance: proof(s, representative) is its residual."""
+    return lambda s: s.holds(_equivariance) and all(
+        _section_zero(proof(s, rep)) for rep in _representatives(s)[-fixed]
+    )
 
 
 def _leibniz(picks: str):
@@ -267,11 +294,15 @@ CHECKS = (
     ("leibniz_0_m1", "d1[x,z] = [x, d1 z] for degrees (0,-1)", _leibniz("X Z1")),
     ("leibniz_0_m2", "d2[x,t] = [x, d2 t] for degrees (0,-2)", _leibniz("X T1")),
     ("leibniz_m1_m1", "d2[z,z'] = [d1 z, z'] - [z, d1 z'] for degrees (-1,-1)", _leibniz("Z1 Z2")),
-    ("jacobi_0_0_0", "graded Jacobi on degrees (0,0,0)", _jacobi("X Y W")),
+    (
+        "jacobi_0_0_0",
+        "graded Jacobi on degrees (0,0,0)",
+        _at_representatives(0, lambda s, X: jacobiator(X, s.Y, s.W, s.ring)),
+    ),
     (
         "jacobi_0_0_m1",
         "graded Jacobi on degrees (0,0,-1)",
-        lambda s: _section_zero(_mirrored_jacobiator(s)),
+        _at_representatives(-1, lambda s, Z: _mirrored_jacobiator(s, Z)),
     ),
     ("jacobi_0_0_m2", "graded Jacobi on degrees (0,0,-2)", _jacobi("X Y T1")),
     ("jacobi_0_m1_m1", "graded Jacobi on degrees (0,-1,-1)", _jacobi("X Z1 Z2")),

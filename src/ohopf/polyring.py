@@ -20,9 +20,9 @@ and Deferred included, is a sum_of_products call, which refuses
 (ExponentOverflow) any factor with an exponent of 16 or more: factors whose
 exponents are all at most 15 give products whose exponents are at most 30, so
 no field ever carries into its neighbour.  Whether a polynomial has such an
-exponent is found once and kept on it.  Addition, derive and the variable
-swaps of PolyRing.swap never raise an exponent.  Nothing in this package
-exceeds ten.  Coefficients stay plain ints as long as the inputs are integral,
+exponent is found once and kept on it.  Addition, derive and the signed
+variable permutations of PolyRing.permutation never raise an exponent.
+Nothing in this package exceeds ten.  Coefficients stay plain ints as long as the inputs are integral,
 which keeps the identity suites fast.
 
 A sum of many products, such as a coefficient of an octonion product or a
@@ -138,44 +138,63 @@ class PolyRing:
             key >>= _SHIFT
         return tuple(exps)
 
-    def swap(self, first, second):
-        """The ring automorphism sigma that swaps two blocks of section variables.
+    def _signed_variable(self, p: "Polynomial") -> tuple:
+        """(ordinal, sign) of a polynomial that is plus or minus one variable."""
+        if p.ring is not self:
+            raise RingMismatch("polynomials belong to different rings")
+        ((key, c),) = p.terms.items() if len(p.terms) == 1 else ((0, 0),)
+        ordinal = (key.bit_length() - 1) // _SHIFT
+        if c not in (1, -1) or not key or key != 1 << (_SHIFT * ordinal):
+            raise ValueError("%s is not plus or minus one variable" % p)
+        return ordinal, c
 
-        first and second each name consecutive section variables, in ring
-        order; the blocks must have the same nonzero length and must not
-        overlap.  sigma maps the i-th variable of either block to the i-th of
-        the other and fixes every other variable, the base variables x and y
-        included, so it commutes with every ring operation and with derive.
-        It returns a function of a polynomial of this ring that moves the two
-        blocks' exponent fields of each key with masks, without decoding it.
+    def permutation(self, pairs):
+        """The ring automorphism phi that sends each variable to plus or minus a variable.
+
+        pairs holds (variable, image) pairs of polynomials of this ring: each
+        variable a single variable, each image one variable or its negative.
+        phi sends every variable of a pair to its image and fixes every other
+        one; the variables must be distinct and a permutation of their
+        images' variables, so phi is invertible.  It returns a function of a
+        polynomial of this ring that moves the exponent fields of each key
+        with one mask per distance moved, and reads the sign of each term off
+        the low bits of the negated variables' fields (the parity of their
+        exponent sum), without decoding the key.
+
+        phi commutes with every ring operation.  It commutes with derive when
+        it fixes the base variables; one that moves them obeys the chain rule
+        instead.
         """
-        starts = []
-        for block in (first, second):
-            ordinals = [self.ordinal(v) for v in block]
-            if not ordinals or ordinals != list(range(ordinals[0], ordinals[0] + len(ordinals))):
-                raise ValueError("a swapped block must be nonempty consecutive variables")
-            # base variables come first, so a block that starts past them has none
-            if self.variables[ordinals[0]].kind is not VarKind.SECTION:
-                raise ValueError("cannot swap base variable %r" % self.variables[ordinals[0]].name)
-            starts.append(ordinals[0])
-        if len(first) != len(second):
-            raise ValueError("swapped blocks differ in length: %d and %d" % (len(first), len(second)))
-        lo, hi = sorted(starts)
-        if hi - lo < len(first):
-            raise ValueError("swapped blocks overlap")
-        gap = _SHIFT * (hi - lo)
-        low = ((1 << (_SHIFT * len(first))) - 1) << (_SHIFT * lo)
-        high = low << gap
-        keep = ~(low | high)
+        moves, odd = {}, 0
+        for variable, image in pairs:
+            (source, one), (target, sign) = (self._signed_variable(p) for p in (variable, image))
+            if one != 1 or source in moves:
+                raise ValueError("%s is not a variable named once" % variable)
+            moves[source] = target
+            odd |= (sign < 0) << (_SHIFT * source)
+        if sorted(moves) != sorted(moves.values()):
+            raise ValueError("the variables are not a permutation of their images")
+        masks: dict = {}
+        for source, target in moves.items():
+            masks[target - source] = masks.get(target - source, 0) | _MASK << (_SHIFT * source)
+        keep = ~reduce(operator.or_, (m for d, m in masks.items() if d), 0)
+        up = [(m, _SHIFT * d) for d, m in masks.items() if d > 0]
+        down = [(m, -_SHIFT * d) for d, m in masks.items() if d < 0]
 
-        def sigma(p: Polynomial) -> Polynomial:
+        def phi(p: Polynomial) -> Polynomial:
             if p.ring is not self:
                 raise RingMismatch("polynomials belong to different rings")
-            return Polynomial(
-                self, {k & keep | (k & low) << gap | (k & high) >> gap: c for k, c in p.terms.items()}
-            )
+            out = {}
+            for k, c in p.terms.items():
+                moved = k & keep
+                for m, s in up:
+                    moved |= (k & m) << s
+                for m, s in down:
+                    moved |= (k & m) >> s
+                out[moved] = -c if (k & odd).bit_count() & 1 else c
+            return Polynomial(self, out)
 
-        return sigma
+        return phi
 
 
 def _coerce(value) -> Scalar:

@@ -20,8 +20,16 @@ from ohopf.algebroid import (
     verify_groupoid_consistency,
 )
 from ohopf.lie3 import Sec1, Sec2
+from ohopf.exactsolve import dense_rank
 from ohopf.polyring import Deferred, ExponentOverflow, PolyRing, sum_of_products
-from test_mutations import _doubled_rho_v_part, _extra_rho_term, _rho_with_constant_u
+from test_mutations import (
+    _d1_with_constant_term,
+    _d2_with_constant_mu,
+    _doubled_rho_v_part,
+    _extra_rho_term,
+    _merged_rho_columns,
+    _rho_with_constant_u,
+)
 
 
 def test_anchor_basis_formula():
@@ -209,6 +217,56 @@ def test_symbolic_suite():
     assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
+def test_the_ring_map_of_a_symmetry_gives_the_image_of_every_symbolic_object():
+    s = algebroid._sym_sections(8)
+    for h in algebroid.SYMMETRIES:
+        phi = algebroid._ring_map(h, s)
+        for obj in (algebroid._point(s), s.X, s.Y, s.W, s.Z1, s.Z2, s.T1, s.T2):
+            assert obj.map(phi) == h(obj)
+
+
+def test_the_orbits_of_the_representatives_span_the_fibres():
+    # the symbolic representatives are single variables at e_0 and e_1
+    s = algebroid._sym_sections(8)
+    e0, e1 = algebroid._representatives(s)
+    assert [[str(c) for c in r.components() if c] for r in e0] == [["u0"], ["u1"]]
+    assert [[str(c) for c in r.components() if c] for r in e1] == [["mu1"], ["a0"], ["a1"]]
+    # and the orbits of the basis sections there, under the group that g
+    # and kappa generate, span E_0 (rank 16) and E_-1 (rank 10)
+    z = AlgebraElement.zero(8)
+    for reps, rank in (
+        ([constant_section(8, 0, 0), constant_section(8, 1, 0)], 16),
+        ([Sec1(1, z, 0), Sec1(0, AlgebraElement.basis(8, 0), 0), Sec1(0, AlgebraElement.basis(8, 1), 0)], 10),
+    ):
+        orbit, new = [], reps
+        while new:
+            orbit += new
+            images = [h(r) for r in new for h in algebroid.SYMMETRIES]
+            new = [r for i, r in enumerate(images) if r not in orbit and r not in images[:i]]
+        assert dense_rank([list(r.components()) for r in orbit]) == rank
+
+
+def test_each_prove_rows_call_proves_its_premise_once(monkeypatch):
+    calls = []
+    commutes = algebroid._commutes
+
+    def counted(*args):
+        calls.append(args[1:])
+        return commutes(*args)
+
+    # lie3 binds _commutes under its own name
+    for module in (algebroid, lie3):
+        monkeypatch.setattr(module, "_commutes", counted)
+    for report, rows in (("lie3", lie3.CHECKS), ("algebroid_symbolic", algebroid.SYMBOLIC_CHECKS)):
+        before = len(calls)
+        assert prove_rows(report, rows).passed
+        assert len(calls) == before + 1, report
+    # no cache outlives a call, and a call whose rows cite the reduced claims proves no premise
+    assert prove_rows("lie3", [r for r in lie3.CHECKS if r[0] == "jacobi_0_0_0"]).passed
+    prove_rows("algebroid_symbolic", [("jacobi", "law", "lie3.jacobi_0_0_0")])
+    assert len(calls) == 3
+
+
 def test_groupoid_consistency_suite():
     for dim in (1, 2, 4, 8):
         report = verify_groupoid_consistency(dim)
@@ -220,31 +278,8 @@ def _d1_without_conjugation(original):
     return lambda s, x, y: E0Section(original(s, x, y).u, y.scale(s.nu) + s.a * x)
 
 
-def _merged_rho_columns(original):
-    # (e_1, 0) is sent to the field of (e_0, 0): two basis fields coincide
-    def rho(sec, x, y):
-        c = sec.u.coeffs
-        return original(E0Section(AlgebraElement((c[0] + c[1], 0) + c[2:]), sec.v), x, y)
-
-    return rho
-
-
 def _doubled_d2(original):
     return lambda s, x, y: original(s, x, y).scale(2)
-
-
-def _d1_with_constant_term(original):
-    # d1 + (a, 0) no longer vanishes at the origin
-    return lambda s, x, y: original(s, x, y) + E0Section(s.a, AlgebraElement.zero(s.a.dim))
-
-
-def _d2_with_constant_mu(original):
-    # d2 + (t, 0, 0)
-    def d2(s, x, y):
-        out = original(s, x, y)
-        return Sec1(out.mu + s.t, out.a, out.nu)
-
-    return d2
 
 
 def _one_row(report, checks, name):

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import importlib.util
 import itertools
 import json
 import os
@@ -413,6 +414,11 @@ def test_every_unit_has_a_cost_and_every_cost_a_unit():
         for name in _unit_names(suite, dim, backend)
     }
     assert names == set(cli.UNIT_COST)
+    # and the script that measures the table times every unit of it
+    spec = importlib.util.spec_from_file_location("unit_cost", Path(__file__).resolve().parent / "golden" / "unit_cost.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert set(script.units()) == set(cli.UNIT_COST)
 
 
 def _probe_units(monkeypatch, *stamp):
@@ -441,9 +447,9 @@ def test_all_forks_its_costliest_suite(monkeypatch):
         ("all", 1, ["groupoid"]),
         ("all", 2, ["leaves", "foliation"]),
         ("all", 4, ["leaves", "foliation"]),
-        ("all", 8, ["algebroid.tail", "lie3.jacobi_0_0_m1", "lie3.tail", "foliation"]),
-        ("lie3", 8, ["lie3.jacobi_0_0_m1"]),
-        ("algebroid", 8, ["algebroid.anchor_morphism"]),
+        ("all", 8, ["algebra", "groupoid", "algebroid.anchor_morphism", "lie3.head"]),
+        ("lie3", 8, ["lie3.head"]),
+        ("algebroid", 8, ["algebroid.head", "algebroid.tail"]),
     ]:
         out = _probed(suite, dim)
         assert [name for name, _ in out] == _unit_names(suite, dim)
@@ -456,14 +462,15 @@ def test_all_forks_its_costliest_suite(monkeypatch):
 
 
 def test_the_child_runs_its_units_costliest_first(monkeypatch, capsys):
-    # all --dim 8: the Jacobi proof runs before the float suites, whose heap
-    # would otherwise stack under its peak; the reports keep unit order
+    # all --dim 8: the costliest unit, lie3.head, runs before the float
+    # suites, whose heap would otherwise stack under its peak; the reports
+    # keep unit order
     _probe_units(monkeypatch, functools.partial(next, itertools.count()))
     out = _probed("all", 8)
     assert [name for name, _, _ in out] == _unit_names("all", 8)
     # the forked child counts on its own copy of the ticks, in the order it runs
     child = sorted((tick, name) for name, pid, tick in out if pid != os.getpid())
-    assert [name for _, name in child] == ["lie3.jacobi_0_0_m1", "foliation", "lie3.tail", "algebroid.tail"]
+    assert [name for _, name in child] == ["lie3.head", "groupoid", "algebra", "algebroid.anchor_morphism"]
     monkeypatch.undo()
     argv = ["--suite", "all", "--dim", "8", "--seed", "5", "--samples", "20", "--backend", "exact"]
     forked = _verify_json(capsys, *argv)
@@ -585,13 +592,13 @@ def _flipped_bracket(original):
 @pytest.mark.parametrize(
     "module, name, mutate, suite, check",
     [
-        (lie3, "bracket", _flipped_bracket, "lie3", "lie3.jacobi_0_0_m1"),
-        (algebroid, "_rho", _doubled_rho_v_part, "algebroid", "algebroid_symbolic.anchor_morphism"),
+        (lie3, "bracket", _flipped_bracket, "lie3", "lie3.leibniz_0_m1"),
+        (algebroid, "_rho", _doubled_rho_v_part, "algebroid", "algebroid_symbolic.jacobi"),
     ],
     ids=["lie3", "algebroid"],
 )
 def test_the_childs_verdict_reaches_the_report(monkeypatch, capsys, module, name, mutate, suite, check):
-    # the heaviest proof of each suite runs in the forked child
+    # the head of each suite, which holds the check, runs in the forked child
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     rc, out = _verify_json(capsys, "--suite", suite, "--backend", "exact")
     assert rc == 1
@@ -611,16 +618,18 @@ def _fault(original):
     [
         (algebra, "verify_algebra_identities", _fault, ["--suite", "all", "--dim", "2"]),
         (foliation, "verify_foliation", _fault, ["--suite", "all", "--dim", "2"]),
+        (lie3, "leibniz_residual", _fault, ["--suite", "lie3"]),
         (lie3, "_mirrored_jacobiator", _fault, ["--suite", "lie3"]),
-        (lie3, "generic_ranks", _fault, ["--suite", "lie3"]),
-        (algebroid, "vf_commutator", _fault, ["--suite", "algebroid"]),
         (algebroid, "verify_groupoid_consistency", _fault, ["--suite", "algebroid"]),
+        (algebroid, "vf_commutator", _fault, ["--suite", "algebroid"]),
     ],
     ids=["first_unit", "last_unit", "lie3_child", "lie3_parent", "algebroid_child", "algebroid_parent"],
 )
 def test_a_unit_that_raises_aborts_all(monkeypatch, capsys, module, name, mutate, argv):
-    # all --dim 2: the parent runs algebra, the child foliation; lie3 and
-    # algebroid: the child runs the heaviest proof and the parent the rest
+    # all --dim 2: the parent runs algebra, the child foliation; lie3: the
+    # child runs the head and the parent the Jacobi proof and the tail;
+    # algebroid: the child runs the head and the tail, the parent the
+    # anchor morphism
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     assert main(["verify", *argv, "--samples", "5"]) == 1
     err = capsys.readouterr().err
@@ -641,7 +650,7 @@ def _raises(error):
     [
         (leaves, "verify_leaves", ["--suite", "leaves", "--dim", "8"]),
         (leaves, "verify_leaves", ["--suite", "all", "--dim", "8"]),
-        (foliation, "verify_foliation", ["--suite", "all", "--dim", "8"]),
+        (algebra, "verify_algebra_identities", ["--suite", "all", "--dim", "8"]),
     ],
     ids=["leaves", "all_command_side", "all_child_side"],
 )

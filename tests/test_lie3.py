@@ -26,6 +26,7 @@ from ohopf.lie3 import (
     verify_matrix_vs_transcription,
 )
 from ohopf.polyring import PolyRing
+from test_mutations import _bracket_nonzero_by_degree, _bracket_unsigned_reversed
 
 
 def _ring_with_sections():
@@ -223,6 +224,19 @@ def test_symbolic_suite():
     assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
+def test_the_identities_proved_on_representatives_hold_for_symbolic_arguments():
+    # the rows fix one argument to orbit representatives; the identities
+    # themselves, with every argument symbolic, still vanish
+    from ohopf.algebroid import anchor, bracket_e0, vf_commutator
+
+    s = _sym_sections(8)
+    ring = s.ring
+    assert jacobiator(s.X, s.Y, s.Z1, ring).is_zero()
+    assert jacobiator(s.X, s.Y, s.W, ring).is_zero()
+    morphism = vf_commutator(anchor(s.X, ring), anchor(s.Y, ring), ring) - anchor(bracket_e0(s.X, s.Y, ring), ring)
+    assert morphism.is_zero()
+
+
 # -- detector sensitivity ---------------------------------------------------
 # the suites must be able to fail: perturbed structure data may not slip
 # through as identically zero
@@ -248,8 +262,8 @@ def test_missing_leibniz_correction_is_detected(monkeypatch):
 
     monkeypatch.setattr(lie3_mod, "vf_apply", no_action)
     monkeypatch.setattr(algebroid_mod, "vf_apply", no_action)
-    ring, X, Y, W, Z1, Z2, T1, T2 = _sym_sections(8)
-    out = jacobiator(X, Y, Z1, ring)
+    s = _sym_sections(8)
+    out = jacobiator(s.X, s.Y, s.Z1, s.ring)
     assert out is not None and not out.is_zero()
 
 
@@ -279,14 +293,7 @@ def test_unsigned_reversed_bracket_is_detected(monkeypatch):
     # rests on that sign, so the proof must not hide its loss
     import ohopf.lie3 as lie3_mod
 
-    original = lie3_mod.bracket
-
-    def unsigned(s1, s2, ring):
-        if (degree(s1), degree(s2)) == (-1, 0):
-            return original(s2, s1, ring)
-        return original(s1, s2, ring)
-
-    monkeypatch.setattr(lie3_mod, "bracket", unsigned)
+    monkeypatch.setattr(lie3_mod, "bracket", _bracket_unsigned_reversed((-1, 0))(lie3_mod.bracket))
     failed = {c.name for c in prove_rows("lie3", CHECKS).checks if not c.passed}
     assert {"jacobi_0_0_m1", "antisymmetry_0_m1"} <= failed
 
@@ -296,9 +303,7 @@ def test_the_mirror_of_a_jacobi_term_is_the_other_term():
     # computed directly through bracket, an oracle independent of the mirror
     s = _sym_sections(8)
     ring = s.ring
-    sigma = ring.swap(
-        vector_names("u", 8) + vector_names("v", 8), vector_names("p", 8) + vector_names("q", 8)
-    )
+    sigma = ring.permutation(zip(s.X.components() + s.Y.components(), s.Y.components() + s.X.components()))
     mirrored = bracket(s.X, bracket(s.Y, s.Z1, ring), ring).map(sigma)
     other = bracket(s.Y, bracket(s.Z1, s.X, ring), ring)
     pairs = list(zip(mirrored.components(), other.components()))
@@ -310,14 +315,7 @@ def test_brackets_zero_by_degree_can_fail(monkeypatch):
     # exactly the checks whose law rests on them
     import ohopf.lie3 as lie3_mod
 
-    original = lie3_mod.bracket
-
-    def nonzero(s1, s2, ring):
-        if (degree(s1), degree(s2)) in ((-1, -2), (-2, -1), (-2, -2)):
-            return Sec2(ring.one)
-        return original(s1, s2, ring)
-
-    monkeypatch.setattr(lie3_mod, "bracket", nonzero)
+    monkeypatch.setattr(lie3_mod, "bracket", _bracket_nonzero_by_degree(lie3_mod.bracket))
     failed = {c.name for c in prove_rows("lie3", CHECKS).checks if not c.passed}
     assert failed == {
         "jacobi_0_m1_m2",

@@ -1,5 +1,5 @@
-"""Every check of the algebra, leaf, groupoid and algebroid suites can FAIL,
-and every term of the tangency map J is seen by some check.
+"""Every check of the algebra, leaf, groupoid, algebroid and lie3 suites can
+FAIL, and every term of the tangency map J is seen by some check.
 
 A PASS is vacuous if no plausible fault turns it into a FAIL: a row of
 algebra.IDENTITIES whose residual cancels by construction reports
@@ -7,14 +7,20 @@ nonzero_components 0 exactly like a proof, and byte-identical reports cannot
 tell the two apart.  MUTATIONS are such faults, monkeypatches of a product
 table, conjugation, the pairing, the associator, the commutator, the inverse,
 the leaf label, the tangency map, lambda^2, the unit, the phi numerator, phi,
-the G2 automorphism matrix, the anchor, the weight, the bracket, the shift
-or a sampler.  KILLS maps every check that ``verify --suite algebra``,
-``verify --suite leaves``, ``verify --suite groupoid`` or ``verify --suite
-algebroid`` emits, at any of its dims, to one mutation and a dim at which
-that mutation FAILs the check; a check emitted at dim 8 is killed at dim 8.
-Checks run on the exact backend, except those of FLOAT_ONLY reports, which
-``--backend exact`` leaves out.  UNCOVERED lists the checks that no mutation
-FAILs yet, each with its reason.
+the G2 automorphism matrix, the anchor, the weight, the brackets, the
+differentials, the shift or a sampler.  A fault of a map that lie3 imports
+under its own name patches both names, as a fault in the one definition
+would.  KILLS maps every check that ``verify --suite algebra``, ``verify
+--suite leaves``, ``verify --suite groupoid``, ``verify --suite algebroid`` or
+``verify --suite lie3`` emits, at any of its dims, to one mutation and a dim
+at which that mutation FAILs the check; a check emitted at dim 8 is killed at
+dim 8.  Checks run on the exact backend, except those of FLOAT_ONLY reports,
+which ``--backend exact`` leaves out.  UNCOVERED lists the checks that no
+mutation FAILs yet, each with its reason.
+
+The reduced Jacobi and anchor-morphism rows rest on an equivariance premise
+under the symmetries g and kappa (algebroid._commutes): a fault that breaks
+only one of them FAILs the premise and all four rows.
 
 The dual, TANGENCY_TERMS: each single-term mutant of foliation._tangency,
 with the checks of the single reports that read J that it FAILs at dim 8.
@@ -24,6 +30,7 @@ import pytest
 
 from ohopf import algebra, algebroid, foliation, groupoid, leaves, lie3
 from ohopf.algebra import AlgebraElement, coordinate_elements
+from ohopf.algebroid import E0Section, Sec1, Sec2, _sym_sections, degree, prove_rows
 from ohopf.cli import SUITE_DIMS, run_suite
 from ohopf.leaves import LeafId, PointD2
 
@@ -38,6 +45,9 @@ SUITE_OF = {
     "g2": "groupoid",
     "algebroid_symbolic": "algebroid",
     "algebroid_vs_groupoid": "algebroid",
+    "lie3": "lie3",
+    "tangency_matrix": "lie3",
+    "generic_ranks": "lie3",
 }
 # the reports that only the float backend runs
 FLOAT_ONLY = {"g2"}
@@ -203,6 +213,90 @@ def _bracket_with_flipped_second_leibniz(original):
     return bracket_e0
 
 
+def _rho_with_fixed_coordinate_term(original):
+    # rho + (x_1^2 u, y_1^2 v): kappa swaps the two terms, but g moves e_1
+    def rho(sec, x, y):
+        X = original(sec, x, y)
+        return algebroid.VectorField(
+            X.u + sec.u.scale(x.coeffs[1] * x.coeffs[1]), X.v + sec.v.scale(y.coeffs[1] * y.coeffs[1])
+        )
+
+    return rho
+
+
+def _merged_rho_columns(original):
+    # (e_1, 0) is sent to the field of (e_0, 0): two basis fields coincide
+    def rho(sec, x, y):
+        c = sec.u.coeffs
+        return original(E0Section(AlgebraElement((c[0] + c[1], 0) + c[2:]), sec.v), x, y)
+
+    return rho
+
+
+def _d1_with_constant_term(original):
+    # d1 + (a, 0) no longer vanishes at the origin
+    return lambda s, x, y: original(s, x, y) + E0Section(s.a, AlgebraElement.zero(s.a.dim))
+
+
+def _d2_with_constant_mu(original):
+    # d2 + (t, 0, 0)
+    def d2(s, x, y):
+        out = original(s, x, y)
+        return Sec1(out.mu + s.t, out.a, out.nu)
+
+    return d2
+
+
+def _bracket_unsigned_reversed(pair):
+    """[z, x] = [x, z] for the reversed degree pair, (-1,0) or (-2,0), in
+    place of -[x, z]."""
+
+    def mutate(original):
+        def bracket(s1, s2, ring):
+            if (degree(s1), degree(s2)) == pair:
+                return original(s2, s1, ring)
+            return original(s1, s2, ring)
+
+        return bracket
+
+    return mutate
+
+
+def _bracket_nonzero_by_degree(original):
+    # a nonzero bracket for the degree pairs (-1,-2), (-2,-1), (-2,-2)
+    def bracket(s1, s2, ring):
+        if (degree(s1), degree(s2)) in ((-1, -2), (-2, -1), (-2, -2)):
+            return Sec2(ring.one)
+        return original(s1, s2, ring)
+
+    return bracket
+
+
+def _bracket_m1_m1_without_a_term(original):
+    # 4<a,a'> - 2 mu nu' on degrees (-1,-1): the term - 2 mu' nu dropped, no longer symmetric
+    def bracket(s1, s2, ring):
+        if (degree(s1), degree(s2)) == (-1, -1):
+            return Sec2(4 * s1.a.inner(s2.a) - 2 * s1.mu * s2.nu)
+        return original(s1, s2, ring)
+
+    return bracket
+
+
+def _tangency_dropping_x_u(u, v, x, y):
+    return x.inner(u) - x.inner(u), u * y.conjugate() + x * v.conjugate(), y.inner(v)
+
+
+def _tangency_dropping_y_v(u, v, x, y):
+    return x.inner(u), u * y.conjugate() + x * v.conjugate(), y.inner(v) - y.inner(v)
+
+
+def _in_both(name, fault):
+    """The monkeypatches of a fault of algebroid's map ``name``, which lie3
+    binds under its own name too."""
+    mutated = fault(getattr(algebroid, name))
+    return [(algebroid, name, mutated), (lie3, name, mutated)]
+
+
 # name -> the (owner, attribute, replacement) monkeypatches of one fault
 MUTATIONS = {
     "octonion_e1e2_sign": _sign_flip(8, 1, 2),
@@ -227,18 +321,24 @@ MUTATIONS = {
     "phi_is_one": [(groupoid, "phi_group_element", lambda g: AlgebraElement.one(g.dim))],
     "g2_swaps_columns_e3_e5": [(groupoid, "g2_from_basic_triple", _g2_with_matrix(_swap_columns_e3_e5))],
     "g2_doubles_column_e7": [(groupoid, "g2_from_basic_triple", _g2_with_matrix(_double_column_e7))],
-    "rho_extra_term": [(algebroid, "_rho", _extra_rho_term(algebroid._rho))],
-    "rho_doubles_v_part": [(algebroid, "_rho", _doubled_rho_v_part(algebroid._rho))],
-    "rho_constant_u": [(algebroid, "_rho", _rho_with_constant_u(algebroid._rho))],
-    "weight_extra_term": [(algebroid, "_weight", _extra_weight_term(algebroid._weight))],
+    "rho_extra_term": _in_both("_rho", _extra_rho_term),
+    "rho_doubles_v_part": _in_both("_rho", _doubled_rho_v_part),
+    "rho_constant_u": _in_both("_rho", _rho_with_constant_u),
+    "rho_fixed_coordinate_term": _in_both("_rho", _rho_with_fixed_coordinate_term),
+    "rho_merges_columns": _in_both("_rho", _merged_rho_columns),
+    "weight_extra_term": _in_both("_weight", _extra_weight_term),
     "shift_constant_F": [(groupoid, "_shift", _shift_with_constant_F(groupoid._shift))],
-    "bracket_extra_weight": [(algebroid, "bracket_e0", _bracket_with_extra_weight(algebroid.bracket_e0))],
-    "bracket_symmetric_weight": [
-        (algebroid, "bracket_e0", _bracket_with_symmetric_weight(algebroid.bracket_e0))
-    ],
-    "bracket_flips_second_leibniz": [
-        (algebroid, "bracket_e0", _bracket_with_flipped_second_leibniz(algebroid.bracket_e0))
-    ],
+    "bracket_extra_weight": _in_both("bracket_e0", _bracket_with_extra_weight),
+    "bracket_symmetric_weight": _in_both("bracket_e0", _bracket_with_symmetric_weight),
+    "bracket_flips_second_leibniz": _in_both("bracket_e0", _bracket_with_flipped_second_leibniz),
+    "bracket_unsigned_m1_0": [(lie3, "bracket", _bracket_unsigned_reversed((-1, 0))(lie3.bracket))],
+    "bracket_unsigned_m2_0": [(lie3, "bracket", _bracket_unsigned_reversed((-2, 0))(lie3.bracket))],
+    "bracket_nonzero_by_degree": [(lie3, "bracket", _bracket_nonzero_by_degree(lie3.bracket))],
+    "bracket_m1_m1_drops_a_term": [(lie3, "bracket", _bracket_m1_m1_without_a_term(lie3.bracket))],
+    "d1_constant_a": [(lie3, "_d1", _d1_with_constant_term(lie3._d1))],
+    "d2_constant_mu": [(lie3, "_d2", _d2_with_constant_mu(lie3._d2))],
+    "tangency_drops_x_u": [(foliation, "_tangency", _tangency_dropping_x_u)],
+    "tangency_drops_y_v": [(foliation, "_tangency", _tangency_dropping_y_v)],
 }
 
 # check -> (mutation, dim at which it FAILs the check)
@@ -316,6 +416,39 @@ KILLS = {
     "algebroid_vs_groupoid.target_derivative_is_anchor": ("rho_extra_term", 8),
     "algebroid_vs_groupoid.lambda_derivative": ("weight_extra_term", 8),
     "algebroid_vs_groupoid.origin_is_fixed": ("shift_constant_F", 8),
+    "lie3.complex_rho_d1": ("d1_constant_a", 8),
+    "lie3.complex_d1_d2": ("d2_constant_mu", 8),
+    "lie3.antisymmetry_0_0": ("bracket_symmetric_weight", 8),
+    "lie3.antisymmetry_0_m1": ("bracket_unsigned_m1_0", 8),
+    "lie3.antisymmetry_0_m2": ("bracket_unsigned_m2_0", 8),
+    "lie3.symmetry_m1_m1": ("bracket_m1_m1_drops_a_term", 8),
+    "lie3.leibniz_0_m1": ("d1_constant_a", 8),
+    "lie3.leibniz_0_m2": ("d2_constant_mu", 8),
+    "lie3.leibniz_m1_m1": ("bracket_m1_m1_drops_a_term", 8),
+    "lie3.jacobi_0_0_0": ("rho_fixed_coordinate_term", 8),
+    "lie3.jacobi_0_0_m1": ("bracket_unsigned_m1_0", 8),
+    "lie3.jacobi_0_0_m2": ("bracket_unsigned_m2_0", 8),
+    "lie3.jacobi_0_m1_m1": ("bracket_m1_m1_drops_a_term", 8),
+    "lie3.jacobi_0_m1_m2": ("bracket_nonzero_by_degree", 8),
+    "lie3.jacobi_0_m2_m2": ("bracket_nonzero_by_degree", 8),
+    "lie3.jacobi_m1_m1_m1": ("bracket_nonzero_by_degree", 8),
+    "lie3.jacobi_m1_m1_m2": ("bracket_nonzero_by_degree", 8),
+    "lie3.jacobi_m1_m2_m2": ("bracket_nonzero_by_degree", 8),
+    "lie3.jacobi_m2_m2_m2": ("bracket_nonzero_by_degree", 8),
+    "lie3.degree_pairs_zero": ("bracket_nonzero_by_degree", 8),
+    "lie3.minimal_at_origin": ("rho_constant_u", 8),
+    "tangency_matrix.matrix_matches_transcription": ("tangency_drops_x_u", 8),
+    "tangency_matrix.first_row": ("tangency_drops_x_u", 8),
+    "tangency_matrix.last_row": ("tangency_drops_y_v", 8),
+    "generic_ranks.rho_is_scaled_projection": ("rho_doubles_v_part", 8),
+    "generic_ranks.tangency_is_d1_transpose": ("d1_constant_a", 8),
+    "generic_ranks.d1_gram_schur_complement": ("d1_constant_a", 8),
+    "generic_ranks.d2_norm_positive": ("d2_constant_mu", 8),
+    "generic_ranks.generic_point_ranks": ("d1_constant_a", 8),
+    "generic_ranks.rank_exactness": ("d1_constant_a", 8),
+    "generic_ranks.origin_ranks": ("d1_constant_a", 8),
+    "generic_ranks.infinity_line_ranks": ("rho_doubles_v_part", 8),
+    "generic_ranks.minimal_rank_consequence": ("rho_merges_columns", 8),
 }
 
 # the checks that no mutation FAILs yet, each with its reason
@@ -361,8 +494,43 @@ def _assert_tabled(suite):
 
 
 def test_every_check_of_the_suite_has_a_mutation():
-    for suite in ("algebra", "leaves", "groupoid", "algebroid"):
+    for suite in ("algebra", "leaves", "groupoid", "algebroid", "lie3"):
         _assert_tabled(suite)
+
+
+# the rows whose verdict is their proof on orbit representatives and the
+# equivariance premise, by report
+REDUCED_ROWS = {"lie3": ("jacobi_0_0_0", "jacobi_0_0_m1"), "algebroid_symbolic": ("jacobi", "anchor_morphism")}
+
+
+def _commutes_with(h, s):
+    """Whether rho, and bracket_e0 through its ring map, commute with h on
+    the symbolic constant sections s."""
+    point = algebroid._point(s)
+    image = h(point)
+    bracket = algebroid.bracket_e0(s.X, s.Y, s.ring)
+    return (
+        algebroid._rho(h(s.X), image.u, image.v) == h(algebroid._rho(s.X, point.u, point.v)),
+        bracket.map(algebroid._ring_map(h, s)) == h(bracket),
+    )
+
+
+@pytest.mark.parametrize(
+    "mutation, broken, fails",
+    [("rho_fixed_coordinate_term", "g", (False, True)), ("bracket_extra_weight", "kappa", (True, False))],
+)
+def test_a_fault_of_one_symmetry_fails_the_premise_and_the_reduced_rows(monkeypatch, mutation, broken, fails):
+    # fails: whether rho and bracket_e0 still commute with the broken symmetry
+    for owner, attribute, replacement in MUTATIONS[mutation]:
+        monkeypatch.setattr(owner, attribute, replacement)
+    s = _sym_sections(8)
+    commutes = {name: _commutes_with(h, s) for name, h in zip(("g", "kappa"), algebroid.SYMMETRIES)}
+    assert commutes == {name: fails if name == broken else (True, True) for name in commutes}
+    assert not algebroid._equivariance(s) and not lie3._equivariance(s)
+    tables = {"lie3": lie3.CHECKS, "algebroid_symbolic": algebroid.SYMBOLIC_CHECKS}
+    for report, names in REDUCED_ROWS.items():
+        checks = prove_rows(report, [row for row in tables[report] if row[0] in names]).checks
+        assert [c.name for c in checks if not c.passed] == list(names), report
 
 
 _COMMON = {
@@ -383,14 +551,8 @@ _NULLITY = {"foliation.linear_nullspace_dimension", "foliation.linear_nullspace_
 # carry a linear relation and keep their rank.
 TANGENCY_TERMS = {
     "none": (foliation._tangency, set()),
-    "drop_x_u": (
-        lambda u, v, x, y: (x.inner(u) - x.inner(u), u * y.conjugate() + x * v.conjugate(), y.inner(v)),
-        _COMMON | {"tangency_matrix.first_row"},
-    ),
-    "drop_y_v": (
-        lambda u, v, x, y: (x.inner(u), u * y.conjugate() + x * v.conjugate(), y.inner(v) - y.inner(v)),
-        _COMMON | {"tangency_matrix.last_row"},
-    ),
+    "drop_x_u": (_tangency_dropping_x_u, _COMMON | {"tangency_matrix.first_row"}),
+    "drop_y_v": (_tangency_dropping_y_v, _COMMON | {"tangency_matrix.last_row"}),
     "drop_u_conj_y": (
         lambda u, v, x, y: (x.inner(u), x * v.conjugate(), y.inner(v)),
         _COMMON | _ANCHOR_IMAGE | _NULLITY,

@@ -225,12 +225,17 @@ def test_sum_of_products_refuses_mixed_rings():
         sum_of_products(other, [(1, x, x)])
 
 
-# -- variable swaps -----------------------------------------------------------
+# -- signed permutations of variables ------------------------------------------
 
 # two blocks of two section variables with a fixed variable c between them
 SWAP_NAMES = ("x0", "y0", "a0", "a1", "c", "b0", "b1")
 SWAP_RING = PolyRing(1, SWAP_NAMES[2:])
-SIGMA = SWAP_RING.swap(("a0", "a1"), ("b0", "b1"))
+X0, Y0, A0, A1, C, B0, B1 = (SWAP_RING.poly(name) for name in SWAP_NAMES)
+# sigma swaps the blocks (a0, a1) and (b0, b1), as the mirror of a Jacobi term does
+SIGMA = SWAP_RING.permutation(zip((A0, A1, B0, B1), (B0, B1, A0, A1)))
+# tau moves base variables too, with signs: x0 -> -y0, y0 -> x0, and the cycle
+# a0 -> b1 -> -a1 -> a0 with c -> -c, as a symmetry of the base and the fibres does
+TAU = SWAP_RING.permutation([(X0, -Y0), (Y0, X0), (A0, B1), (B1, -A1), (A1, A0), (C, -C)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,39 +246,63 @@ def test_swap_is_an_involutive_automorphism_that_commutes_with_derive(p, q):
     assert SIGMA(p + q) == SIGMA(p) + SIGMA(q)
     for name in ("x0", "y0"):
         assert SIGMA(p.derive(name)) == SIGMA(p).derive(name)
-    # the order of the two blocks does not matter
-    assert SWAP_RING.swap(("b0", "b1"), ("a0", "a1"))(p) == SIGMA(p)
+    # the order of the pairs does not matter
+    assert SWAP_RING.permutation(zip((B0, B1, A0, A1), (A0, A1, B0, B1)))(p) == SIGMA(p)
 
 
 def test_swap_maps_each_variable_to_its_partner():
-    x, y, a0, a1, c, b0, b1 = (SWAP_RING.poly(name) for name in SWAP_NAMES)
-    p = 3 * a0**15 * b1 * c * x**2 * y - 5 * a1 + b0 * b1 + 7
-    assert SIGMA(p) == 3 * b0**15 * a1 * c * x**2 * y - 5 * b1 + a0 * a1 + 7
-    assert SIGMA(x * y * c) == x * y * c
+    p = 3 * A0**15 * B1 * C * X0**2 * Y0 - 5 * A1 + B0 * B1 + 7
+    assert SIGMA(p) == 3 * B0**15 * A1 * C * X0**2 * Y0 - 5 * B1 + A0 * A1 + 7
+    assert SIGMA(X0 * Y0 * C) == X0 * Y0 * C
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(SWAP_RING, SWAP_NAMES), polys(SWAP_RING, SWAP_NAMES))
+def test_a_signed_permutation_is_an_automorphism_under_the_chain_rule(p, q):
+    assert TAU(p * q) == TAU(p) * TAU(q)
+    assert TAU(p - q) == TAU(p) - TAU(q)
+    # tau(p)(x0, y0) = p(-y0, x0), so d/dy0 of it is -tau(dp/dx0) and d/dx0 is tau(dp/dy0)
+    assert TAU(p.derive("x0")) == -TAU(p).derive("y0")
+    assert TAU(p.derive("y0")) == TAU(p).derive("x0")
+    # tau has order 12: 4 on the base, 6 on the cycle of a0, 2 on c
+    image = p
+    for _ in range(12):
+        image = TAU(image)
+    assert image == p
+
+
+def test_a_signed_permutation_maps_each_variable_to_its_image():
+    p = 3 * A0**15 * B1 * C * X0**2 * Y0 - 5 * A1 + B0 * B1 + 7
+    assert TAU(p) == 3 * B1**15 * (-A1) * (-C) * Y0**2 * X0 - 5 * A0 + B0 * (-A1) + 7
+    assert TAU(B0) == B0
 
 
 @pytest.mark.parametrize(
-    "first, second",
+    "pairs",
     [
-        (("x0",), ("a0",)),
-        (("c",), ("y0",)),
-        (("a0", "a1"), ("a1", "c")),
-        (("a0", "a1", "c"), ("a1", "c", "b0")),
-        (("a0", "a1"), ("b0",)),
-        (("a0",), ("b0", "b1")),
-        (("a0", "c"), ("b0", "b1")),
-        ((), ()),
+        [(A0, SWAP_RING.one)],
+        [(A0, SWAP_RING.zero)],
+        [(A0, 2 * B0), (B0, A0)],
+        [(A0, A0 + B0)],
+        [(A0, A0 * B0)],
+        [(-A0, B0), (B0, A0)],
+        [(A0, B0), (A0, B1), (B0, A0)],
+        [(A0, B0)],
+        [(A0, B0), (B0, B1), (B1, B0)],
     ],
-    ids=["base_x", "base_y", "overlap", "overlap_3", "unequal", "unequal_2", "gap", "empty"],
+    ids=["one", "zero", "scaled", "sum", "product", "negated_variable", "overlap", "open_cycle", "two_to_one"],
 )
-def test_swap_refuses_base_overlapping_and_unequal_blocks(first, second):
+def test_permutation_refuses_what_is_not_a_signed_permutation(pairs):
     with pytest.raises(ValueError):
-        SWAP_RING.swap(first, second)
+        SWAP_RING.permutation(pairs)
 
 
 def test_swap_refuses_another_rings_polynomial():
+    other = PolyRing(1, SWAP_NAMES[2:])
     with pytest.raises(RingMismatch):
-        SIGMA(PolyRing(1, SWAP_NAMES[2:]).poly("a0"))
+        SIGMA(other.poly("a0"))
+    with pytest.raises(RingMismatch):
+        SWAP_RING.permutation([(A0, other.poly("b0")), (B0, A0)])
 
 
 # -- independent CAS oracle -----------------------------------------------
